@@ -10,7 +10,7 @@ and size give byte-identical files.
   footer on every page, ~5% duplicate detections, one table and two images per
   document (one image useless) with usefulness and enrichment fixture files.
   Every third page's header is detected as ``text``.
-* ``dense``: one-page documents of ~3,000 detections in a 4-column
+* ``dense``: one-page documents of ~1,800 detections in a 4-column
   ``multi_column`` region, a ``row_group`` region and a ``group`` region, ~5%
   duplicates, no page headers or footers, and a fixed share without ``id``.
 * ``eval``: DP-Bench reference/prediction pairs. The prediction deletes one
@@ -92,15 +92,14 @@ REPORT_COLUMNS = ((60.0, 390.0), (410.0, 740.0))
 REPORT_BODY_TOP = 80.0
 REPORT_PITCH = 28.0
 REPORT_HEIGHT = 22.0
+REPORT_WORDS = (1, 4)  # words per body element; the barrier's cost grows with text length
+REPORT_DUPLICATE_SHARE = 0.05
 
 
 @dataclass(frozen=True)
 class ReportShape:
     pages: int = 6
     elements_per_page: int = 60
-    min_words: int = 1
-    max_words: int = 5
-    duplicate_share: float = 0.05
 
 
 def make_report(rng: random.Random, doc_index: int, shape: ReportShape, directory: Path):
@@ -165,11 +164,11 @@ def make_report(rng: random.Random, doc_index: int, shape: ReportShape, director
                 hidden_markers.append(marker)
             else:
                 label = rng.choices(("text", "list_item", "section"), (6, 2, 1))[0]
-                det.update(label=label, text=words(rng, shape.min_words, shape.max_words))
+                det.update(label=label, text=words(rng, *REPORT_WORDS))
                 columns[column].append((label, det["text"]))
                 body.append(det)
             elements.append(det)
-        for det in rng.sample(body, round(shape.duplicate_share * len(body))):
+        for det in rng.sample(body, round(REPORT_DUPLICATE_SHARE * len(body))):
             left, top, right, bottom = det["bbox"]
             elements.append(
                 {"id": f"{det['id']}-dup", "label": det["label"],
@@ -219,14 +218,16 @@ def generate_report(seed: int, directory: Path, docs: int, shape: ReportShape = 
 # ---------------------------------------------------------------------------
 
 
+DENSE_COLUMNS = 4
+DENSE_DUPLICATE_SHARE = 0.05
+DENSE_MISSING_ID_EVERY = 10  # every n-th detection carries no id
+
+
 @dataclass(frozen=True)
 class DenseShape:
-    per_column: int = 600
-    columns: int = 4
-    row_members: int = 150
-    group_members: int = 300
-    duplicate_share: float = 0.05
-    missing_id_every: int = 10  # every n-th detection carries no id
+    per_column: int = 360
+    row_members: int = 90
+    group_members: int = 180
 
 
 def make_dense(rng: random.Random, doc_index: int, shape: DenseShape, directory: Path) -> ParseInput:
@@ -250,13 +251,13 @@ def make_dense(rng: random.Random, doc_index: int, shape: DenseShape, directory:
 
     column_width, column_gap, pitch, height = 440.0, 60.0, 10.0, 8.0
     top0 = 40.0
-    for column in range(shape.columns):
+    for column in range(DENSE_COLUMNS):
         left = 40.0 + column * (column_width + column_gap)
         for row in range(shape.per_column):
             top = top0 + row * pitch
             add(left, top, left + column_width, top + height)
     columns_bottom = top0 + shape.per_column * pitch
-    region_right = 40.0 + shape.columns * (column_width + column_gap)
+    region_right = 40.0 + DENSE_COLUMNS * (column_width + column_gap)
     layouts = [
         {"label": "multi_column", "confidence": 0.9,
          "bbox": _box(30, top0 - 5, region_right, columns_bottom)},
@@ -278,7 +279,7 @@ def make_dense(rng: random.Random, doc_index: int, shape: DenseShape, directory:
                     "bbox": _box(30, group_top - 5, region_right, group_bottom)})
 
     duplicates = []
-    for det in rng.sample(originals, round(shape.duplicate_share * len(originals))):
+    for det in rng.sample(originals, round(DENSE_DUPLICATE_SHARE * len(originals))):
         left, top, right, bottom = det["bbox"]
         duplicates.append(
             {"label": det["label"],
@@ -288,7 +289,7 @@ def make_dense(rng: random.Random, doc_index: int, shape: DenseShape, directory:
     detections = originals + duplicates
     rng.shuffle(detections)
     for index, det in enumerate(detections):
-        if index % shape.missing_id_every != 0:
+        if index % DENSE_MISSING_ID_EVERY != 0:
             det["id"] = f"x{doc_index}-{index}"
     path = _write_json(
         directory / f"{stem}.json",
@@ -310,17 +311,18 @@ def generate_dense(seed: int, directory: Path, docs: int, shape: DenseShape = De
 # ---------------------------------------------------------------------------
 
 EVAL_COLUMNS = 10
+EVAL_CELL_WORDS = 1  # cell levenshtein in TEDS grows with the square of cell length
+EVAL_REWORD_SHARE = 0.2
 
 
 @dataclass(frozen=True)
 class EvalShape:
     # Every pair has the same shape, so op times do not jump between pool
     # entries of different size when a run completes a different op count.
-    pairs: int = 4
+    pairs: int = 8
     rows: int = 10
     body_chars: int = 4000
     move_span: int = 2  # blocks the moved block travels
-    reword_share: float = 0.2
 
 
 def _table_html(rows: list[list[str]]) -> str:
@@ -344,7 +346,8 @@ def make_eval_pair(rng: random.Random, index: int, identity: bool, shape: EvalSh
                    directory: Path) -> EvalInput:
     rows = shape.rows
     # Fixed word counts keep the cost of a pair nearly independent of the seed.
-    table = [[words(rng, 2, 2) for _ in range(EVAL_COLUMNS)] for _ in range(rows)]
+    table = [[words(rng, EVAL_CELL_WORDS, EVAL_CELL_WORDS) for _ in range(EVAL_COLUMNS)]
+             for _ in range(rows)]
     blocks: list[str] = []
     while sum(len(b) + 1 for b in blocks) < shape.body_chars:
         blocks.append(words(rng, 40, 40))
@@ -356,11 +359,11 @@ def make_eval_pair(rng: random.Random, index: int, identity: bool, shape: EvalSh
         deleted = rng.randrange(rows)
         pred_table = [list(row) for r, row in enumerate(table) if r != deleted]
         cells = [(r, c) for r in range(rows - 1) for c in range(EVAL_COLUMNS)]
-        reworded = rng.sample(cells, round(shape.reword_share * len(cells)))
+        reworded = rng.sample(cells, round(EVAL_REWORD_SHARE * len(cells)))
         for r, c in reworded:
             old = pred_table[r][c]
             while pred_table[r][c] == old:
-                pred_table[r][c] = words(rng, 2, 2)
+                pred_table[r][c] = words(rng, EVAL_CELL_WORDS, EVAL_CELL_WORDS)
         source = rng.randrange(len(blocks) - shape.move_span)
         target = source + shape.move_span
         pred_blocks = list(blocks)

@@ -61,7 +61,7 @@ SUFFIXES = (
     (".md", "markdown"),
     (".json", "json"),
 )
-SETUP_SPAWNS = 9
+SETUP_SPAWNS = 25
 UUID4 = re.compile(r"[0-9a-f]{8}-[0-9a-f]{4}-4[0-9a-f]{3}-[89ab][0-9a-f]{3}-[0-9a-f]{12}")
 
 # Pool size (inputs cycled through) and shape per workload, full and smoke.
@@ -255,13 +255,18 @@ def build_workload(name: str, seed: int, smoke: bool, run_dir: Path):
     return ParseWorkload(name, generate(seed, inputs_dir, docs, shape), out_dir)
 
 
-def run_untraced(workload, seconds: float) -> tuple[list[Op], dict, list[str]]:
-    """End-to-end metrics: set-up time, op latency, throughput, peak RSS."""
+def run_untraced(workload, seconds: float, record: dict) -> tuple[list[Op], dict, list[str]]:
+    """End-to-end metrics: set-up time, op latency, throughput, peak RSS.
+
+    The tail's percentile depends on the op count, so ``record`` gets it too:
+    compare ``op_s.tail`` only between runs at the same percentile.
+    """
     setup = measure_setup(workload.config_raw, SETUP_SPAWNS)
     ops = drive(workload, seconds)
     times = [op.seconds for op in ops]
     elements = sum(op.elements for op in ops)
     tail_value, tail_pct, beyond = tail(times)
+    record["op_s.tail"] = {"percentile": tail_pct, "beyond": beyond, "n": len(times)}
     metrics = {
         "setup_s": (statistics.median(setup), "s", f"median of {len(setup)} fresh interpreters"),
         "op_s.p50": (statistics.median(times), "s", f"n={len(times)}"),
@@ -347,7 +352,7 @@ def main(argv=None) -> int:
             trace_path = WORK / "traces" / f"{args.workload}-s{args.seed}.json"
             ops, metrics, notes = run_traced(workload, args.seconds, trace_path)
         else:
-            ops, metrics, notes = run_untraced(workload, args.seconds)
+            ops, metrics, notes = run_untraced(workload, args.seconds, record)
     finally:
         shutil.rmtree(run_dir, ignore_errors=True)
     failures = [op.failure for op in ops if op.failure]

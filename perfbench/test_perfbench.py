@@ -2,7 +2,8 @@
 
 Runs every workload, traced and untraced, for about a second each, checks the
 result line against BENCHMARK.json, and checks the generators, the tracer's
-clean-up and the refusal to run without docweave's sources.
+clean-up, the bounds of the eval check and the refusal to run without
+docweave's sources.
 """
 
 import filecmp
@@ -14,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+import checks
 import gen
 import run
 
@@ -56,6 +58,27 @@ def test_generators_are_byte_identical_per_seed():
     match, mismatch, errors = filecmp.cmpfiles(left, right, [str(f) for f in files], shallow=False)
     assert not mismatch and not errors
     shutil.rmtree(SCRATCH, ignore_errors=True)
+
+
+EVAL_EXPECTED = {"identity": False, "teds_s": 0.9, "teds_min": 0.7, "nid_min": 0.8}
+
+
+def eval_reports(teds, teds_s, nid):
+    return ({"evaluated": 1, "samples": [{"teds": teds, "teds_s": teds_s}]},
+            {"evaluated": 1, "samples": [{"nid": nid}]})
+
+
+@pytest.mark.parametrize("teds, teds_s, nid", [
+    (0.6, 0.9, 0.9),   # TEDS below its lower bound
+    (0.9, 0.9, 0.9),   # TEDS not below TEDS-S despite reworded cells
+    (1.0, 0.9, 0.9),
+    (0.8, 0.95, 0.9),  # TEDS-S off its closed form
+    (0.8, 0.9, 0.7),   # NID below its lower bound
+    (0.8, 0.9, 1.0),   # NID of 1.0 for texts that differ
+])
+def test_eval_check_rejects_scores_outside_the_bounds(teds, teds_s, nid):
+    assert checks.check_eval(EVAL_EXPECTED, *eval_reports(0.8, 0.9, 0.9)) is None
+    assert checks.check_eval(EVAL_EXPECTED, *eval_reports(teds, teds_s, nid)) is not None
 
 
 def test_tracer_restores_module_attributes():
