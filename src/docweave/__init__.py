@@ -97,7 +97,6 @@ from .model import (
     document_to_json,
     make_entity,
     make_group,
-    weight_of,
 )
 from .pipeline import PipelineConfig, export_document, process_document, run_pipeline
 

@@ -62,7 +62,7 @@ def main(verbose: bool):
 @click.option("--usefulness-fixture", type=click.Path(exists=True, path_type=Path), default=None)
 @click.option("--enrichment-fixture", type=click.Path(exists=True, path_type=Path), default=None)
 @click.option("--category-fixture", type=click.Path(exists=True, path_type=Path), default=None)
-@click.option("-w", "--workers", type=int, default=None, help="Concurrent pages/exporters (default 1).")
+@click.option("-w", "--workers", type=int, default=None, help="Concurrent usefulness/enrichment client calls within a page (default 1).")
 def parse(
     inputs,
     output_dir,
@@ -91,26 +91,6 @@ def parse(
         except json.JSONDecodeError as exc:
             raise click.UsageError(f"{config_path}: invalid config JSON: {exc}")
 
-    assembly_defaults = file_values.get("assembly", {})
-    cluster_kwargs = dict(assembly_defaults.get("cluster", {}))
-    row_kwargs = dict(assembly_defaults.get("row", {}))
-    hf_kwargs = dict(assembly_defaults.get("header_footer", {}))
-    if eps is not None:
-        cluster_kwargs["eps"] = eps
-    if min_samples is not None:
-        cluster_kwargs["min_samples"] = min_samples
-    if angle_threshold is not None:
-        row_kwargs["angle_threshold_degrees"] = angle_threshold
-    if fuzzy_threshold is not None:
-        hf_kwargs["fuzzy_threshold"] = fuzzy_threshold
-    if header_top_limit is not None:
-        hf_kwargs["header_top_limit"] = header_top_limit
-    file_values["assembly"] = {
-        "cluster": cluster_kwargs,
-        "row": row_kwargs,
-        "header_footer": hf_kwargs,
-    }
-
     try:
         config = config_from_mapping(
             file_values,
@@ -126,6 +106,11 @@ def parse(
             enrichment_fixture=enrichment_fixture,
             category_fixture=category_fixture,
             workers=workers,
+            assembly={
+                "cluster": {"eps": eps, "min_samples": min_samples},
+                "row": {"angle_threshold_degrees": angle_threshold},
+                "header_footer": {"fuzzy_threshold": fuzzy_threshold, "header_top_limit": header_top_limit},
+            },
         )
     except (ValidationError, TypeError, ValueError) as exc:
         raise click.UsageError(str(exc))
@@ -153,8 +138,7 @@ def parse(
 @click.option("-o", "--output-dir", type=click.Path(path_type=Path), default=Path("out"), show_default=True)
 @click.option("--formats", default="markdown,chunks,graph,dpbench", show_default=True)
 @click.option("--skip-headers-footers", is_flag=True, default=False)
-@click.option("-w", "--workers", type=int, default=1, show_default=True)
-def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers_footers: bool, workers: int):
+def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers_footers: bool):
     """Re-run exporters over an existing document-result JSON file."""
     try:
         doc = document_from_json(json_path.read_text(encoding="utf-8"))
@@ -167,7 +151,6 @@ def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers
         json_path.stem,
         _parse_formats(formats),
         skip_headers_footers=skip_headers_footers,
-        workers=workers,
     )
     for path in written:
         click.echo(str(path))

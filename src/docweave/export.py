@@ -1,8 +1,8 @@
-"""The four parallel exports: Markdown, RAG chunks, knowledge graph, DP-Bench.
+"""The four derived exports: Markdown, RAG chunks, knowledge graph, DP-Bench.
 
-All exporters are pure functions of an immutable DocumentResult and may run
-concurrently. Skipped images were removed from ``elements`` during assembly,
-so nothing here can leak their content.
+All exporters are pure functions of an immutable DocumentResult; the pipeline
+runs them one after another. Skipped images were removed from ``elements``
+during assembly, so nothing here can leak their content.
 """
 
 from __future__ import annotations

@@ -32,8 +32,9 @@ import json
 import logging
 import re
 import unicodedata
+import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
@@ -147,12 +148,19 @@ def _parse_detection(
     )
 
 
+#: Namespace of the ids given to element detections that carry none.
+_ID_NAMESPACE = uuid.UUID("6f1d3c52-8a4e-5b7f-9c20-d4e8a1b3f605")
+
+
 def load_detections(
     path: Union[str, Path],
     layout_threshold: float = LAYOUT_CONFIDENCE_THRESHOLD,
     element_threshold: float = ELEMENT_CONFIDENCE_THRESHOLD,
 ) -> DetectionInput:
-    """Parse and validate a detection-input file, applying confidence thresholds."""
+    """Parse and validate a detection-input file, applying confidence thresholds.
+
+    A missing element ``id`` becomes a uuid5 of filename, page number and index.
+    """
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -199,10 +207,12 @@ def load_detections(
             det = _parse_detection(det_raw, det_context, ElementLabel, element_threshold)
             if det is None:
                 continue
-            if det.id is not None:
-                if det.id in seen_ids:
-                    _fail(f"{det_context}.id", f"duplicate entity id {det.id!r}")
-                seen_ids.add(det.id)
+            if det.id is None:
+                key = json.dumps([filename, number, det_index])
+                det = replace(det, id=str(uuid.uuid5(_ID_NAMESPACE, key)))
+            if det.id in seen_ids:
+                _fail(f"{det_context}.id", f"duplicate entity id {det.id!r}")
+            seen_ids.add(det.id)
             elements.append(det)
         layouts = []
         for det_index, det_raw in enumerate(page_raw.get("layout_detections", [])):
@@ -319,23 +329,15 @@ def filter_small_text(entities: Sequence[Entity]) -> list[Entity]:
 
 
 def _run_per_entity(targets, call, max_workers: int):
-    """Invoke ``call`` once per entity; results keyed by id, order-independent."""
-    if max_workers > 1 and len(targets) > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            futures = {e.id: pool.submit(call, e) for e in targets}
-        results = {}
-        for eid, future in futures.items():
-            try:
-                results[eid] = (future.result(), None)
-            except Exception as exc:  # client errors fail open
-                results[eid] = (None, exc)
-        return results
+    """Invoke ``call`` once per entity on up to ``max_workers`` threads; results keyed by id."""
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        futures = {e.id: pool.submit(call, e) for e in targets}
     results = {}
-    for e in targets:
+    for eid, future in futures.items():
         try:
-            results[e.id] = (call(e), None)
-        except Exception as exc:
-            results[e.id] = (None, exc)
+            results[eid] = (future.result(), None)
+        except Exception as exc:  # client errors fail open
+            results[eid] = (None, exc)
     return results
 
 
@@ -402,15 +404,13 @@ def enrich_entities(
     results = _run_per_entity(eligible, client.enrich, max_workers)
 
     merged: dict[str, Entity] = {}
-    calls = 0
     for entity in eligible:
         outcome, error = results[entity.id]
-        calls += 1
         if error is not None:
             logger.warning("enrichment failed for %s, keeping OCR value: %s", entity.id, error)
             continue
         merged[entity.id] = _merge_enrichment(entity, outcome)
-    return [merged.get(e.id, e) for e in entities], calls
+    return [merged.get(e.id, e) for e in entities], len(eligible)
 
 
 def classify_document(full_text: str, classifier: CategoryClassifier) -> str:

@@ -108,10 +108,6 @@ class SchemaWeights:
         return cls(merged)
 
 
-def weight_of(label: ElementLabel, schema: SchemaWeights) -> int:
-    return schema.weight_of(label)
-
-
 @dataclass(frozen=True)
 class EntityValue:
     """Textual payload of an entity, optionally enriched with title/summary/data."""
@@ -133,13 +129,31 @@ class EntityValue:
             object.__setattr__(self, "data", rows)
 
 
-@dataclass(frozen=True)
-class Entity:
-    """One detected semantic element with derived geometry and schema weight.
+class _Centered:
+    """Center geometry derived on access from ``pixel_coordinates``."""
 
-    ``mid_point``, ``x_center``, ``y_center`` and ``weight`` are pure functions
-    of ``pixel_coordinates`` and ``type``; use :func:`make_entity` so they stay
-    consistent.
+    pixel_coordinates: BBox
+
+    @property
+    def mid_point(self) -> Point:
+        return midpoint(self.pixel_coordinates)
+
+    @property
+    def x_center(self) -> float:
+        return (self.pixel_coordinates.left + self.pixel_coordinates.right) / 2
+
+    @property
+    def y_center(self) -> float:
+        return (self.pixel_coordinates.top + self.pixel_coordinates.bottom) / 2
+
+
+@dataclass(frozen=True)
+class Entity(_Centered):
+    """One detected semantic element with its schema weight.
+
+    ``mid_point``, ``x_center`` and ``y_center`` are properties derived from
+    ``pixel_coordinates``. ``weight`` is a pure function of ``type``; use
+    :func:`make_entity` so it stays consistent.
     """
 
     id: str
@@ -147,9 +161,6 @@ class Entity:
     confidence: float
     value: EntityValue
     pixel_coordinates: BBox
-    mid_point: Point
-    x_center: float
-    y_center: float
     weight: int
     image_payload: Optional[str] = None
 
@@ -170,10 +181,10 @@ def make_entity(
     entity_id: Optional[str] = None,
     image_payload: Optional[str] = None,
 ) -> Entity:
-    """Build an entity, deriving midpoint, centers, and weight.
+    """Build an entity, deriving its weight from the schema.
 
-    Caller-supplied ids are preserved for reproducibility; otherwise a random
-    version-4 UUID is assigned.
+    Caller-supplied ids are preserved; otherwise a random version-4 UUID is
+    assigned (``load_detections`` already gives every detection a stable id).
     """
     label = ElementLabel(label)
     confidence = float(confidence)
@@ -181,31 +192,24 @@ def make_entity(
         raise ValidationError(f"confidence must be in [0,1], got {confidence}")
     if entity_id is not None and not entity_id:
         raise ValidationError("entity id must be a non-empty string")
-    mid = midpoint(bbox)
     return Entity(
         id=entity_id if entity_id is not None else str(uuid.uuid4()),
         type=label,
         confidence=confidence,
         value=value,
         pixel_coordinates=bbox,
-        mid_point=mid,
-        x_center=mid.x,
-        y_center=mid.y,
         weight=schema.weight_of(label),
         image_payload=image_payload,
     )
 
 
 @dataclass(frozen=True)
-class Group:
+class Group(_Centered):
     """An ordered run of entity ids sharing one layout region."""
 
     type: GroupType
     ids: tuple[str, ...]
     pixel_coordinates: BBox
-    mid_point: Point
-    x_center: float
-    y_center: float
 
     def __post_init__(self):
         if not self.ids:
@@ -217,15 +221,10 @@ class Group:
 
 def make_group(group_type: GroupType, members: Sequence[Entity]) -> Group:
     """Build a group over ``members`` in the given order; bbox is their union."""
-    box = union_bbox([m.pixel_coordinates for m in members])
-    mid = midpoint(box)
     return Group(
         type=GroupType(group_type),
         ids=tuple(m.id for m in members),
-        pixel_coordinates=box,
-        mid_point=mid,
-        x_center=mid.x,
-        y_center=mid.y,
+        pixel_coordinates=union_bbox([m.pixel_coordinates for m in members]),
     )
 
 
@@ -300,10 +299,6 @@ def _bbox_to_dict(box: BBox) -> dict[str, float]:
     return {"left": box.left, "top": box.top, "right": box.right, "bottom": box.bottom}
 
 
-def _point_to_dict(point: Point) -> dict[str, float]:
-    return {"x": point.x, "y": point.y}
-
-
 def entity_value_to_dict(value: EntityValue) -> dict[str, Any]:
     out: dict[str, Any] = {"text": value.text}
     if value.title is not None:
@@ -322,7 +317,7 @@ def entity_to_dict(entity: Entity) -> dict[str, Any]:
         "confidence": entity.confidence,
         "value": entity_value_to_dict(entity.value),
         "pixel_coordinates": _bbox_to_dict(entity.pixel_coordinates),
-        "mid_point": _point_to_dict(entity.mid_point),
+        "mid_point": {"x": entity.x_center, "y": entity.y_center},
         "x_center": entity.x_center,
         "y_center": entity.y_center,
         "weight": entity.weight,
@@ -337,7 +332,7 @@ def group_to_dict(group: Group) -> dict[str, Any]:
         "type": group.type.value,
         "ids": list(group.ids),
         "pixel_coordinates": _bbox_to_dict(group.pixel_coordinates),
-        "mid_point": _point_to_dict(group.mid_point),
+        "mid_point": {"x": group.x_center, "y": group.y_center},
         "x_center": group.x_center,
         "y_center": group.y_center,
     }
@@ -390,6 +385,23 @@ def _bbox_from_dict(raw: Mapping[str, Any], context: str) -> BBox:
         raise ValidationError(f"{context}: {exc}") from exc
 
 
+def _check_centers(raw: Mapping[str, Any], box: BBox, context: str) -> None:
+    """Reject stored ``mid_point``/``x_center``/``y_center`` that disagree with ``box``."""
+    mid = midpoint(box)
+    stored_mid = _require(raw, "mid_point", context)
+    stored = (
+        float(_require(stored_mid, "x", f"{context}.mid_point")),
+        float(_require(stored_mid, "y", f"{context}.mid_point")),
+        float(_require(raw, "x_center", context)),
+        float(_require(raw, "y_center", context)),
+    )
+    if stored != (mid.x, mid.y, mid.x, mid.y):
+        raise ValidationError(
+            f"{context}: stored midpoint/centers {stored} do not match geometry "
+            f"({mid.x}, {mid.y})"
+        )
+
+
 def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
     value_raw = _require(raw, "value", context)
     data = value_raw.get("data")
@@ -415,28 +427,13 @@ def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"{context}: confidence must be in [0,1], got {confidence}")
 
-    mid = midpoint(bbox)
-    stored_mid = _require(raw, "mid_point", context)
-    stored = (
-        float(_require(stored_mid, "x", f"{context}.mid_point")),
-        float(_require(stored_mid, "y", f"{context}.mid_point")),
-        float(_require(raw, "x_center", context)),
-        float(_require(raw, "y_center", context)),
-    )
-    if stored != (mid.x, mid.y, mid.x, mid.y):
-        raise ValidationError(
-            f"{context}: stored midpoint/centers {stored} do not match geometry "
-            f"({mid.x}, {mid.y})"
-        )
+    _check_centers(raw, bbox, context)
     return Entity(
         id=str(_require(raw, "id", context)),
         type=label,
         confidence=confidence,
         value=value,
         pixel_coordinates=bbox,
-        mid_point=mid,
-        x_center=mid.x,
-        y_center=mid.y,
         weight=weight,
         image_payload=raw.get("image_payload"),
     )
@@ -457,15 +454,8 @@ def group_from_dict(raw: Mapping[str, Any], elements: Mapping[str, Entity], cont
         raise ValidationError(
             f"{context}: stored bbox {box} is not the union of member boxes {expected}"
         )
-    mid = midpoint(box)
-    return Group(
-        type=group_type,
-        ids=ids,
-        pixel_coordinates=box,
-        mid_point=mid,
-        x_center=mid.x,
-        y_center=mid.y,
-    )
+    _check_centers(raw, box, context)
+    return Group(type=group_type, ids=ids, pixel_coordinates=box)
 
 
 def page_from_dict(raw: Mapping[str, Any], context: str = "page") -> PageResult:

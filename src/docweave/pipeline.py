@@ -1,10 +1,10 @@
 """End-to-end orchestration: ingest, per-page assembly, correction, export.
 
-Pages of one document are independent and may be processed concurrently;
-header/footer correction is a whole-document barrier that runs after every
-page has assembled. Exporters are pure and also run concurrently. Output files
-are written atomically (temp file + rename), so an interrupted run never
-leaves a truncated file at a final path.
+Pages are assembled in turn, and a failed page is left out; header/footer
+correction is a whole-document barrier that runs after every page. The only
+concurrency is up to ``workers`` client calls within a page. Output files are
+written atomically (temp file + rename), so an interrupted run never leaves a
+truncated file at a final path.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
@@ -150,22 +149,11 @@ def export_document(
     stem: str,
     formats: Sequence[str],
     skip_headers_footers: bool = False,
-    workers: int = 1,
 ) -> list[Path]:
-    """Render and atomically write the selected formats, concurrently when asked."""
-    formats = list(formats)
-
-    def render(fmt: str) -> str:
-        return render_format(doc, fmt, skip_headers_footers)
-
-    if workers > 1 and len(formats) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rendered = dict(zip(formats, pool.map(render, formats)))
-    else:
-        rendered = {fmt: render(fmt) for fmt in formats}
-
+    """Render and atomically write the selected formats."""
+    rendered = {fmt: render_format(doc, fmt, skip_headers_footers) for fmt in formats}
     written = []
-    for fmt in sorted(formats):  # merge point ordered by format name
+    for fmt in sorted(formats):
         target = output_dir / f"{stem}{_SUFFIXES[fmt]}"
         write_atomic(target, rendered[fmt])
         written.append(target)
@@ -267,13 +255,7 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
         return outcome
 
     schema = SchemaWeights.with_overrides(config.weight_overrides)
-    if config.workers > 1 and len(detections.pages) > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            page_outcomes = list(
-                pool.map(lambda p: _process_page(p, schema, config, clients), detections.pages)
-            )
-    else:
-        page_outcomes = [_process_page(p, schema, config, clients) for p in detections.pages]
+    page_outcomes = [_process_page(p, schema, config, clients) for p in detections.pages]
     page_outcomes.sort(key=lambda o: o.page_number)
 
     assembled = [o.result for o in page_outcomes if o.result is not None]
@@ -303,7 +285,6 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
             path.stem,
             config.formats,
             skip_headers_footers=config.skip_headers_footers,
-            workers=config.workers,
         )
     except Exception as exc:
         outcome.error = f"export failed: {exc}"
@@ -322,7 +303,8 @@ def config_from_mapping(raw: Mapping[str, Any], **overrides: Any) -> PipelineCon
 
     Recognized keys mirror the PipelineConfig fields; ``assembly`` accepts
     ``{"cluster": {"eps", "min_samples"}, "row": {"angle_threshold_degrees"},
-    "header_footer": {"fuzzy_threshold", "header_top_limit"}}``.
+    "header_footer": {"fuzzy_threshold", "header_top_limit"}}``. None-valued
+    overrides are ignored; an ``assembly`` override merges section by section.
     """
     from .assembly import ClusterParams, HeaderFooterParams, RowOrderParams
 
@@ -347,12 +329,18 @@ def config_from_mapping(raw: Mapping[str, Any], **overrides: Any) -> PipelineCon
 
     values: dict[str, Any] = {k: v for k, v in raw.items() if k in known}
     assembly_raw = raw.get("assembly", {})
-    assembly = AssemblyParams(
-        cluster=ClusterParams(**assembly_raw.get("cluster", {})),
-        row=RowOrderParams(**assembly_raw.get("row", {})),
-        header_footer=HeaderFooterParams(**assembly_raw.get("header_footer", {})),
+    assembly_flags = overrides.pop("assembly", None) or {}
+
+    def section(name: str, params_type: type) -> Any:
+        merged = dict(assembly_raw.get(name, {}))
+        merged.update((k, v) for k, v in assembly_flags.get(name, {}).items() if v is not None)
+        return params_type(**merged)
+
+    values["assembly"] = AssemblyParams(
+        cluster=section("cluster", ClusterParams),
+        row=section("row", RowOrderParams),
+        header_footer=section("header_footer", HeaderFooterParams),
     )
-    values["assembly"] = assembly
     for key, value in overrides.items():
         if value is not None:
             values[key] = value

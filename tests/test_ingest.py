@@ -128,6 +128,40 @@ class TestLoadDetections:
         with pytest.raises(DetectionInputError, match="duplicate entity id 'same'"):
             load_detections(path)
 
+    def test_missing_ids_derived_from_position(self, tmp_path):
+        payload = input_payload(
+            element_detections=[
+                detection("text", 0.1),
+                detection("text", 0.9),
+                detection("title", 0.9, id="given"),
+                detection("text", 0.9),
+            ]
+        )
+        path = write_detection_file(tmp_path / "in.json", payload)
+        ids = [d.id for d in load_detections(path).pages[0].element_detections]
+        assert ids[1] == "given" and len(set(ids)) == 3
+        assert ids == [d.id for d in load_detections(path).pages[0].element_detections]
+        # the index counts dropped detections, so a lower threshold keeps each id
+        low = load_detections(path, element_threshold=0.0).pages[0].element_detections
+        assert [d.id for d in low[1:]] == ids
+        moved = input_payload(payload["pages"][0]["element_detections"], page_number=2)
+        other_page = write_detection_file(tmp_path / "p2.json", moved)
+        assert load_detections(other_page).pages[0].element_detections[0].id != ids[0]
+
+    def test_derived_id_checked_for_duplicates(self, tmp_path):
+        path = write_detection_file(
+            tmp_path / "in.json", input_payload(element_detections=[detection("text", 0.9)])
+        )
+        derived = load_detections(path).pages[0].element_detections[0].id
+        path = write_detection_file(
+            tmp_path / "in.json",
+            input_payload(
+                element_detections=[detection("text", 0.9), detection("title", 0.9, id=derived)]
+            ),
+        )
+        with pytest.raises(DetectionInputError, match=f"duplicate entity id '{derived}'"):
+            load_detections(path)
+
     def test_threshold_monotone(self, tmp_path):
         confidences = [0.21, 0.35, 0.6, 0.95]
         path = write_detection_file(

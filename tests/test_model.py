@@ -16,19 +16,20 @@ from docweave.model import (
     document_to_json,
     entity_from_dict,
     entity_to_dict,
+    group_from_dict,
+    group_to_dict,
     make_entity,
     make_group,
-    weight_of,
 )
 
 
 class TestSchemaWeights:
     def test_default_weights(self, schema):
-        assert weight_of(ElementLabel.TITLE, schema) == 1
-        assert weight_of(ElementLabel.SECTION, schema) == 2
-        assert weight_of(ElementLabel.TABLE, schema) == 3
-        assert weight_of(ElementLabel.TEXT, schema) == 6
-        assert weight_of(ElementLabel.PAGE_FOOTER, schema) == 7
+        assert schema.weight_of(ElementLabel.TITLE) == 1
+        assert schema.weight_of(ElementLabel.SECTION) == 2
+        assert schema.weight_of(ElementLabel.TABLE) == 3
+        assert schema.weight_of(ElementLabel.TEXT) == 6
+        assert schema.weight_of(ElementLabel.PAGE_FOOTER) == 7
 
     def test_total_mapping(self, schema):
         for label in ElementLabel:
@@ -165,6 +166,34 @@ class TestSerialization:
         raw["x_center"] = 99.0
         with pytest.raises(ValidationError, match="midpoint"):
             entity_from_dict(raw)
+
+    @pytest.mark.parametrize("key, field", [
+        ("mid_point", "x"), ("mid_point", "y"), ("x_center", None), ("y_center", None),
+    ])
+    def test_stored_centers_must_match_bbox(self, schema, key, field):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb", schema=schema)
+        entity_raw = entity_to_dict(a)
+        group_raw = group_to_dict(make_group(GroupType.GENERIC, [a, b]))
+        for raw in (entity_raw, group_raw):
+            if field is None:
+                raw[key] += 1.0
+            else:
+                raw[key][field] += 1.0
+        with pytest.raises(ValidationError, match="do not match geometry"):
+            entity_from_dict(entity_raw)
+        with pytest.raises(ValidationError, match="do not match geometry"):
+            group_from_dict(group_raw, {"a": a, "b": b}, "group")
+
+    def test_group_bbox_must_be_union_of_members(self, schema):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb", schema=schema)
+        raw = group_to_dict(make_group(GroupType.GENERIC, [a, b]))
+        elements = {"a": a, "b": b}
+        assert group_from_dict(raw, elements, "group") == make_group(GroupType.GENERIC, [a, b])
+        raw["pixel_coordinates"]["right"] = 50.0
+        with pytest.raises(ValidationError, match="not the union"):
+            group_from_dict(raw, elements, "group")
 
     def test_optional_fields_omitted(self, schema):
         entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)

@@ -1,14 +1,19 @@
 import json
+import threading
+import time
 
 import pytest
 from click.testing import CliRunner
 
 from conftest import FIXTURE_DIR, write_detection_file
 from docweave.cli import main
+from docweave.clients import UsefulnessVerdict
 from docweave.errors import ValidationError
 from docweave.model import document_from_json
 from docweave.pipeline import (
+    FORMATS,
     PipelineConfig,
+    _Clients,
     config_from_mapping,
     process_document,
     run_pipeline,
@@ -109,6 +114,55 @@ class TestRunPipeline:
             run_pipeline(config)
             results[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert results[1] == results[8]
+
+    def test_missing_ids_give_identical_outputs(self, tmp_path):
+        payload = json.loads((FIXTURE_DIR / "report.json").read_text(encoding="utf-8"))
+        for page in payload["pages"]:
+            for det in page["element_detections"]:
+                del det["id"]
+        path = write_detection_file(tmp_path / "noids.json", payload)
+        runs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            run_pipeline(PipelineConfig(inputs=(path,), output_dir=out))
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(runs[0]) == len(FORMATS)
+        assert runs[0] == runs[1]
+
+    def test_thread_count_bounded_by_workers(self, tmp_path):
+        workers = 4
+        pages = [
+            {
+                "page_number": n,
+                "element_detections": [
+                    {"id": f"p{n}-i{i}", "label": "image", "confidence": 0.9,
+                     "bbox": [0, 100 * i, 100, 100 * i + 80]}
+                    for i in range(4)
+                ],
+                "layout_detections": [],
+            }
+            for n in (1, 2, 3, 4)
+        ]
+        path = minimal_input(tmp_path, "images.json", pages=pages)
+        config = PipelineConfig(
+            inputs=(path,), output_dir=tmp_path / "out", formats=("json",), workers=workers
+        )
+        baseline = threading.active_count()
+        lock = threading.Lock()
+        peak = [0]
+
+        class SlowClassifier:
+            def classify(self, entity):
+                time.sleep(0.05)
+                with lock:
+                    peak[0] = max(peak[0], threading.active_count() - baseline)
+                return UsefulnessVerdict.USEFUL
+
+        clients = _Clients(config)
+        clients.usefulness = SlowClassifier()
+        outcome = process_document(path, config, clients)
+        assert outcome.result.total_processed_pages == 4
+        assert 0 < peak[0] <= workers
 
     def test_header_footer_correction_applied(self, tmp_path):
         pages = []
@@ -303,6 +357,21 @@ class TestConfig:
         assert config.layout_threshold == 0.5
         assert config.workers == 2  # flag wins
         assert config.assembly.cluster.eps == 0.2
+
+    def test_assembly_override_merges_by_section(self, tmp_path):
+        config = config_from_mapping(
+            {"assembly": {"cluster": {"eps": 0.2, "min_samples": 3}, "row": {"angle_threshold_degrees": 40}}},
+            inputs=(),
+            output_dir=tmp_path,
+            assembly={
+                "cluster": {"eps": None, "min_samples": 5},
+                "header_footer": {"fuzzy_threshold": 90, "header_top_limit": None},
+            },
+        )
+        assert (config.assembly.cluster.eps, config.assembly.cluster.min_samples) == (0.2, 5)
+        assert config.assembly.row.angle_threshold_degrees == 40
+        assert config.assembly.header_footer.fuzzy_threshold == 90
+        assert config.assembly.header_footer.header_top_limit == 100
 
     def test_unknown_config_key_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown config keys"):
