@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import logging
 import math
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
 from .geometry import BBox, Point, contains_midpoint, iou
@@ -371,7 +373,11 @@ def fuzzy_ratio(a: str, b: str) -> int:
     total = len(a) + len(b)
     if total == 0:
         return 100
-    return round(100 * (1 - indel_distance(a, b) / total))
+    return _ratio(indel_distance(a, b), total)
+
+
+def _ratio(distance: int, total: int) -> int:
+    return round(100 * (1 - distance / total))
 
 
 def _page_height(page: PageResult, explicit: Optional[float]) -> float:
@@ -410,6 +416,49 @@ def _rebuild_page(page: PageResult, updated: Mapping[str, Entity]) -> PageResult
     )
 
 
+#: Candidate texts of one label: ``(length, {text: source pages})`` by length.
+_Buckets = list[tuple[int, dict[str, set[int]]]]
+
+
+def _candidate_index(
+    pages: Sequence[PageResult], current: Sequence[Mapping[str, Entity]]
+) -> dict[ElementLabel, _Buckets]:
+    """Index header and footer texts by label, then length, then text; each
+    label's buckets come sorted by length."""
+    index: dict[ElementLabel, dict[int, dict[str, set[int]]]] = {
+        ElementLabel.PAGE_HEADER: {},
+        ElementLabel.PAGE_FOOTER: {},
+    }
+    for page, elements in zip(pages, current):
+        for entity in elements.values():
+            text = entity.value.text
+            if entity.type in index and text:
+                by_text = index[entity.type].setdefault(len(text), {})
+                by_text.setdefault(text, set()).add(page.page_number)
+    return {label: sorted(by_length.items()) for label, by_length in index.items()}
+
+
+def _has_match(buckets: _Buckets, text: str, page_number: int, threshold: int) -> bool:
+    """Whether a candidate from another page matches ``text`` above ``threshold``.
+
+    The indel distance is at least the length gap, so ``fuzzy_ratio`` is at
+    most the same formula applied to the gap alone, and that bound only falls
+    as the candidate length moves away from ``len(text)``. The scan therefore
+    walks candidate lengths outward from ``len(text)`` and stops each
+    direction at the first length the bound rules out.
+    """
+    n = len(text)
+    start = bisect_left(buckets, n, key=itemgetter(0))
+    for side in (buckets[start:], reversed(buckets[:start])):
+        for length, by_text in side:
+            if _ratio(abs(n - length), n + length) <= threshold:
+                break
+            for candidate, sources in by_text.items():
+                if sources != {page_number} and fuzzy_ratio(text, candidate) > threshold:
+                    return True
+    return False
+
+
 def correct_headers_footers(
     pages: Sequence[PageResult],
     params: HeaderFooterParams,
@@ -422,49 +471,53 @@ def correct_headers_footers(
     page_footer. Any other text-bearing entity whose text fuzzy-matches a
     candidate from a different page (ratio strictly above the threshold) is
     relabeled, header candidates taking precedence. Relabeling repeats until
-    stable so the whole pass is idempotent. A position heuristic then swaps
-    entities whose label contradicts their placement: a "header" that starts
-    below the top limit and sits in the bottom band of the page becomes a
-    footer, and a "footer" that starts inside the top limit becomes a header.
-    Reading order is re-derived for every page that changed.
+    stable so the whole pass is idempotent.
+
+    Each relabeling pass indexes the candidates present at its start by
+    label, then text length, then text, keeping the set of pages each text
+    comes from. An entity is compared only with candidates inside its length
+    window, the lengths whose gap to its own length still allows a ratio
+    above the threshold, and only with texts that occur on some other page.
+    The result equals comparing every entity with every candidate.
+
+    A position heuristic then swaps entities whose label contradicts their
+    placement: a "header" that starts below the top limit and sits in the
+    bottom band of the page becomes a footer, and a "footer" that starts
+    inside the top limit becomes a header. Reading order is re-derived for
+    every page that changed.
     """
     pages = list(pages)
-    if not pages:
-        return []
-    page_heights = page_heights or {}
     current: list[dict[str, Entity]] = [dict(p.elements) for p in pages]
 
-    # Fuzzy relabeling to a fixed point.
+    # Fuzzy relabeling to a fixed point; each pass matches against the
+    # candidates present at its start.
     while True:
-        candidates: list[tuple[int, ElementLabel, str]] = []
-        for page, elements in zip(pages, current):
-            for entity in elements.values():
-                if entity.type in (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER):
-                    if entity.value.text:
-                        candidates.append((page.page_number, entity.type, entity.value.text))
+        index = _candidate_index(pages, current)
         changed = False
         for page, elements in zip(pages, current):
             for eid, entity in elements.items():
-                if entity.type in RELABEL_EXEMPT_LABELS or not entity.value.text:
+                text = entity.value.text
+                if entity.type in RELABEL_EXEMPT_LABELS or not text:
                     continue
-                new_label = None
                 for target in (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER):
-                    if any(
-                        source_page != page.page_number
-                        and kind is target
-                        and fuzzy_ratio(entity.value.text, text) > params.fuzzy_threshold
-                        for source_page, kind, text in candidates
-                    ):
-                        new_label = target
+                    if _has_match(index[target], text, page.page_number, params.fuzzy_threshold):
+                        elements[eid] = entity.with_type(target, schema)
+                        changed = True
                         break
-                if new_label is not None:
-                    elements[eid] = entity.with_type(new_label, schema)
-                    changed = True
         if not changed:
             break
+    return _fix_positions_and_rebuild(pages, current, params, schema, page_heights or {})
 
-    # Position heuristic: fix headers/footers the detector placed on the
-    # wrong end of the page.
+
+def _fix_positions_and_rebuild(
+    pages: Sequence[PageResult],
+    current: Sequence[dict[str, Entity]],
+    params: HeaderFooterParams,
+    schema: SchemaWeights,
+    page_heights: Mapping[int, float],
+) -> list[PageResult]:
+    """Swap headers/footers the detector placed on the wrong end of the page,
+    then rebuild each page whose entities differ from the original."""
     for page, elements in zip(pages, current):
         height = _page_height(page, page_heights.get(page.page_number))
         if height <= 0:

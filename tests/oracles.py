@@ -2,8 +2,10 @@
 
 Each oracle deliberately takes a different algorithmic route than the
 production code: the indel oracle goes through an LCS table, the DBSCAN
-oracle recomputes reachability from set definitions, and the tree edit
-oracle is a memoized recursion over forests instead of the keyroot DP.
+oracle recomputes reachability from set definitions, the tree edit oracle
+is a memoized recursion over forests instead of the keyroot DP, and the
+header/footer oracle scores every entity against every candidate with the
+LCS-table distance instead of using a candidate index.
 """
 
 from functools import lru_cache
@@ -39,6 +41,50 @@ def _lcs_recursive(a: str, b: str) -> int:
 def indel_oracle_fast(a: str, b: str) -> int:
     """Memoized variant for the exhaustive sweep over short alphabets."""
     return len(a) + len(b) - 2 * _lcs_recursive(a, b)
+
+
+# --- brute-force header/footer relabeling ---------------------------------
+
+
+def header_footer_oracle(pages, params, schema, page_heights=None):
+    """``correct_headers_footers`` with its relabeling done the brute-force
+    way: each pass scores every entity against every candidate tuple taken
+    at the start of the pass. The position heuristic and page rebuild are
+    the library's own."""
+    from docweave.assembly import RELABEL_EXEMPT_LABELS, _fix_positions_and_rebuild
+    from docweave.model import ElementLabel
+
+    def ratio(a, b):
+        total = len(a) + len(b)
+        return 100 if total == 0 else round(100 * (1 - indel_oracle(a, b) / total))
+
+    targets = (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER)
+    pages = list(pages)
+    current = [dict(p.elements) for p in pages]
+    changed = True
+    while changed:
+        candidates = [
+            (page.page_number, entity.type, entity.value.text)
+            for page, elements in zip(pages, current)
+            for entity in elements.values()
+            if entity.type in targets and entity.value.text
+        ]
+        changed = False
+        for page, elements in zip(pages, current):
+            for eid, entity in elements.items():
+                if entity.type in RELABEL_EXEMPT_LABELS or not entity.value.text:
+                    continue
+                for target in targets:
+                    if any(
+                        source != page.page_number
+                        and kind is target
+                        and ratio(entity.value.text, text) > params.fuzzy_threshold
+                        for source, kind, text in candidates
+                    ):
+                        elements[eid] = entity.with_type(target, schema)
+                        changed = True
+                        break
+    return _fix_positions_and_rebuild(pages, current, params, schema, page_heights or {})
 
 
 # --- naive DBSCAN ----------------------------------------------------------

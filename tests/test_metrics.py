@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from docweave.errors import EvaluationError, TableParseError
 from docweave.metrics import (
@@ -21,6 +21,23 @@ from docweave.metrics import (
 from oracles import indel_oracle, tree_edit_oracle
 
 short_text = st.text(alphabet="abcdef ", max_size=20)
+# Long enough that the bit vectors span several 30-bit big-int digits, with
+# characters outside the Basic Multilingual Plane.
+long_alphabet = "abc é€𝄞"
+long_text = st.text(alphabet=long_alphabet, min_size=60, max_size=200)
+
+
+@st.composite
+def long_pairs(draw):
+    """A long string and either an unrelated one or a block edit of it."""
+    a = draw(long_text)
+    edit = draw(st.sampled_from(("unrelated", "replace", "move")))
+    if edit == "unrelated":
+        return a, draw(long_text)
+    i, j = sorted(draw(st.lists(st.integers(0, len(a)), min_size=2, max_size=2)))
+    if edit == "replace":
+        return a, a[:i] + draw(st.text(alphabet=long_alphabet, max_size=40)) + a[j:]
+    return a, a[:i] + a[j:] + a[i:j]
 
 
 class TestIndelDistance:
@@ -37,6 +54,13 @@ class TestIndelDistance:
     @given(short_text, short_text)
     def test_matches_lcs_oracle(self, a, b):
         assert indel_distance(a, b) == indel_oracle(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pairs())
+    def test_matches_lcs_oracle_beyond_one_machine_word(self, pair):
+        a, b = pair
+        assert indel_distance(a, b) == indel_oracle(a, b)
+        assert indel_distance(b, a) == indel_oracle(a, b)
 
     @given(short_text, short_text)
     def test_symmetry(self, a, b):
