@@ -45,10 +45,6 @@ from .errors import (
     ValidationError,
 )
 from .export import (
-    Chunk,
-    DpBenchElement,
-    GraphEdge,
-    GraphNode,
     extract_list_items,
     to_chunks,
     to_dpbench,

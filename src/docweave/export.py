@@ -1,8 +1,10 @@
 """The four derived exports: Markdown, RAG chunks, knowledge graph, DP-Bench.
 
 All exporters are pure functions of an immutable DocumentResult; the pipeline
-runs them one after another. Skipped images were removed from ``elements``
-during assembly, so nothing here can leak their content.
+runs them one after another. Chunk, graph and DP-Bench records are plain
+dicts equal to the JSON records that the written files hold. Skipped images
+were removed from ``elements`` during assembly, so nothing here can leak
+their content.
 """
 
 from __future__ import annotations
@@ -11,7 +13,6 @@ import html as html_escape
 import json
 import re
 import unicodedata
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Optional
 
 from .ingest import BULLET_GLYPHS
@@ -125,29 +126,6 @@ def to_markdown(doc: DocumentResult, skip_headers_footers: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Chunk:
-    page_content: str
-    page_number: int
-    token_count: int
-    filename: str
-    document_category: str
-    chunk_kind: str  # page | header_block | element
-    element_type: Optional[str] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        metadata: dict[str, Any] = {"page_number": self.page_number}
-        if self.element_type is not None:
-            metadata["element_type"] = self.element_type
-        metadata.update(
-            token_count=self.token_count,
-            filename=self.filename,
-            document_category=self.document_category,
-            chunk_kind=self.chunk_kind,
-        )
-        return {"page_content": self.page_content, "metadata": metadata}
-
-
 def fnv1a_64(text: str) -> int:
     """64-bit FNV-1a over the NFKC-normalized UTF-8 bytes of ``text``."""
     data = unicodedata.normalize("NFKC", text).encode("utf-8")
@@ -176,29 +154,34 @@ def _page_header_blocks(page: PageResult) -> list[tuple[Entity, str]]:
     return blocks
 
 
-def to_chunks(doc: DocumentResult) -> list[Chunk]:
+def to_chunks(doc: DocumentResult) -> list[dict[str, Any]]:
     """Produce page-level, header-block, and per-element retrieval chunks.
 
-    Emission order is page chunks, then header blocks, then element chunks
-    (each in page/reading order); duplicates by content hash are dropped,
-    first occurrence winning.
+    Each chunk is the ``{"page_content", "metadata"}`` record that one line of
+    the ``.chunks.jsonl`` file holds. Emission order is page chunks, then
+    header blocks, then element chunks (each in page/reading order);
+    duplicates by content hash are dropped, first occurrence winning.
     """
-    chunks: list[Chunk] = []
+    chunks: list[dict[str, Any]] = []
+    seen: set[int] = set()
 
     def add(content: str, page_number: int, kind: str, element_type: Optional[str] = None):
         if not content:
             return
-        chunks.append(
-            Chunk(
-                page_content=content,
-                page_number=page_number,
-                token_count=len(content.split()),
-                filename=doc.filename,
-                document_category=doc.document_category,
-                chunk_kind=kind,
-                element_type=element_type,
-            )
+        digest = fnv1a_64(content)
+        if digest in seen:
+            return
+        seen.add(digest)
+        metadata: dict[str, Any] = {"page_number": page_number}
+        if element_type is not None:
+            metadata["element_type"] = element_type
+        metadata.update(
+            token_count=len(content.split()),
+            filename=doc.filename,
+            document_category=doc.document_category,
+            chunk_kind=kind,
         )
+        chunks.append({"page_content": content, "metadata": metadata})
 
     for page in doc.pages:
         texts = [e.value.text for e in page.elements.values() if e.value.text]
@@ -209,20 +192,11 @@ def to_chunks(doc: DocumentResult) -> list[Chunk]:
     for page in doc.pages:
         for entity in page.elements.values():
             add(entity.value.text, page.page_number, "element", entity.type.value)
-
-    seen: set[int] = set()
-    unique = []
-    for chunk in chunks:
-        digest = fnv1a_64(chunk.page_content)
-        if digest in seen:
-            continue
-        seen.add(digest)
-        unique.append(chunk)
-    return unique
+    return chunks
 
 
-def chunks_to_jsonl(chunks: list[Chunk]) -> str:
-    return "".join(json.dumps(c.to_dict(), ensure_ascii=False) + "\n" for c in chunks)
+def chunks_to_jsonl(chunks: list[dict[str, Any]]) -> str:
+    return "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -230,89 +204,45 @@ def chunks_to_jsonl(chunks: list[Chunk]) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GraphNode:
-    id: str
-    kind: str  # root | page | element
-    label: str
-    weight: Optional[int] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"id": self.id, "kind": self.kind, "label": self.label}
-        if self.weight is not None:
-            out["weight"] = self.weight
-        return out
-
-
-@dataclass(frozen=True)
-class GraphEdge:
-    from_id: str
-    to_id: str
-    relation: str  # contains | sibling | parent-child
-
-    def to_dict(self) -> dict[str, Any]:
-        return {"from": self.from_id, "to": self.to_id, "relation": self.relation}
-
-
-def to_graph(doc: DocumentResult) -> tuple[list[GraphNode], list[GraphEdge]]:
+def to_graph(doc: DocumentResult) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
     """Build the document graph: root -> pages -> reading-ordered elements.
 
-    Consecutive elements of equal weight are siblings; otherwise the
-    lower-weight (higher-hierarchy) node is the parent.
+    Nodes are ``{"id", "kind", "label"}`` records, element nodes also carry
+    their ``"weight"``; edges are ``{"from", "to", "relation"}`` records, as
+    in ``graph.json``. Consecutive elements of equal weight are siblings;
+    otherwise the lower-weight (higher-hierarchy) node is the parent.
     """
-    nodes = [GraphNode(id="root", kind="root", label=doc.filename)]
-    edges: list[GraphEdge] = []
+    nodes: list[dict[str, Any]] = [{"id": "root", "kind": "root", "label": doc.filename}]
+    edges: list[dict[str, Any]] = []
     for page in doc.pages:
         page_id = f"page_{page.page_number}"
-        nodes.append(GraphNode(id=page_id, kind="page", label=page_id))
-        edges.append(GraphEdge(from_id="root", to_id=page_id, relation="contains"))
+        nodes.append({"id": page_id, "kind": "page", "label": page_id})
+        edges.append({"from": "root", "to": page_id, "relation": "contains"})
         elements = list(page.elements.values())
         for entity in elements:
             nodes.append(
-                GraphNode(id=entity.id, kind="element", label=entity.type.value, weight=entity.weight)
+                {"id": entity.id, "kind": "element", "label": entity.type.value, "weight": entity.weight}
             )
         if not elements:
             continue
-        edges.append(GraphEdge(from_id=page_id, to_id=elements[0].id, relation="contains"))
+        edges.append({"from": page_id, "to": elements[0].id, "relation": "contains"})
         for previous, current in zip(elements, elements[1:]):
             if previous.weight == current.weight:
-                edges.append(GraphEdge(from_id=previous.id, to_id=current.id, relation="sibling"))
+                edges.append({"from": previous.id, "to": current.id, "relation": "sibling"})
             elif previous.weight < current.weight:
-                edges.append(GraphEdge(from_id=previous.id, to_id=current.id, relation="parent-child"))
+                edges.append({"from": previous.id, "to": current.id, "relation": "parent-child"})
             else:
-                edges.append(GraphEdge(from_id=current.id, to_id=previous.id, relation="parent-child"))
+                edges.append({"from": current.id, "to": previous.id, "relation": "parent-child"})
     return nodes, edges
 
 
-def graph_to_json(nodes: list[GraphNode], edges: list[GraphEdge]) -> str:
-    payload = {
-        "nodes": [n.to_dict() for n in nodes],
-        "edges": [e.to_dict() for e in edges],
-    }
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"
+def graph_to_json(nodes: list[dict[str, Any]], edges: list[dict[str, Any]]) -> str:
+    return json.dumps({"nodes": nodes, "edges": edges}, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # DP-Bench predictions
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DpBenchElement:
-    category: str
-    coordinates: tuple[tuple[float, float], ...]  # LT, RT, RB, LB
-    id: int
-    page: int
-    content: Mapping[str, str]
-
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "category": self.category,
-            "coordinates": [[x, y] for x, y in self.coordinates],
-            "id": self.id,
-            "page": self.page,
-            "content": dict(self.content),
-        }
 
 
 def _table_html_content(rows: Iterable[Mapping[str, str]]) -> str:
@@ -330,43 +260,35 @@ def _table_html_content(rows: Iterable[Mapping[str, str]]) -> str:
     return "".join(parts)
 
 
-def to_dpbench(doc: DocumentResult) -> list[DpBenchElement]:
+def to_dpbench(doc: DocumentResult) -> list[dict[str, Any]]:
     """Convert to benchmark prediction elements in reading order.
 
-    Boxes become four-point polygons [LT, RT, RB, LB]; ids are sequential from
-    0 across the document. Tables carry an HTML (and Markdown) rendering of
-    their enriched data when available.
+    Each element is a ``dpbench.json`` record, the shape ``metrics.evaluate``
+    reads. Boxes become four-point polygons [LT, RT, RB, LB]; ids are
+    sequential from 0 across the document. Tables carry an HTML (and
+    Markdown) rendering of their enriched data when available.
     """
-    out: list[DpBenchElement] = []
-    next_id = 0
+    out: list[dict[str, Any]] = []
     for page in doc.pages:
         for entity in page.elements.values():
             box = entity.pixel_coordinates
-            content: dict[str, str] = {"text": entity.value.text}
+            left, top, right, bottom = box.left, box.top, box.right, box.bottom
+            content = {"text": entity.value.text}
             if entity.type is ElementLabel.TABLE and entity.value.data:
                 content["html"] = _table_html_content(entity.value.data)
                 content["markdown"] = _markdown_table(entity.value.data)
             out.append(
-                DpBenchElement(
-                    category=DPBENCH_CATEGORY[entity.type],
-                    coordinates=(
-                        (box.left, box.top),
-                        (box.right, box.top),
-                        (box.right, box.bottom),
-                        (box.left, box.bottom),
-                    ),
-                    id=next_id,
-                    page=page.page_number,
-                    content=content,
-                )
+                {
+                    "category": DPBENCH_CATEGORY[entity.type],
+                    "coordinates": [[left, top], [right, top], [right, bottom], [left, bottom]],
+                    "id": len(out),
+                    "page": page.page_number,
+                    "content": content,
+                }
             )
-            next_id += 1
     return out
 
 
-def dpbench_to_json(doc: DocumentResult, elements: list[DpBenchElement]) -> str:
-    payload = {
-        "filename": doc.filename,
-        "elements": [e.to_dict() for e in elements],
-    }
+def dpbench_to_json(doc: DocumentResult, elements: list[dict[str, Any]]) -> str:
+    payload = {"filename": doc.filename, "elements": elements}
     return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -98,6 +98,12 @@ def _fail(context: str, message: str) -> None:
     raise DetectionInputError(f"{context}: {message}")
 
 
+def _array(value: Any, context: str) -> list:
+    if not isinstance(value, list):
+        _fail(context, f"must be an array, got {type(value).__name__}")
+    return value
+
+
 def _parse_detection(
     raw: Any, context: str, labels: type, threshold: float
 ) -> Optional[RawDetection]:
@@ -183,9 +189,7 @@ def load_detections(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata_raw.items()
     ):
         _fail(f"{path}: metadata", "must be a string-to-string map")
-    pages_raw = raw.get("pages", [])
-    if not isinstance(pages_raw, Sequence):
-        _fail(f"{path}: pages", "must be an array")
+    pages_raw = _array(raw.get("pages", []), f"{path}: pages")
 
     pages: list[PageDetections] = []
     seen_numbers: set[int] = set()
@@ -202,7 +206,8 @@ def load_detections(
         seen_numbers.add(number)
 
         elements = []
-        for det_index, det_raw in enumerate(page_raw.get("element_detections", [])):
+        detections = _array(page_raw.get("element_detections", []), f"{context}.element_detections")
+        for det_index, det_raw in enumerate(detections):
             det_context = f"{context}.element_detections[{det_index}]"
             det = _parse_detection(det_raw, det_context, ElementLabel, element_threshold)
             if det is None:
@@ -215,7 +220,8 @@ def load_detections(
             seen_ids.add(det.id)
             elements.append(det)
         layouts = []
-        for det_index, det_raw in enumerate(page_raw.get("layout_detections", [])):
+        detections = _array(page_raw.get("layout_detections", []), f"{context}.layout_detections")
+        for det_index, det_raw in enumerate(detections):
             det = _parse_detection(
                 det_raw,
                 f"{context}.layout_detections[{det_index}]",

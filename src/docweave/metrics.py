@@ -416,6 +416,14 @@ def _load_dpbench_file(path: Path) -> list[Mapping[str, Any]]:
     elements = raw.get("elements") if isinstance(raw, Mapping) else None
     if not isinstance(elements, list):
         raise EvaluationError(f"{path}: expected an object with an 'elements' array")
+    for index, element in enumerate(elements):
+        context = f"{path}: elements[{index}]"
+        if not isinstance(element, Mapping):
+            raise EvaluationError(f"{context} must be an object")
+        if not isinstance(element.get("content", {}), Mapping):
+            raise EvaluationError(f"{context}.content must be an object")
+        if not isinstance(element.get("category"), (str, type(None))):
+            raise EvaluationError(f"{context}.category must be a string")
     return elements
 
 

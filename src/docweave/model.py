@@ -18,6 +18,11 @@ from .errors import ValidationError
 from .geometry import BBox, Point, midpoint, union_bbox
 
 
+def _is_int(value: Any) -> bool:
+    """True for JSON integers; ``bool`` is an ``int`` subclass but never one."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class ElementLabel(str, Enum):
     """Semantic content labels produced by the element detector."""
 
@@ -83,7 +88,7 @@ class SchemaWeights:
         normalized: dict[ElementLabel, int] = {}
         for label, weight in self.weights.items():
             label = ElementLabel(label)
-            if not isinstance(weight, int) or isinstance(weight, bool) or weight < 1:
+            if not _is_int(weight) or weight < 1:
                 raise ValidationError(
                     f"weight for {label.value!r} must be a positive integer, got {weight!r}"
                 )
@@ -239,7 +244,7 @@ class PageResult:
     skipped_images: tuple[str, ...]
 
     def __post_init__(self):
-        if not isinstance(self.page_number, int) or self.page_number < 1:
+        if not _is_int(self.page_number) or self.page_number < 1:
             raise ValidationError(f"page_number must be a positive integer, got {self.page_number}")
         object.__setattr__(self, "elements", dict(self.elements))
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -279,12 +284,18 @@ class DocumentResult:
     def __post_init__(self):
         object.__setattr__(self, "metadata", dict(self.metadata))
         object.__setattr__(self, "pages", tuple(self.pages))
+        for name in ("total_pages", "total_processed_pages", "total_failed_pages", "total_llm_calls"):
+            value = getattr(self, name)
+            if not _is_int(value) or value < 0:
+                raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
         if self.total_processed_pages + self.total_failed_pages != self.total_pages:
             raise ValidationError(
                 "page counters inconsistent: "
                 f"{self.total_processed_pages} processed + {self.total_failed_pages} failed "
                 f"!= {self.total_pages} total"
             )
+        if self.total_processed_pages != len(self.pages):
+            raise ValidationError(f"total_processed_pages != {len(self.pages)} listed pages")
         numbers = [page.page_number for page in self.pages]
         if numbers != sorted(numbers) or len(set(numbers)) != len(numbers):
             raise ValidationError(f"pages must be sorted by unique page_number, got {numbers}")
@@ -373,6 +384,13 @@ def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
     return mapping[key]
 
 
+def _require_list(mapping: Mapping[str, Any], key: str, context: str) -> list:
+    value = _require(mapping, key, context)
+    if not isinstance(value, list):
+        raise ValidationError(f"{context}.{key}: expected an array")
+    return value
+
+
 def _bbox_from_dict(raw: Mapping[str, Any], context: str) -> BBox:
     try:
         return BBox(
@@ -404,20 +422,23 @@ def _check_centers(raw: Mapping[str, Any], box: BBox, context: str) -> None:
 
 def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
     value_raw = _require(raw, "value", context)
-    data = value_raw.get("data")
-    value = EntityValue(
-        text=_require(value_raw, "text", f"{context}.value"),
-        title=value_raw.get("title"),
-        summary=value_raw.get("summary"),
-        data=tuple(data) if data is not None else None,
-    )
+    text = _require(value_raw, "text", f"{context}.value")
+    title, summary, data = (value_raw.get(key) for key in ("title", "summary", "data"))
+    optional = [v for v in (title, summary) if v is not None]
+    if not all(isinstance(v, str) for v in (text, *optional)):
+        raise ValidationError(f"{context}.value: text, title and summary must be strings")
+    if data is not None and not (
+        isinstance(data, list) and all(isinstance(row, Mapping) for row in data)
+    ):
+        raise ValidationError(f"{context}.value.data: expected an array of objects")
+    value = EntityValue(text, title, summary, tuple(data) if data is not None else None)
     bbox = _bbox_from_dict(_require(raw, "pixel_coordinates", context), f"{context}.pixel_coordinates")
     try:
         label = ElementLabel(_require(raw, "type", context))
     except ValueError as exc:
         raise ValidationError(f"{context}: unknown element label {raw.get('type')!r}") from exc
     weight = _require(raw, "weight", context)
-    if not isinstance(weight, int) or weight < 1:
+    if not _is_int(weight) or weight < 1:
         raise ValidationError(f"{context}: weight must be a positive integer, got {weight!r}")
     confidence = _require(raw, "confidence", context)
     try:
@@ -444,7 +465,7 @@ def group_from_dict(raw: Mapping[str, Any], elements: Mapping[str, Entity], cont
         group_type = GroupType(_require(raw, "type", context))
     except ValueError as exc:
         raise ValidationError(f"{context}: unknown group type {raw.get('type')!r}") from exc
-    ids = tuple(str(i) for i in _require(raw, "ids", context))
+    ids = tuple(str(i) for i in _require_list(raw, "ids", context))
     missing = [i for i in ids if i not in elements]
     if missing:
         raise ValidationError(f"{context}: ids not present among page elements: {missing}")
@@ -473,15 +494,15 @@ def page_from_dict(raw: Mapping[str, Any], context: str = "page") -> PageResult:
         elements[eid] = entity
     groups = tuple(
         group_from_dict(g, elements, f"{context}.groups[{i}]")
-        for i, g in enumerate(_require(raw, "groups", context))
+        for i, g in enumerate(_require_list(raw, "groups", context))
     )
     try:
         return PageResult(
             page_number=page_number,
             elements=elements,
             groups=groups,
-            non_groups=tuple(str(i) for i in _require(raw, "non_groups", context)),
-            skipped_images=tuple(str(i) for i in _require(raw, "skipped_images", context)),
+            non_groups=tuple(str(i) for i in _require_list(raw, "non_groups", context)),
+            skipped_images=tuple(str(i) for i in _require_list(raw, "skipped_images", context)),
         )
     except ValidationError:
         raise
@@ -498,7 +519,7 @@ def document_from_dict(raw: Mapping[str, Any]) -> DocumentResult:
         raise ValidationError(f"{context}.metadata: expected a string-to-string map")
     pages = tuple(
         page_from_dict(p, f"{context}.pages[{i}]")
-        for i, p in enumerate(_require(raw, "pages", context))
+        for i, p in enumerate(_require_list(raw, "pages", context))
     )
     try:
         return DocumentResult(

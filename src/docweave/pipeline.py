@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence
 
@@ -308,39 +308,30 @@ def config_from_mapping(raw: Mapping[str, Any], **overrides: Any) -> PipelineCon
     """
     from .assembly import ClusterParams, HeaderFooterParams, RowOrderParams
 
-    known = {
-        "inputs",
-        "output_dir",
-        "layout_threshold",
-        "element_threshold",
-        "skip_images",
-        "skip_insights",
-        "skip_headers_footers",
-        "formats",
-        "weight_overrides",
-        "usefulness_fixture",
-        "enrichment_fixture",
-        "category_fixture",
-        "workers",
-    }
-    unknown = set(raw) - known - {"assembly"}
+    if not isinstance(raw, Mapping):
+        raise ValidationError("config must be an object")
+    unknown = set(raw) - {f.name for f in fields(PipelineConfig)}
     if unknown:
         raise ValidationError(f"unknown config keys: {sorted(unknown)}")
 
-    values: dict[str, Any] = {k: v for k, v in raw.items() if k in known}
+    values: dict[str, Any] = {k: v for k, v in raw.items() if k != "assembly"}
+    sections = {"cluster": ClusterParams, "row": RowOrderParams, "header_footer": HeaderFooterParams}
     assembly_raw = raw.get("assembly", {})
+    if not isinstance(assembly_raw, Mapping):
+        raise ValidationError("config key 'assembly' must be an object")
+    unknown = set(assembly_raw) - set(sections)
+    if unknown:
+        raise ValidationError(f"unknown assembly config sections: {sorted(unknown)}")
     assembly_flags = overrides.pop("assembly", None) or {}
-
-    def section(name: str, params_type: type) -> Any:
-        merged = dict(assembly_raw.get(name, {}))
+    assembly = {}
+    for name, params_type in sections.items():
+        section_raw = assembly_raw.get(name, {})
+        if not isinstance(section_raw, Mapping):
+            raise ValidationError(f"assembly config section {name!r} must be an object")
+        merged = dict(section_raw)
         merged.update((k, v) for k, v in assembly_flags.get(name, {}).items() if v is not None)
-        return params_type(**merged)
-
-    values["assembly"] = AssemblyParams(
-        cluster=section("cluster", ClusterParams),
-        row=section("row", RowOrderParams),
-        header_footer=section("header_footer", HeaderFooterParams),
-    )
+        assembly[name] = params_type(**merged)
+    values["assembly"] = AssemblyParams(**assembly)
     for key, value in overrides.items():
         if value is not None:
             values[key] = value

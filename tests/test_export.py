@@ -136,7 +136,7 @@ class TestToChunks:
         doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="only text", schema=schema)]])
         chunks = to_chunks(doc)
         assert len(chunks) == 1
-        assert chunks[0].chunk_kind == "page"
+        assert chunks[0]["metadata"]["chunk_kind"] == "page"
 
     def test_header_block_gathers_following_text(self, schema):
         entities = [
@@ -146,8 +146,8 @@ class TestToChunks:
             build_entity("t2", "text", (0, 50, 10, 60), text="second para", schema=schema),
         ]
         chunks = to_chunks(make_doc([entities]))
-        blocks = [c for c in chunks if c.chunk_kind == "header_block"]
-        assert blocks[0].page_content == "Intro\nfirst para\nsecond para"
+        blocks = [c for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
+        assert blocks[0]["page_content"] == "Intro\nfirst para\nsecond para"
 
     def test_header_block_stops_at_next_heading(self, schema):
         entities = [
@@ -157,7 +157,7 @@ class TestToChunks:
             build_entity("t2", "text", (0, 60, 10, 70), text="beta", schema=schema),
         ]
         chunks = to_chunks(make_doc([entities]))
-        blocks = [c.page_content for c in chunks if c.chunk_kind == "header_block"]
+        blocks = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
         assert blocks == ["One\nalpha", "Two\nbeta"]
 
     def test_empty_document(self, schema):
@@ -165,7 +165,7 @@ class TestToChunks:
 
     def test_token_count_is_whitespace_tokens(self, schema):
         doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="three word chunk", schema=schema)]])
-        assert to_chunks(doc)[0].token_count == 3
+        assert to_chunks(doc)[0]["metadata"]["token_count"] == 3
 
     def test_distinct_hashes(self, schema):
         entities = [
@@ -173,7 +173,7 @@ class TestToChunks:
             build_entity("b", "text", (0, 20, 10, 30), text="beta", schema=schema),
         ]
         chunks = to_chunks(make_doc([entities]))
-        hashes = [fnv1a_64(c.page_content) for c in chunks]
+        hashes = [fnv1a_64(c["page_content"]) for c in chunks]
         assert len(hashes) == len(set(hashes))
 
     def test_metadata_fields(self, schema):
@@ -182,7 +182,7 @@ class TestToChunks:
             filename="f.pdf",
             category="financial",
         )
-        record = to_chunks(doc)[0].to_dict()
+        record = to_chunks(doc)[0]
         assert record["metadata"]["filename"] == "f.pdf"
         assert record["metadata"]["document_category"] == "financial"
         assert record["metadata"]["page_number"] == 1
@@ -195,7 +195,7 @@ class TestToGraph:
             build_entity("b", "text", (0, 20, 10, 30), text="Body", schema=schema),
         ]
         _, edges = to_graph(make_doc([entities]))
-        relations = {(e.from_id, e.to_id): e.relation for e in edges}
+        relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "parent-child"
 
     def test_equal_weight_sibling(self, schema):
@@ -204,7 +204,7 @@ class TestToGraph:
             build_entity("b", "text", (0, 20, 10, 30), text="two", schema=schema),
         ]
         _, edges = to_graph(make_doc([entities]))
-        relations = {(e.from_id, e.to_id): e.relation for e in edges}
+        relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "sibling"
 
     def test_parent_child_direction_lower_weight_wins(self, schema):
@@ -214,13 +214,13 @@ class TestToGraph:
             build_entity("b", "table", (0, 20, 10, 30), text="tbl", schema=schema),
         ]
         _, edges = to_graph(make_doc([entities]))
-        relations = {(e.from_id, e.to_id): e.relation for e in edges}
+        relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("b", "a")] == "parent-child"
 
     def test_empty_page_gets_node_no_element_edges(self, schema):
         nodes, edges = to_graph(make_doc([[]]))
-        assert any(n.id == "page_1" for n in nodes)
-        assert [(e.from_id, e.to_id, e.relation) for e in edges] == [("root", "page_1", "contains")]
+        assert any(n["id"] == "page_1" for n in nodes)
+        assert [(e["from"], e["to"], e["relation"]) for e in edges] == [("root", "page_1", "contains")]
 
     def test_edge_count_invariant(self, schema):
         entities = [
@@ -233,7 +233,7 @@ class TestToGraph:
 
     def test_exactly_one_root(self, schema):
         nodes, _ = to_graph(make_doc([[], []]))
-        assert sum(1 for n in nodes if n.kind == "root") == 1
+        assert sum(1 for n in nodes if n["kind"] == "root") == 1
 
     def test_no_self_edges(self, schema):
         entities = [
@@ -241,7 +241,7 @@ class TestToGraph:
             for i in range(4)
         ]
         _, edges = to_graph(make_doc([entities]))
-        assert all(e.from_id != e.to_id for e in edges)
+        assert all(e["from"] != e["to"] for e in edges)
 
 
 class TestToDpbench:
@@ -251,17 +251,17 @@ class TestToDpbench:
     def test_toc_maps_to_paragraph(self, schema):
         toc = build_entity("t", "table_of_content", (0, 0, 10, 10), text="toc", schema=schema)
         (element,) = to_dpbench(make_doc([[toc]]))
-        assert element.category == "Paragraph"
+        assert element["category"] == "Paragraph"
 
     def test_polygon_order(self, schema):
         entity = build_entity("e", "text", (1, 2, 3, 4), text="abc", schema=schema)
         (element,) = to_dpbench(make_doc([[entity]]))
-        assert element.coordinates == ((1.0, 2.0), (3.0, 2.0), (3.0, 4.0), (1.0, 4.0))
+        assert element["coordinates"] == [[1.0, 2.0], [3.0, 2.0], [3.0, 4.0], [1.0, 4.0]]
 
     def test_coordinate_round_trip(self, schema):
         entity = build_entity("e", "text", (15, 25, 300, 401), text="abc", schema=schema)
         (element,) = to_dpbench(make_doc([[entity]]))
-        lt, _, rb, _ = element.coordinates
+        lt, _, rb, _ = element["coordinates"]
         assert (lt[0], lt[1], rb[0], rb[1]) == (15.0, 25.0, 300.0, 401.0)
 
     def test_sequential_ids_across_pages(self, schema):
@@ -272,15 +272,15 @@ class TestToDpbench:
             ]
         )
         elements = to_dpbench(doc)
-        assert [e.id for e in elements] == [0, 1]
-        assert [e.page for e in elements] == [1, 2]
+        assert [e["id"] for e in elements] == [0, 1]
+        assert [e["page"] for e in elements] == [1, 2]
 
     def test_table_html_from_data(self, schema):
         table = build_entity(
             "tbl", "table", (0, 0, 10, 10), text="", schema=schema, data=({"A": "<1>"},)
         )
         (element,) = to_dpbench(make_doc([[table]]))
-        assert element.content["html"] == "<table><tr><td>A</td></tr><tr><td>&lt;1&gt;</td></tr></table>"
+        assert element["content"]["html"] == "<table><tr><td>A</td></tr><tr><td>&lt;1&gt;</td></tr></table>"
 
 
 class TestGoldenFiles:
@@ -321,14 +321,25 @@ class TestGoldenFiles:
         assert "p2-decor" not in content
         assert "DECORATIVE" not in content
 
+    def test_records_equal_file_contents(self, outputs):
+        from docweave.model import document_from_json
+
+        def read(name):
+            return (outputs / name).read_text(encoding="utf-8")
+
+        doc = document_from_json(read("report.json"))
+        lines = read("report.chunks.jsonl").splitlines()
+        assert [json.loads(line) for line in lines] == to_chunks(doc)
+        nodes, edges = to_graph(doc)
+        assert json.loads(read("report.graph.json")) == {"nodes": nodes, "edges": edges}
+        assert json.loads(read("report.dpbench.json"))["elements"] == to_dpbench(doc)
+
     def test_exporters_are_pure(self, outputs):
         from docweave.model import document_from_json
 
         doc = document_from_json((outputs / "report.json").read_text(encoding="utf-8"))
         assert to_markdown(doc) == to_markdown(doc)
-        first = [c.to_dict() for c in to_chunks(doc)]
-        second = [c.to_dict() for c in to_chunks(doc)]
-        assert first == second
+        assert to_chunks(doc) == to_chunks(doc)
         assert to_dpbench(doc) == to_dpbench(doc)
         nodes_a, edges_a = to_graph(doc)
         nodes_b, edges_b = to_graph(doc)

@@ -358,6 +358,24 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match="bad.json"):
             evaluate(ref, bad, "layout")
 
+    @pytest.mark.parametrize("mode", ["layout", "table"])
+    @pytest.mark.parametrize(
+        "element, field",
+        [
+            (5, ""),
+            ("Paragraph", ""),
+            ({"category": "Paragraph", "content": "hello"}, ".content"),
+            ({"category": "Paragraph", "content": None}, ".content"),
+            ({"category": ["Table"], "content": {"text": "x"}}, ".category"),
+        ],
+    )
+    def test_malformed_element_names_file_and_index(self, tmp_path, mode, element, field):
+        ref = _write_doc(tmp_path / "ref.json", _layout_elements())
+        bad = _write_doc(tmp_path / "bad.json", _layout_elements() + [element])
+        index = len(_layout_elements())
+        with pytest.raises(EvaluationError, match=rf"bad\.json: elements\[{index}\]{field} must be"):
+            evaluate(ref, bad, mode)
+
     def test_directory_mode(self, tmp_path):
         ref_dir = tmp_path / "ref"
         pred_dir = tmp_path / "pred"

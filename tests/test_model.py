@@ -208,6 +208,53 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="unknown element label"):
             entity_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"total_llm_calls": "lots"}, "total_llm_calls must be a non-negative integer"),
+            ({"total_llm_calls": -1}, "total_llm_calls must be a non-negative integer"),
+            ({"total_pages": 1.0}, "total_pages must be a non-negative integer"),
+            ({"total_pages": 2, "total_failed_pages": True}, "total_failed_pages must be"),
+            ({"total_pages": 2, "total_processed_pages": 2}, "1 listed pages"),
+        ],
+    )
+    def test_loader_rejects_counters_the_writer_never_produces(self, schema, changes, message):
+        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        raw.update(changes)
+        with pytest.raises(ValidationError, match=message):
+            document_from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize("field", ["page_number", "weight"])
+    def test_loader_rejects_bool_for_integer(self, schema, field):
+        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        page = raw["pages"][0]
+        (page if field == "page_number" else page["elements"]["a"])[field] = True
+        with pytest.raises(ValidationError, match=f"{field} must be a positive integer"):
+            document_from_json(json.dumps(raw))
+
+    @pytest.mark.parametrize(
+        "where, key, value, message",
+        [
+            ("document", "pages", 5, r"document\.pages: expected an array"),
+            ("page", "groups", 5, r"groups: expected an array"),
+            ("page", "non_groups", "ab", r"non_groups: expected an array"),
+            ("page", "skipped_images", None, r"skipped_images: expected an array"),
+            ("entity", "value", "Title here", r"expected an object"),
+            ("value", "text", 5, r"text, title and summary must be strings"),
+            ("value", "title", ["T"], r"text, title and summary must be strings"),
+            ("value", "data", 5, r"value\.data: expected an array of objects"),
+            ("value", "data", ["row"], r"value\.data: expected an array of objects"),
+        ],
+    )
+    def test_loader_rejects_malformed_structure(self, schema, where, key, value, message):
+        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        page = raw["pages"][0]
+        entity = page["elements"]["a"]
+        target = {"document": raw, "page": page, "entity": entity, "value": entity["value"]}[where]
+        target[key] = value
+        with pytest.raises(ValidationError, match=message):
+            document_from_json(json.dumps(raw))
+
     def test_malformed_document_json(self):
         with pytest.raises(ValidationError, match="invalid document JSON"):
             document_from_json("{not json")

@@ -1,4 +1,5 @@
 import json
+import re
 import threading
 import time
 
@@ -90,6 +91,22 @@ class TestRunPipeline:
         outcomes = run_pipeline(config)
         assert outcomes[0].failed and outcomes[0].error
         assert not outcomes[1].failed
+
+    @pytest.mark.parametrize("field", ["pages", "element_detections", "layout_detections"])
+    @pytest.mark.parametrize("value", [5, None, "x", {"id": "t1"}])
+    def test_non_array_field_fails_only_its_file(self, tmp_path, field, value):
+        page = {"page_number": 1, "element_detections": [], "layout_detections": [], field: value}
+        payload = {"filename": "bad.pdf", "pages": value if field == "pages" else [page]}
+        bad = write_detection_file(tmp_path / "bad.json", payload)
+        good = minimal_input(tmp_path, "good.json")
+        out = tmp_path / "out"
+        config = PipelineConfig(inputs=(bad, good), output_dir=out, formats=("json", "markdown"))
+        first, second = run_pipeline(config)
+        assert first.failed and f"{field}: must be an array" in first.error
+        assert first.written == []
+        assert second.error is None
+        assert second.written == [out / "good.json", out / "good.md"]
+        assert all(path.exists() for path in second.written)
 
     def test_counter_consistency(self, tmp_path):
         config = PipelineConfig(
@@ -330,6 +347,16 @@ class TestAtomicWrites:
         assert list(tmp_path.iterdir()) == []
 
 
+#: Config-file contents that must be usage errors, with the expected message.
+MALFORMED_CONFIGS = [
+    ([], "config must be an object"),
+    ({"assembly": []}, "'assembly' must be an object"),
+    ({"assembly": {"cluster": 5}}, "section 'cluster' must be an object"),
+    ({"assembly": {"row": None}}, "section 'row' must be an object"),
+    ({"assembly": {"header_foter": {"fuzzy_threshold": 90}}}, r"sections: \['header_foter'\]"),
+]
+
+
 class TestConfig:
     def test_threshold_validation(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -376,6 +403,11 @@ class TestConfig:
     def test_unknown_config_key_rejected(self, tmp_path):
         with pytest.raises(ValidationError, match="unknown config keys"):
             config_from_mapping({"worker": 2}, inputs=(), output_dir=tmp_path)
+
+    @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS)
+    def test_malformed_assembly_config_rejected(self, tmp_path, raw, message):
+        with pytest.raises(ValidationError, match=message):
+            config_from_mapping(raw, inputs=(), output_dir=tmp_path)
 
 
 class TestCli:
@@ -470,6 +502,18 @@ class TestCli:
         assert result.exit_code == 2
         assert "invalid fixture JSON" in result.output
 
+    @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS)
+    def test_parse_malformed_config_is_usage_error(self, tmp_path, raw, message):
+        path = minimal_input(tmp_path)
+        config_file = tmp_path / "config.json"
+        config_file.write_text(json.dumps(raw), encoding="utf-8")
+        result = CliRunner().invoke(
+            main, ["parse", str(path), "-o", str(tmp_path / "out"), "--config", str(config_file)]
+        )
+        assert result.exit_code == 2, result.output
+        assert re.search(message, result.output)
+        assert not (tmp_path / "out").exists()
+
     def test_parse_with_config_file(self, tmp_path):
         path = minimal_input(tmp_path)
         config_file = tmp_path / "config.json"
@@ -505,6 +549,15 @@ class TestCli:
         assert result.exit_code == 1
         assert "schema error" in result.output
 
+    def test_export_non_array_pages_fails(self, tmp_path):
+        raw = json.loads((FIXTURE_DIR / "golden" / "report.json").read_text(encoding="utf-8"))
+        raw["pages"] = 5
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        result = CliRunner().invoke(main, ["export", str(bad), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 1
+        assert "schema error" in result.output and "pages: expected an array" in result.output
+
     def test_eval_self_consistency(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
         result = CliRunner().invoke(main, ["eval", str(golden), str(golden), "--mode", "layout"])
@@ -531,6 +584,18 @@ class TestCli:
             main, ["eval", str(golden), str(tmp_path / "nope.json"), "--mode", "layout"]
         )
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("element", [5, {"category": "Paragraph", "content": "abc"}])
+    def test_eval_malformed_element_fails_with_message(self, tmp_path, element):
+        golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
+        raw = json.loads(golden.read_text(encoding="utf-8"))
+        raw["elements"].insert(1, element)
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(raw), encoding="utf-8")
+        result = CliRunner().invoke(main, ["eval", str(golden), str(bad), "--mode", "layout"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "bad.json: elements[1]" in result.output
 
     def test_eval_table_mode_on_layout_only_reports_skip(self, tmp_path):
         doc = tmp_path / "layout_only.json"
