@@ -51,7 +51,7 @@ from .export import (
     to_graph,
     to_markdown,
 )
-from .geometry import BBox, Point, contains_midpoint, iou, midpoint, union_bbox
+from .geometry import BBox, contains_midpoint, iou, union_bbox
 from .ingest import (
     DetectionInput,
     PageDetections,

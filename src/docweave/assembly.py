@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
-from .geometry import BBox, Point, contains_midpoint, iou
+from .geometry import BBox, contains_midpoint, iou
 from .ingest import RawDetection
 from .metrics import indel_distance
 from .model import (
@@ -102,7 +102,7 @@ def _reading_key(entity: Entity) -> tuple:
 
 
 def candidate_members(layout_box: BBox, entities: Sequence[Entity]) -> list[Entity]:
-    """Entities whose midpoint lies inside the layout box, minus pinned labels."""
+    """Entities whose centre lies inside the layout box, minus pinned labels."""
     return [
         e
         for e in entities
@@ -165,7 +165,7 @@ def cluster_multi_column(
     """
     if not members:
         return []
-    labels = dbscan(minmax_scale([e.x_center for e in members]), params)
+    labels = dbscan(minmax_scale([e.pixel_coordinates.x_center for e in members]), params)
     clustered: dict[int, list[Entity]] = {}
     singletons: list[list[Entity]] = []
     for entity, label in zip(members, labels):
@@ -178,7 +178,7 @@ def cluster_multi_column(
     columns.extend(singletons)
     columns.sort(
         key=lambda column: (
-            sum(e.x_center for e in column) / len(column),
+            sum(e.pixel_coordinates.x_center for e in column) / len(column),
             sum(e.pixel_coordinates.top for e in column) / len(column),
             column[0].id,
         )
@@ -186,10 +186,11 @@ def cluster_multi_column(
     return [make_group(GroupType.MULTI_COLUMN, column) for column in columns]
 
 
-def line_angle(a: Point, b: Point) -> float:
-    """Absolute angle of the segment a-b against the horizontal, in [0, 90]."""
-    dx = abs(b.x - a.x)
-    dy = abs(b.y - a.y)
+def line_angle(a: BBox, b: BBox) -> float:
+    """Absolute angle of the segment between the box centres against the
+    horizontal, in [0, 90]."""
+    dx = abs(b.x_center - a.x_center)
+    dy = abs(b.y_center - a.y_center)
     if dx == 0 and dy == 0:
         return 0.0
     return math.degrees(math.atan2(dy, dx))
@@ -199,15 +200,17 @@ def order_row_group(members: Sequence[Entity], params: RowOrderParams) -> Group:
     """Order a row region left-to-right, fixing vertically stacked neighbors.
 
     Members are sorted by (x_center, top); one left-to-right pass then checks
-    each adjacent pair: when the angle between their midpoints reaches the
+    each adjacent pair: when the angle between their centres reaches the
     threshold the pair is vertically related rather than side by side, so the
     upper element (smaller top) is placed first.
     """
-    ordered = sorted(members, key=lambda e: (e.x_center, e.pixel_coordinates.top, e.id))
+    ordered = sorted(
+        members, key=lambda e: (e.pixel_coordinates.x_center, e.pixel_coordinates.top, e.id)
+    )
     for i in range(len(ordered) - 1):
         a, b = ordered[i], ordered[i + 1]
         if (
-            line_angle(a.mid_point, b.mid_point) >= params.angle_threshold_degrees
+            line_angle(a.pixel_coordinates, b.pixel_coordinates) >= params.angle_threshold_degrees
             and b.pixel_coordinates.top < a.pixel_coordinates.top
         ):
             ordered[i], ordered[i + 1] = b, a
@@ -355,7 +358,6 @@ def assemble_page(
     survivors = sorted(dedupe_page(entities), key=_reading_key)
     by_id = {e.id: e for e in survivors}
     groups, non_group_ids = assign_groups(layout_detections, survivors, params)
-    non_group_set = set(non_group_ids)
     elements = order_page_elements(
         groups, [by_id[i] for i in non_group_ids], by_id
     )
@@ -363,7 +365,6 @@ def assemble_page(
         page_number=page_number,
         elements=elements,
         groups=tuple(groups),
-        non_groups=tuple(eid for eid in elements if eid in non_group_set),
         skipped_images=tuple(sorted(skipped_image_ids)),
     )
 
@@ -406,12 +407,10 @@ def _rebuild_page(page: PageResult, updated: Mapping[str, Entity]) -> PageResult
             groups.append(make_group(group.type, remaining))
     grouped_ids = {eid for group in groups for eid in group.ids}
     non_group_entities = [e for e in elements.values() if e.id not in grouped_ids]
-    ordered = order_page_elements(groups, non_group_entities, elements)
     return PageResult(
         page_number=page.page_number,
-        elements=ordered,
+        elements=order_page_elements(groups, non_group_entities, elements),
         groups=tuple(groups),
-        non_groups=tuple(eid for eid in ordered if eid not in grouped_ids),
         skipped_images=page.skipped_images,
     )
 
@@ -528,13 +527,13 @@ def _fix_positions_and_rebuild(
             if (
                 entity.type is ElementLabel.PAGE_HEADER
                 and top > params.header_top_limit
-                and entity.y_center >= bottom_band
+                and entity.pixel_coordinates.y_center >= bottom_band
             ):
                 elements[eid] = entity.with_type(ElementLabel.PAGE_FOOTER, schema)
             elif (
                 entity.type is ElementLabel.PAGE_FOOTER
                 and top <= params.header_top_limit
-                and entity.y_center < bottom_band
+                and entity.pixel_coordinates.y_center < bottom_band
             ):
                 elements[eid] = entity.with_type(ElementLabel.PAGE_HEADER, schema)
 

@@ -121,6 +121,8 @@ def parse(
         raise click.UsageError(str(exc))
     failed = 0
     for outcome in outcomes:
+        for number, cause in outcome.failed_pages.items():
+            click.echo(f"{outcome.input_path}: page {number} failed: {cause}", err=True)
         if outcome.failed:
             failed += 1
             click.echo(f"FAILED {outcome.input_path}: {outcome.error or 'no page assembled'}", err=True)

@@ -1,22 +1,10 @@
-"""Box and point primitives in top-left-origin pixel space (y grows downward)."""
+"""Box primitives in top-left-origin pixel space (y grows downward)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from typing import Iterable
-
-
-@dataclass(frozen=True)
-class Point:
-    x: float
-    y: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", float(self.x))
-        object.__setattr__(self, "y", float(self.y))
-        if not (math.isfinite(self.x) and math.isfinite(self.y)):
-            raise ValueError(f"point coordinates must be finite, got ({self.x}, {self.y})")
 
 
 @dataclass(frozen=True)
@@ -53,17 +41,20 @@ class BBox:
     def area(self) -> float:
         return self.width * self.height
 
+    @property
+    def x_center(self) -> float:
+        return (self.left + self.right) / 2
 
-def midpoint(box: BBox) -> Point:
-    return Point((box.left + box.right) / 2, (box.top + box.bottom) / 2)
+    @property
+    def y_center(self) -> float:
+        return (self.top + self.bottom) / 2
 
 
 def contains_midpoint(container: BBox, element: BBox) -> bool:
-    """True when the element's midpoint lies inside the container, borders included."""
-    mid = midpoint(element)
+    """True when the element's centre lies inside the container, borders included."""
     return (
-        container.left <= mid.x <= container.right
-        and container.top <= mid.y <= container.bottom
+        container.left <= element.x_center <= container.right
+        and container.top <= element.y_center <= container.bottom
     )
 
 

@@ -15,12 +15,16 @@ from enum import Enum
 from typing import Any, Mapping, Optional, Sequence
 
 from .errors import ValidationError
-from .geometry import BBox, Point, midpoint, union_bbox
+from .geometry import BBox, union_bbox
 
 
 def _is_int(value: Any) -> bool:
     """True for JSON integers; ``bool`` is an ``int`` subclass but never one."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 class ElementLabel(str, Enum):
@@ -134,31 +138,12 @@ class EntityValue:
             object.__setattr__(self, "data", rows)
 
 
-class _Centered:
-    """Center geometry derived on access from ``pixel_coordinates``."""
-
-    pixel_coordinates: BBox
-
-    @property
-    def mid_point(self) -> Point:
-        return midpoint(self.pixel_coordinates)
-
-    @property
-    def x_center(self) -> float:
-        return (self.pixel_coordinates.left + self.pixel_coordinates.right) / 2
-
-    @property
-    def y_center(self) -> float:
-        return (self.pixel_coordinates.top + self.pixel_coordinates.bottom) / 2
-
-
 @dataclass(frozen=True)
-class Entity(_Centered):
+class Entity:
     """One detected semantic element with its schema weight.
 
-    ``mid_point``, ``x_center`` and ``y_center`` are properties derived from
-    ``pixel_coordinates``. ``weight`` is a pure function of ``type``; use
-    :func:`make_entity` so it stays consistent.
+    ``weight`` is a pure function of ``type``; use :func:`make_entity` so it
+    stays consistent. Centres are read from ``pixel_coordinates``.
     """
 
     id: str
@@ -209,7 +194,7 @@ def make_entity(
 
 
 @dataclass(frozen=True)
-class Group(_Centered):
+class Group:
     """An ordered run of entity ids sharing one layout region."""
 
     type: GroupType
@@ -235,12 +220,14 @@ def make_group(group_type: GroupType, members: Sequence[Entity]) -> Group:
 
 @dataclass(frozen=True)
 class PageResult:
-    """One assembled page. ``elements`` insertion order is the reading order."""
+    """One assembled page. ``elements`` insertion order is the reading order.
+
+    Each element id sits in at most one group; ``non_groups`` lists the rest.
+    """
 
     page_number: int
     elements: Mapping[str, Entity]
     groups: tuple[Group, ...]
-    non_groups: tuple[str, ...]
     skipped_images: tuple[str, ...]
 
     def __post_init__(self):
@@ -248,34 +235,32 @@ class PageResult:
             raise ValidationError(f"page_number must be a positive integer, got {self.page_number}")
         object.__setattr__(self, "elements", dict(self.elements))
         object.__setattr__(self, "groups", tuple(self.groups))
-        object.__setattr__(self, "non_groups", tuple(self.non_groups))
         object.__setattr__(self, "skipped_images", tuple(self.skipped_images))
 
         grouped = [eid for group in self.groups for eid in group.ids]
-        placed = grouped + list(self.non_groups)
-        if len(set(placed)) != len(placed):
-            raise ValidationError(
-                f"page {self.page_number}: ids appear more than once across groups/non_groups"
-            )
+        if len(set(grouped)) != len(grouped):
+            raise ValidationError(f"page {self.page_number}: ids appear in more than one group")
         element_ids = set(self.elements)
-        if set(placed) != element_ids:
-            raise ValidationError(
-                f"page {self.page_number}: groups and non_groups must partition the elements"
-            )
+        if not element_ids.issuperset(grouped):
+            raise ValidationError(f"page {self.page_number}: group ids must be page elements")
         if element_ids & set(self.skipped_images):
             raise ValidationError(
                 f"page {self.page_number}: skipped images must not appear among elements"
             )
 
+    @property
+    def non_groups(self) -> tuple[str, ...]:
+        """Ids of the elements in no group, in reading order."""
+        grouped = {eid for group in self.groups for eid in group.ids}
+        return tuple(eid for eid in self.elements if eid not in grouped)
+
 
 @dataclass(frozen=True)
 class DocumentResult:
-    """Full assembly output for one document."""
+    """Full assembly output for one document; ``pages`` lists the processed pages."""
 
     filename: str
     total_pages: int
-    total_processed_pages: int
-    total_failed_pages: int
     total_llm_calls: int
     metadata: Mapping[str, str]
     document_category: str
@@ -284,21 +269,25 @@ class DocumentResult:
     def __post_init__(self):
         object.__setattr__(self, "metadata", dict(self.metadata))
         object.__setattr__(self, "pages", tuple(self.pages))
-        for name in ("total_pages", "total_processed_pages", "total_failed_pages", "total_llm_calls"):
+        for name in ("total_pages", "total_llm_calls"):
             value = getattr(self, name)
             if not _is_int(value) or value < 0:
                 raise ValidationError(f"{name} must be a non-negative integer, got {value!r}")
-        if self.total_processed_pages + self.total_failed_pages != self.total_pages:
+        if len(self.pages) > self.total_pages:
             raise ValidationError(
-                "page counters inconsistent: "
-                f"{self.total_processed_pages} processed + {self.total_failed_pages} failed "
-                f"!= {self.total_pages} total"
+                f"{len(self.pages)} listed pages exceed total_pages {self.total_pages}"
             )
-        if self.total_processed_pages != len(self.pages):
-            raise ValidationError(f"total_processed_pages != {len(self.pages)} listed pages")
         numbers = [page.page_number for page in self.pages]
         if numbers != sorted(numbers) or len(set(numbers)) != len(numbers):
             raise ValidationError(f"pages must be sorted by unique page_number, got {numbers}")
+
+    @property
+    def total_processed_pages(self) -> int:
+        return len(self.pages)
+
+    @property
+    def total_failed_pages(self) -> int:
+        return self.total_pages - len(self.pages)
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +297,11 @@ class DocumentResult:
 
 def _bbox_to_dict(box: BBox) -> dict[str, float]:
     return {"left": box.left, "top": box.top, "right": box.right, "bottom": box.bottom}
+
+
+def _centers_to_dict(box: BBox) -> dict[str, Any]:
+    x, y = box.x_center, box.y_center
+    return {"mid_point": {"x": x, "y": y}, "x_center": x, "y_center": y}
 
 
 def entity_value_to_dict(value: EntityValue) -> dict[str, Any]:
@@ -328,9 +322,7 @@ def entity_to_dict(entity: Entity) -> dict[str, Any]:
         "confidence": entity.confidence,
         "value": entity_value_to_dict(entity.value),
         "pixel_coordinates": _bbox_to_dict(entity.pixel_coordinates),
-        "mid_point": {"x": entity.x_center, "y": entity.y_center},
-        "x_center": entity.x_center,
-        "y_center": entity.y_center,
+        **_centers_to_dict(entity.pixel_coordinates),
         "weight": entity.weight,
     }
     if entity.image_payload is not None:
@@ -343,9 +335,7 @@ def group_to_dict(group: Group) -> dict[str, Any]:
         "type": group.type.value,
         "ids": list(group.ids),
         "pixel_coordinates": _bbox_to_dict(group.pixel_coordinates),
-        "mid_point": {"x": group.x_center, "y": group.y_center},
-        "x_center": group.x_center,
-        "y_center": group.y_center,
+        **_centers_to_dict(group.pixel_coordinates),
     }
 
 
@@ -391,6 +381,27 @@ def _require_list(mapping: Mapping[str, Any], key: str, context: str) -> list:
     return value
 
 
+def _require_ids(mapping: Mapping[str, Any], key: str, context: str) -> tuple[str, ...]:
+    value = _require_list(mapping, key, context)
+    if not all(isinstance(i, str) for i in value):
+        raise ValidationError(f"{context}.{key}: entries must be strings")
+    return tuple(value)
+
+
+def _require_str(mapping: Mapping[str, Any], key: str, context: str) -> str:
+    value = _require(mapping, key, context)
+    if not isinstance(value, str):
+        raise ValidationError(f"{context}: {key} must be a string, got {value!r}")
+    return value
+
+
+def _require_number(mapping: Mapping[str, Any], key: str, context: str) -> float:
+    value = _require(mapping, key, context)
+    if not _is_number(value):
+        raise ValidationError(f"{context}: {key} must be a number, got {value!r}")
+    return value
+
+
 def _bbox_from_dict(raw: Mapping[str, Any], context: str) -> BBox:
     try:
         return BBox(
@@ -405,18 +416,17 @@ def _bbox_from_dict(raw: Mapping[str, Any], context: str) -> BBox:
 
 def _check_centers(raw: Mapping[str, Any], box: BBox, context: str) -> None:
     """Reject stored ``mid_point``/``x_center``/``y_center`` that disagree with ``box``."""
-    mid = midpoint(box)
+    x, y = box.x_center, box.y_center
     stored_mid = _require(raw, "mid_point", context)
     stored = (
-        float(_require(stored_mid, "x", f"{context}.mid_point")),
-        float(_require(stored_mid, "y", f"{context}.mid_point")),
-        float(_require(raw, "x_center", context)),
-        float(_require(raw, "y_center", context)),
+        _require_number(stored_mid, "x", f"{context}.mid_point"),
+        _require_number(stored_mid, "y", f"{context}.mid_point"),
+        _require_number(raw, "x_center", context),
+        _require_number(raw, "y_center", context),
     )
-    if stored != (mid.x, mid.y, mid.x, mid.y):
+    if stored != (x, y, x, y):
         raise ValidationError(
-            f"{context}: stored midpoint/centers {stored} do not match geometry "
-            f"({mid.x}, {mid.y})"
+            f"{context}: stored midpoint/centers {stored} do not match geometry ({x}, {y})"
         )
 
 
@@ -440,23 +450,20 @@ def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
     weight = _require(raw, "weight", context)
     if not _is_int(weight) or weight < 1:
         raise ValidationError(f"{context}: weight must be a positive integer, got {weight!r}")
-    confidence = _require(raw, "confidence", context)
-    try:
-        confidence = float(confidence)
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: confidence must be a number") from exc
+    confidence = float(_require_number(raw, "confidence", context))
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"{context}: confidence must be in [0,1], got {confidence}")
 
     _check_centers(raw, bbox, context)
+    payload = _require_str(raw, "image_payload", context) if "image_payload" in raw else None
     return Entity(
-        id=str(_require(raw, "id", context)),
+        id=_require_str(raw, "id", context),
         type=label,
         confidence=confidence,
         value=value,
         pixel_coordinates=bbox,
         weight=weight,
-        image_payload=raw.get("image_payload"),
+        image_payload=payload,
     )
 
 
@@ -465,7 +472,7 @@ def group_from_dict(raw: Mapping[str, Any], elements: Mapping[str, Entity], cont
         group_type = GroupType(_require(raw, "type", context))
     except ValueError as exc:
         raise ValidationError(f"{context}: unknown group type {raw.get('type')!r}") from exc
-    ids = tuple(str(i) for i in _require_list(raw, "ids", context))
+    ids = _require_ids(raw, "ids", context)
     missing = [i for i in ids if i not in elements]
     if missing:
         raise ValidationError(f"{context}: ids not present among page elements: {missing}")
@@ -496,22 +503,26 @@ def page_from_dict(raw: Mapping[str, Any], context: str = "page") -> PageResult:
         group_from_dict(g, elements, f"{context}.groups[{i}]")
         for i, g in enumerate(_require_list(raw, "groups", context))
     )
-    try:
-        return PageResult(
-            page_number=page_number,
-            elements=elements,
-            groups=groups,
-            non_groups=tuple(str(i) for i in _require_list(raw, "non_groups", context)),
-            skipped_images=tuple(str(i) for i in _require_list(raw, "skipped_images", context)),
+    non_groups = _require_ids(raw, "non_groups", context)
+    page = PageResult(
+        page_number=page_number,
+        elements=elements,
+        groups=groups,
+        skipped_images=_require_ids(raw, "skipped_images", context),
+    )
+    if non_groups != page.non_groups:
+        raise ValidationError(
+            f"{context}.non_groups: must list the ungrouped elements in reading order "
+            f"{list(page.non_groups)}, got {list(non_groups)}"
         )
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: {exc}") from exc
+    return page
 
 
 def document_from_dict(raw: Mapping[str, Any]) -> DocumentResult:
     context = "document"
+    filename = _require_str(raw, "filename", context)
+    if not filename:
+        raise ValidationError(f"{context}: filename must be a non-empty string")
     metadata = _require(raw, "metadata", context)
     if not isinstance(metadata, Mapping) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata.items()
@@ -521,21 +532,22 @@ def document_from_dict(raw: Mapping[str, Any]) -> DocumentResult:
         page_from_dict(p, f"{context}.pages[{i}]")
         for i, p in enumerate(_require_list(raw, "pages", context))
     )
-    try:
-        return DocumentResult(
-            filename=str(_require(raw, "filename", context)),
-            total_pages=_require(raw, "total_pages", context),
-            total_processed_pages=_require(raw, "total_processed_pages", context),
-            total_failed_pages=_require(raw, "total_failed_pages", context),
-            total_llm_calls=_require(raw, "total_llm_calls", context),
-            metadata=metadata,
-            document_category=str(_require(raw, "document_category", context)),
-            pages=pages,
-        )
-    except ValidationError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"{context}: {exc}") from exc
+    doc = DocumentResult(
+        filename=filename,
+        total_pages=_require(raw, "total_pages", context),
+        total_llm_calls=_require(raw, "total_llm_calls", context),
+        metadata=metadata,
+        document_category=_require_str(raw, "document_category", context),
+        pages=pages,
+    )
+    for name in ("total_processed_pages", "total_failed_pages"):
+        stored, derived = _require(raw, name, context), getattr(doc, name)
+        if not _is_int(stored) or stored != derived:
+            raise ValidationError(
+                f"{context}: {name} must be {derived} for {len(pages)} listed pages "
+                f"of total_pages {doc.total_pages}, got {stored!r}"
+            )
+    return doc
 
 
 def document_from_json(text: str) -> DocumentResult:

@@ -1,6 +1,7 @@
 """End-to-end orchestration: ingest, per-page assembly, correction, export.
 
-Pages are assembled in turn, and a failed page is left out; header/footer
+Pages are assembled in turn, and a failed page is left out with its cause
+recorded in ``DocumentOutcome.failed_pages``; header/footer
 correction is a whole-document barrier that runs after every page. The only
 concurrency is up to ``workers`` client calls within a page. Output files are
 written atomically (temp file + rename), so an interrupted run never leaves a
@@ -45,6 +46,8 @@ from .model import (
     DocumentResult,
     PageResult,
     SchemaWeights,
+    _is_int,
+    _is_number,
     document_to_json,
 )
 
@@ -63,7 +66,12 @@ _SUFFIXES = {
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Everything a pipeline run needs; flags mirror these fields."""
+    """Everything a pipeline run needs; flags mirror these fields.
+
+    Values are type-checked, never coerced: ``inputs`` and ``formats`` are
+    lists or tuples, ``skip_*`` are bools, ``workers`` is an int, thresholds
+    are numbers and fixture paths are ``str`` or ``Path``.
+    """
 
     inputs: tuple[Path, ...]
     output_dir: Path
@@ -81,20 +89,31 @@ class PipelineConfig:
     workers: int = 1
 
     def __post_init__(self):
+        for name in ("inputs", "formats"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValidationError(f"{name} must be a list, got {getattr(self, name)!r}")
+        for name in ("skip_images", "skip_insights", "skip_headers_footers"):
+            if not isinstance(getattr(self, name), bool):
+                raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
+        for name in ("usefulness_fixture", "enrichment_fixture", "category_fixture"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, (str, Path)):
+                raise ValidationError(f"{name} must be a path string, got {value!r}")
+            object.__setattr__(self, name, None if value is None else Path(value))
         object.__setattr__(self, "inputs", tuple(Path(p) for p in self.inputs))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         object.__setattr__(self, "formats", tuple(self.formats))
         for name in ("layout_threshold", "element_threshold"):
             value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValidationError(f"{name} must be in [0,1], got {value}")
+            if not _is_number(value) or not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be a number in [0,1], got {value!r}")
         if not self.formats:
             raise ValidationError("at least one output format is required")
         unknown = [f for f in self.formats if f not in FORMATS]
         if unknown:
             raise ValidationError(f"unknown output formats: {unknown}")
-        if self.workers < 1:
-            raise ValidationError(f"worker count must be >= 1, got {self.workers}")
+        if not _is_int(self.workers) or self.workers < 1:
+            raise ValidationError(f"worker count must be an integer >= 1, got {self.workers!r}")
 
 
 @dataclass
@@ -103,6 +122,7 @@ class DocumentOutcome:
     result: Optional[DocumentResult] = None
     written: list[Path] = field(default_factory=list)
     error: Optional[str] = None
+    failed_pages: dict[int, str] = field(default_factory=dict)  # page number -> cause
 
     @property
     def failed(self) -> bool:
@@ -165,6 +185,7 @@ class _PageOutcome:
     page_number: int
     result: Optional[PageResult] = None
     llm_calls: int = 0
+    error: Optional[str] = None
 
 
 class _Clients:
@@ -207,8 +228,9 @@ def _process_page(
             params=config.assembly,
             skipped_image_ids=skipped_ids,
         )
-    except Exception:
+    except Exception as exc:
         logger.exception("page %d failed to assemble", page.page_number)
+        outcome.error = f"{type(exc).__name__}: {exc}"
     return outcome
 
 
@@ -257,6 +279,7 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
     schema = SchemaWeights.with_overrides(config.weight_overrides)
     page_outcomes = [_process_page(p, schema, config, clients) for p in detections.pages]
     page_outcomes.sort(key=lambda o: o.page_number)
+    outcome.failed_pages = {o.page_number: o.error for o in page_outcomes if o.error is not None}
 
     assembled = [o.result for o in page_outcomes if o.result is not None]
     corrected = correct_headers_footers(
@@ -265,14 +288,10 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
         schema,
         page_heights=_page_heights(detections),
     )
-    total_pages = len(detections.pages)
-    processed = len(corrected)
     category = classify_document(_document_text(detections, corrected), clients.category)
     outcome.result = DocumentResult(
         filename=detections.filename,
-        total_pages=total_pages,
-        total_processed_pages=processed,
-        total_failed_pages=total_pages - processed,
+        total_pages=len(detections.pages),
         total_llm_calls=sum(o.llm_calls for o in page_outcomes),
         metadata=detections.metadata,
         document_category=category,
@@ -335,7 +354,4 @@ def config_from_mapping(raw: Mapping[str, Any], **overrides: Any) -> PipelineCon
     for key, value in overrides.items():
         if value is not None:
             values[key] = value
-    for key in ("usefulness_fixture", "enrichment_fixture", "category_fixture"):
-        if values.get(key) is not None:
-            values[key] = Path(values[key])
     return PipelineConfig(**values)

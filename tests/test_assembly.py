@@ -25,7 +25,7 @@ from docweave.assembly import (
     order_page_elements,
     order_row_group,
 )
-from docweave.geometry import BBox, Point
+from docweave.geometry import BBox
 from docweave.model import ElementLabel, GroupType, SchemaWeights, page_to_dict
 from oracles import dbscan_oracle, indel_oracle
 
@@ -123,16 +123,16 @@ class TestClusterMultiColumn:
 
 class TestLineAngle:
     def test_horizontal(self):
-        assert line_angle(Point(0, 0), Point(10, 0)) == 0.0
+        assert line_angle(BBox(0, 0, 0, 0), BBox(10, 0, 10, 0)) == 0.0
 
     def test_vertical(self):
-        assert line_angle(Point(0, 0), Point(0, 10)) == 90.0
+        assert line_angle(BBox(0, 0, 0, 0), BBox(0, 10, 0, 10)) == 90.0
 
     def test_diagonal(self):
-        assert line_angle(Point(0, 0), Point(10, 10)) == pytest.approx(45.0)
+        assert line_angle(BBox(0, 0, 0, 0), BBox(10, 10, 10, 10)) == pytest.approx(45.0)
 
     def test_coincident(self):
-        assert line_angle(Point(3, 3), Point(3, 3)) == 0.0
+        assert line_angle(BBox(3, 3, 3, 3), BBox(3, 3, 3, 3)) == 0.0
 
 
 class TestOrderRowGroup:
@@ -154,7 +154,7 @@ class TestOrderRowGroup:
         # sorts with "low" first on x_center; the 90-degree check swaps them
         lower = build_entity("low", "text", (90, 300, 190, 330), text="lower", schema=schema)
         upper = build_entity("up", "text", (110, 50, 210, 80), text="upper", schema=schema)
-        assert abs(lower.x_center - upper.x_center) < 30
+        assert abs(lower.pixel_coordinates.x_center - upper.pixel_coordinates.x_center) < 30
         group = order_row_group([lower, upper], RowOrderParams())
         assert group.ids == ("up", "low")
 
@@ -334,7 +334,6 @@ def _page(schema, page_number, entities, groups=(), skipped=()):
         page_number=page_number,
         elements=ordered,
         groups=tuple(groups),
-        non_groups=tuple(eid for eid in ordered if eid not in grouped),
         skipped_images=tuple(skipped),
     )
 

@@ -27,15 +27,12 @@ def make_doc(entities_per_page, filename="doc.pdf", category="uncategorized", sk
                 page_number=number,
                 elements={e.id: e for e in entities},
                 groups=(),
-                non_groups=tuple(e.id for e in entities),
                 skipped_images=tuple(skipped) if number == 1 else (),
             )
         )
     return DocumentResult(
         filename=filename,
         total_pages=len(pages),
-        total_processed_pages=len(pages),
-        total_failed_pages=0,
         total_llm_calls=0,
         metadata={},
         document_category=category,

@@ -222,7 +222,7 @@ class TestBuildEntities:
     def test_geometry_and_weight(self, schema):
         det = RawDetection("text", 0.9, BBox(0, 0, 10, 10), text="hello")
         (entity,) = build_entities([det], schema)
-        assert entity.mid_point.x == 5 and entity.mid_point.y == 5
+        assert entity.pixel_coordinates.x_center == 5 and entity.pixel_coordinates.y_center == 5
         assert entity.weight == 6
 
     def test_title_normalized(self, schema):
@@ -354,7 +354,8 @@ class TestEnrichEntities:
         enriched, _ = enrich_entities([table], StubEnrichmentClient())
         assert enriched[0].pixel_coordinates == table.pixel_coordinates
         assert enriched[0].weight == table.weight
-        assert enriched[0].mid_point == table.mid_point
+        box, table_box = enriched[0].pixel_coordinates, table.pixel_coordinates
+        assert (box.x_center, box.y_center) == (table_box.x_center, table_box.y_center)
 
     def test_text_entities_not_called(self, schema):
         text = build_entity("t", "text", (0, 0, 10, 10), text="abc", schema=schema)

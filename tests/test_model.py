@@ -1,15 +1,24 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_entity
+from docweave.assembly import (
+    AssemblyParams,
+    HeaderFooterParams,
+    assemble_page,
+    correct_headers_footers,
+)
 from docweave.errors import ValidationError
-from docweave.geometry import BBox, Point
+from docweave.geometry import BBox
+from docweave.ingest import RawDetection
 from docweave.model import (
     DocumentResult,
     ElementLabel,
     EntityValue,
     GroupType,
+    LayoutLabel,
     PageResult,
     SchemaWeights,
     document_from_json,
@@ -52,9 +61,8 @@ class TestSchemaWeights:
 class TestEntity:
     def test_derived_fields(self, schema):
         entity = build_entity("e1", "text", (0, 0, 10, 10), text="hello", schema=schema)
-        assert entity.mid_point == Point(5, 5)
-        assert entity.x_center == 5
-        assert entity.y_center == 5
+        assert entity.pixel_coordinates.x_center == 5
+        assert entity.pixel_coordinates.y_center == 5
         assert entity.weight == 6
 
     def test_confidence_bounds(self, schema):
@@ -103,14 +111,11 @@ def _single_page_doc(schema):
         page_number=1,
         elements={"a": a, "b": b},
         groups=(),
-        non_groups=("a", "b"),
         skipped_images=(),
     )
     return DocumentResult(
         filename="doc.pdf",
         total_pages=1,
-        total_processed_pages=1,
-        total_failed_pages=0,
         total_llm_calls=0,
         metadata={"source": "test"},
         document_category="uncategorized",
@@ -120,32 +125,54 @@ def _single_page_doc(schema):
 
 class TestPageResult:
     def test_partition_enforced(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
-        with pytest.raises(ValidationError, match="partition"):
-            PageResult(1, {"a": a}, (), (), ())
+        # non_groups is derived; the loader rejects a stored list that differs
+        for stored in (["a"], ["a", "b", "c"], ["b", "a"]):
+            raw = json.loads(document_to_json(_single_page_doc(schema)))
+            raw["pages"][0]["non_groups"] = stored
+            with pytest.raises(ValidationError, match="non_groups: must list the ungrouped"):
+                document_from_json(json.dumps(raw))
+
+    def test_non_groups_are_ungrouped_ids_in_reading_order(self, schema):
+        a, b, c = (
+            build_entity(eid, "text", (0, top, 10, top + 5), text=eid * 3, schema=schema)
+            for eid, top in (("a", 0), ("b", 10), ("c", 20))
+        )
+        page = PageResult(1, {"c": c, "b": b, "a": a}, (make_group(GroupType.GENERIC, [b]),), ())
+        assert page.non_groups == ("c", "a")
 
     def test_duplicate_placement_rejected(self, schema):
         a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
         group = make_group(GroupType.GENERIC, [a])
-        with pytest.raises(ValidationError, match="more than once"):
-            PageResult(1, {"a": a}, (group,), ("a",), ())
+        with pytest.raises(ValidationError, match="more than one group"):
+            PageResult(1, {"a": a}, (group, group), ())
+
+    def test_group_ids_must_be_elements(self, schema):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+        with pytest.raises(ValidationError, match="group ids must be page elements"):
+            PageResult(1, {}, (make_group(GroupType.GENERIC, [a]),), ())
 
     def test_skipped_disjoint_from_elements(self, schema):
         a = build_entity("a", "image", (0, 0, 10, 10), schema=schema)
         with pytest.raises(ValidationError, match="skipped"):
-            PageResult(1, {"a": a}, (), ("a",), ("a",))
+            PageResult(1, {"a": a}, (), ("a",))
 
 
 class TestDocumentResult:
     def test_counter_consistency(self, schema):
-        with pytest.raises(ValidationError, match="counters"):
-            DocumentResult("f", 2, 1, 0, 0, {}, "uncategorized", ())
+        page = _single_page_doc(schema).pages[0]
+        with pytest.raises(ValidationError, match="1 listed pages exceed total_pages 0"):
+            DocumentResult("f", 0, 0, {}, "uncategorized", (page,))
+
+    def test_counters_derived_from_pages(self, schema):
+        page = _single_page_doc(schema).pages[0]
+        doc = DocumentResult("f", 3, 0, {}, "uncategorized", (page,))
+        assert (doc.total_processed_pages, doc.total_failed_pages) == (1, 2)
 
     def test_pages_sorted_unique(self, schema):
         doc = _single_page_doc(schema)
         page = doc.pages[0]
         with pytest.raises(ValidationError, match="sorted"):
-            DocumentResult("f", 2, 2, 0, 0, {}, "uncategorized", (page, page))
+            DocumentResult("f", 2, 0, {}, "uncategorized", (page, page))
 
 
 class TestSerialization:
@@ -224,6 +251,21 @@ class TestSerialization:
         with pytest.raises(ValidationError, match=message):
             document_from_json(json.dumps(raw))
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"total_processed_pages": 0}, "total_processed_pages must be 1 for 1 listed pages"),
+            ({"total_failed_pages": 1}, "total_failed_pages must be 0 for 1 listed pages"),
+            ({"total_pages": 3, "total_failed_pages": 1}, "total_failed_pages must be 2"),
+            ({"total_processed_pages": 1.0}, "total_processed_pages must be 1"),
+        ],
+    )
+    def test_loader_rejects_counters_that_disagree_with_pages(self, schema, changes, message):
+        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        raw.update(changes)
+        with pytest.raises(ValidationError, match=message):
+            document_from_json(json.dumps(raw))
+
     @pytest.mark.parametrize("field", ["page_number", "weight"])
     def test_loader_rejects_bool_for_integer(self, schema, field):
         raw = json.loads(document_to_json(_single_page_doc(schema)))
@@ -244,6 +286,18 @@ class TestSerialization:
             ("value", "title", ["T"], r"text, title and summary must be strings"),
             ("value", "data", 5, r"value\.data: expected an array of objects"),
             ("value", "data", ["row"], r"value\.data: expected an array of objects"),
+            ("document", "filename", 5, r"filename must be a string, got 5"),
+            ("document", "filename", "", r"filename must be a non-empty string"),
+            ("document", "document_category", None, r"document_category must be a string"),
+            ("entity", "confidence", True, r"confidence must be a number, got True"),
+            ("entity", "confidence", "0.5", r"confidence must be a number"),
+            ("entity", "image_payload", 5, r"image_payload must be a string"),
+            ("entity", "image_payload", None, r"image_payload must be a string"),
+            ("entity", "id", 5, r"id must be a string"),
+            ("entity", "x_center", "5.0", r"x_center must be a number"),
+            ("page", "groups", [{"type": "group", "ids": [5]}], r"ids: entries must be strings"),
+            ("page", "non_groups", ["a", 5], r"non_groups: entries must be strings"),
+            ("page", "skipped_images", [5], r"skipped_images: entries must be strings"),
         ],
     )
     def test_loader_rejects_malformed_structure(self, schema, where, key, value, message):
@@ -258,3 +312,66 @@ class TestSerialization:
     def test_malformed_document_json(self):
         with pytest.raises(ValidationError, match="invalid document JSON"):
             document_from_json("{not json")
+
+
+TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
+COORDS = st.floats(0, 1000, allow_nan=False)
+
+
+@st.composite
+def _boxes(draw):
+    left, right = sorted(draw(st.tuples(COORDS, COORDS)))
+    top, bottom = sorted(draw(st.tuples(COORDS, COORDS)))
+    return BBox(left, top, right, bottom)
+
+
+@st.composite
+def _entity(draw, entity_id):
+    row = st.tuples(TEXTS, TEXTS).map(lambda kv: {"k": kv[0], "v": kv[1]})
+    rows = st.lists(row, max_size=2).map(tuple)
+    value = EntityValue(
+        draw(TEXTS), draw(st.none() | TEXTS), draw(st.none() | TEXTS), draw(st.none() | rows)
+    )
+    return make_entity(
+        draw(st.sampled_from(list(ElementLabel))),
+        draw(st.floats(0, 1)),
+        draw(_boxes()),
+        value,
+        SchemaWeights(),
+        entity_id=entity_id,
+        image_payload=draw(st.none() | TEXTS),
+    )
+
+
+@st.composite
+def _documents(draw):
+    """Assembled and header/footer-corrected documents, some with failed pages."""
+    total_pages = draw(st.integers(0, 4))
+    processed = sorted(draw(st.sets(st.integers(1, total_pages))) if total_pages else [])
+    pages = []
+    for number in processed:
+        entities = [draw(_entity(f"p{number}-{i}")) for i in range(draw(st.integers(0, 6)))]
+        regions = [
+            RawDetection(label.value, draw(st.floats(0, 1)), draw(_boxes()))
+            for label in draw(st.lists(st.sampled_from(list(LayoutLabel)), max_size=3))
+        ]
+        skipped = draw(st.lists(st.sampled_from(["s1", "s2"]), unique=True))
+        pages.append(assemble_page(number, regions, entities, AssemblyParams(), skipped))
+    heights = draw(st.none() | st.just({n: 1000.0 for n in processed}))
+    return DocumentResult(
+        filename=draw(TEXTS.filter(bool)),
+        total_pages=total_pages,
+        total_llm_calls=draw(st.integers(0, 50)),
+        metadata=draw(st.dictionaries(TEXTS, TEXTS, max_size=2)),
+        document_category=draw(TEXTS),
+        pages=tuple(correct_headers_footers(pages, HeaderFooterParams(), SchemaWeights(), heights)),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_json_round_trip_property(doc):
+    text = document_to_json(doc)
+    restored = document_from_json(text)
+    assert restored == doc
+    assert document_to_json(restored) == text

@@ -2,6 +2,7 @@ import json
 import re
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -267,6 +268,7 @@ class TestRunPipeline:
         assert doc.total_processed_pages == 2
         assert [p.page_number for p in doc.pages] == [1, 3]
         assert not outcome.failed
+        assert outcome.failed_pages == {2: "RuntimeError: synthetic page failure"}
 
     def test_full_page_text_feeds_category(self, tmp_path):
         from docweave.clients import text_digest
@@ -356,6 +358,19 @@ MALFORMED_CONFIGS = [
     ({"assembly": {"header_foter": {"fuzzy_threshold": 90}}}, r"sections: \['header_foter'\]"),
 ]
 
+#: Config-file values of the wrong type, which are rejected rather than coerced.
+MISTYPED_CONFIGS = [
+    ({"skip_insights": "false"}, "skip_insights must be true or false, got 'false'"),
+    ({"skip_images": 1}, "skip_images must be true or false"),
+    ({"skip_headers_footers": None}, "skip_headers_footers must be true or false"),
+    ({"workers": 2.5}, "worker count must be an integer"),
+    ({"workers": True}, "worker count must be an integer"),
+    ({"layout_threshold": "0.5"}, "layout_threshold must be a number"),
+    ({"element_threshold": False}, "element_threshold must be a number"),
+    ({"formats": "json"}, "formats must be a list"),
+    ({"usefulness_fixture": 5}, "usefulness_fixture must be a path string"),
+]
+
 
 class TestConfig:
     def test_threshold_validation(self, tmp_path):
@@ -409,6 +424,21 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             config_from_mapping(raw, inputs=(), output_dir=tmp_path)
 
+    @pytest.mark.parametrize(
+        "raw, message", MISTYPED_CONFIGS + [({"inputs": "ab"}, "inputs must be a list")]
+    )
+    def test_mistyped_config_rejected(self, tmp_path, raw, message):
+        with pytest.raises(ValidationError, match=message):
+            config_from_mapping({"output_dir": str(tmp_path), "inputs": [], **raw})
+
+    def test_string_paths_and_list_inputs_accepted(self, tmp_path):
+        config = config_from_mapping(
+            {"inputs": ["a.json"], "output_dir": str(tmp_path), "workers": 1,
+             "usefulness_fixture": "gate.json", "skip_insights": False}
+        )
+        assert config.inputs == (Path("a.json"),)
+        assert config.usefulness_fixture == Path("gate.json")
+
 
 class TestCli:
     def test_parse_writes_selected_formats(self, tmp_path):
@@ -429,6 +459,37 @@ class TestCli:
             main, ["parse", str(bad), str(good), "-o", str(tmp_path / "out")]
         )
         assert result.exit_code == 1
+
+    def test_parse_prints_failed_page_cause(self, tmp_path, monkeypatch):
+        import docweave.pipeline as pipeline_mod
+
+        pages = [
+            {
+                "page_number": n,
+                "element_detections": [
+                    {"id": f"t{n}", "label": "text", "confidence": 0.9,
+                     "bbox": [0, 100, 200, 150], "text": f"page {n} body"}
+                ],
+                "layout_detections": [],
+            }
+            for n in (1, 2)
+        ]
+        path = minimal_input(tmp_path, "multi.json", pages=pages)
+        real_assemble = pipeline_mod.assemble_page
+
+        def flaky(page_number, *args, **kwargs):
+            if page_number == 2:
+                raise RuntimeError("synthetic page failure")
+            return real_assemble(page_number, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline_mod, "assemble_page", flaky)
+        result = CliRunner().invoke(
+            main, ["parse", str(path), "-o", str(tmp_path / "out"), "--formats", "json"]
+        )
+        assert result.exit_code == 0
+        assert result.stderr.splitlines() == [
+            f"{path}: page 2 failed: RuntimeError: synthetic page failure"
+        ]
 
     def test_parse_usage_error_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["parse"])
@@ -502,7 +563,7 @@ class TestCli:
         assert result.exit_code == 2
         assert "invalid fixture JSON" in result.output
 
-    @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS)
+    @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS + MISTYPED_CONFIGS)
     def test_parse_malformed_config_is_usage_error(self, tmp_path, raw, message):
         path = minimal_input(tmp_path)
         config_file = tmp_path / "config.json"
