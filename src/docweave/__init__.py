@@ -27,14 +27,12 @@ from .assembly import (
     order_row_group,
 )
 from .clients import (
+    CategoryTable,
     EnrichmentResult,
-    FixtureCategoryClassifier,
     FixtureEnrichmentClient,
-    FixtureUsefulnessClassifier,
     HttpEnrichmentClient,
-    StubCategoryClassifier,
     StubEnrichmentClient,
-    StubUsefulnessClassifier,
+    UsefulnessTable,
     UsefulnessVerdict,
 )
 from .errors import (

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
 
+from .errors import ValidationError
 from .geometry import BBox, contains_midpoint, iou
 from .ingest import RawDetection
 from .metrics import indel_distance
@@ -31,6 +32,8 @@ from .model import (
     LayoutLabel,
     PageResult,
     SchemaWeights,
+    _is_int,
+    _is_number,
     make_group,
 )
 
@@ -56,12 +59,22 @@ DUPLICATE_IOU_THRESHOLD = 0.5
 BOTTOM_BAND_FRACTION = 0.2
 
 
+def _check_types(params, **checks) -> None:
+    """Raise ValidationError for a field that fails its type check (bools never pass)."""
+    for name, check in checks.items():
+        value = getattr(params, name)
+        if not check(value):
+            kind = "an integer" if check is _is_int else "a number"
+            raise ValidationError(f"{name} must be {kind}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ClusterParams:
     eps: float = 0.3
     min_samples: int = 2
 
     def __post_init__(self):
+        _check_types(self, eps=_is_number, min_samples=_is_int)
         if self.eps <= 0:
             raise ValueError(f"eps must be > 0, got {self.eps}")
         if self.min_samples < 1:
@@ -73,6 +86,7 @@ class RowOrderParams:
     angle_threshold_degrees: float = 50.0
 
     def __post_init__(self):
+        _check_types(self, angle_threshold_degrees=_is_number)
         if not 0 < self.angle_threshold_degrees <= 90:
             raise ValueError(
                 f"angle threshold must be in (0, 90], got {self.angle_threshold_degrees}"
@@ -85,6 +99,7 @@ class HeaderFooterParams:
     header_top_limit: float = 100.0
 
     def __post_init__(self):
+        _check_types(self, fuzzy_threshold=_is_int, header_top_limit=_is_number)
         if not 0 < self.fuzzy_threshold <= 100:
             raise ValueError(f"fuzzy threshold must be in (0, 100], got {self.fuzzy_threshold}")
 
@@ -226,13 +241,12 @@ def assign_groups(
     layout_detections: Sequence[RawDetection],
     entities: Sequence[Entity],
     params: AssemblyParams,
-) -> tuple[list[Group], list[str]]:
+) -> list[Group]:
     """Assign entities to layout regions; each entity joins at most one group.
 
     Regions claim entities in descending confidence order (ties by descending
     area, then position) so the strongest region wins overlaps. Entities left
-    unclaimed, including the labels excluded from grouping, become non-group
-    blocks.
+    unclaimed, including the labels excluded from grouping, join no group.
     """
     regions = sorted(
         layout_detections,
@@ -261,8 +275,7 @@ def assign_groups(
             region_groups = [order_generic_group(candidates)]
         groups.extend(region_groups)
         claimed.update(eid for group in region_groups for eid in group.ids)
-    non_group_ids = [e.id for e in entities if e.id not in claimed]
-    return groups, non_group_ids
+    return groups
 
 
 def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
@@ -311,24 +324,22 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
     return [e for e in entities if e.id in keep]
 
 
-def order_page_elements(
-    groups: Sequence[Group],
-    non_group_entities: Sequence[Entity],
-    members: Mapping[str, Entity],
-) -> dict[str, Entity]:
+def order_page_elements(groups: Sequence[Group], members: Mapping[str, Entity]) -> dict[str, Entity]:
     """Merge groups and loose entities into one reading-ordered element map.
 
-    Each group is one block keyed by its bbox top; each loose entity is its
-    own block. Blocks sort by (top, left); groups expand in their internal
-    order. Page headers always come first and page footers last regardless of
-    their detected position.
+    The loose entities are the ``members`` in no group. Each group is one
+    block keyed by its bbox top; each loose entity is its own block. Blocks
+    sort by (top, left); groups expand in their internal order. Page headers
+    always come first and page footers last regardless of their detected
+    position. Every sort key ends in an id, so the order of ``members`` does
+    not matter.
     """
-    headers = [e for e in non_group_entities if e.type is ElementLabel.PAGE_HEADER]
-    footers = [e for e in non_group_entities if e.type is ElementLabel.PAGE_FOOTER]
+    grouped = {eid for group in groups for eid in group.ids}
+    loose = [e for e in members.values() if e.id not in grouped]
+    headers = [e for e in loose if e.type is ElementLabel.PAGE_HEADER]
+    footers = [e for e in loose if e.type is ElementLabel.PAGE_FOOTER]
     middle = [
-        e
-        for e in non_group_entities
-        if e.type not in (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER)
+        e for e in loose if e.type not in (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER)
     ]
 
     blocks: list[tuple[tuple, list[Entity]]] = []
@@ -356,14 +367,10 @@ def assemble_page(
 ) -> PageResult:
     """Assemble one page: dedupe, group, and order already gated entities."""
     survivors = sorted(dedupe_page(entities), key=_reading_key)
-    by_id = {e.id: e for e in survivors}
-    groups, non_group_ids = assign_groups(layout_detections, survivors, params)
-    elements = order_page_elements(
-        groups, [by_id[i] for i in non_group_ids], by_id
-    )
+    groups = assign_groups(layout_detections, survivors, params)
     return PageResult(
         page_number=page_number,
-        elements=elements,
+        elements=order_page_elements(groups, {e.id: e for e in survivors}),
         groups=tuple(groups),
         skipped_images=tuple(sorted(skipped_image_ids)),
     )
@@ -405,11 +412,9 @@ def _rebuild_page(page: PageResult, updated: Mapping[str, Entity]) -> PageResult
         ]
         if remaining:
             groups.append(make_group(group.type, remaining))
-    grouped_ids = {eid for group in groups for eid in group.ids}
-    non_group_entities = [e for e in elements.values() if e.id not in grouped_ids]
     return PageResult(
         page_number=page.page_number,
-        elements=order_page_elements(groups, non_group_entities, elements),
+        elements=order_page_elements(groups, elements),
         groups=tuple(groups),
         skipped_images=page.skipped_images,
     )

@@ -7,11 +7,10 @@ Three interfaces mirror the external services the pipeline can call:
   and useful images;
 * category classifier — assigns a document-level category string.
 
-Stub implementations are deterministic and dependency-free so the pipeline is
-hermetic by default. Fixture-backed clients replay canned responses from JSON
-files (formats documented below and in the README). A live HTTP enrichment
-endpoint can be selected with the ``DOCWEAVE_ENRICHMENT_URL`` environment
-variable.
+The classifiers are lookup tables with a default, filled from a JSON file by
+``from_fixture``; enrichment echoes the entity's text unless a fixture or an
+HTTP endpoint (``DOCWEAVE_ENRICHMENT_URL``) is given. Fixture files are checked
+once, at load, and never coerced (formats below and in the README).
 """
 
 from __future__ import annotations
@@ -19,10 +18,11 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Any, Mapping, Optional, Protocol, Sequence, Union
+from typing import Any, Callable, Mapping, Optional, Protocol, Union
 
 from .errors import ValidationError
 from .model import Entity
@@ -41,48 +41,53 @@ class UsefulnessVerdict(str, Enum):
 class EnrichmentResult:
     """Response record from the enrichment service.
 
-    ``text_or_data`` is a replacement text string for images, or a list of row
-    records (field name -> cell string) for tables. A successful enrichment
-    carries at least one field.
+    ``text`` replaces an image's text and ``data`` holds a table's row records
+    (field name -> cell string). A successful enrichment carries at least one
+    field.
     """
 
     title: Optional[str] = None
     summary: Optional[str] = None
-    text_or_data: Union[str, tuple[Mapping[str, str], ...], None] = None
+    text: Optional[str] = None
+    data: Optional[tuple[Mapping[str, str], ...]] = None
 
     def __post_init__(self):
-        if self.title is None and self.summary is None and self.text_or_data is None:
+        if self.title is None and self.summary is None and self.text is None and self.data is None:
             raise ValidationError("enrichment result must carry at least one field")
-        if isinstance(self.text_or_data, Sequence) and not isinstance(self.text_or_data, str):
-            object.__setattr__(
-                self, "text_or_data", tuple(dict(row) for row in self.text_or_data)
-            )
 
 
-def enrichment_result_from_record(record: Mapping[str, Any]) -> EnrichmentResult:
+def enrichment_result_from_record(record: Any, context: str = "enrichment record") -> EnrichmentResult:
     """Build an EnrichmentResult from a fixture/HTTP response record.
 
-    Recognized keys: ``title``, ``summary``, ``text`` (string) and ``data``
-    (list of row records). ``data`` wins when both ``text`` and ``data`` are
-    present.
+    Recognized keys: ``title``, ``summary`` and ``text`` (string or null) and
+    ``data`` (array of row objects with string values and the same ordered
+    keys, as ``EntityValue`` requires). ``data`` wins when both ``text`` and
+    ``data`` are present. Values are checked, never converted; a bad one
+    raises ValidationError naming ``context`` and the key.
     """
     if not isinstance(record, Mapping):
-        raise ValidationError(f"enrichment record must be an object, got {type(record).__name__}")
-    text_or_data: Union[str, tuple, None] = None
-    if record.get("data") is not None:
-        rows = record["data"]
-        if not isinstance(rows, Sequence) or isinstance(rows, str):
-            raise ValidationError("enrichment 'data' must be a list of row records")
-        text_or_data = tuple(
-            {str(k): str(v) for k, v in row.items()} for row in rows
+        raise ValidationError(f"{context} must be an object, got {type(record).__name__}")
+    for key in ("title", "summary", "text"):
+        if not isinstance(record.get(key), (str, type(None))):
+            raise ValidationError(f"{context}.{key} must be a string or null, got {record[key]!r}")
+    rows = record.get("data")
+    if rows is not None and not (
+        isinstance(rows, list)
+        and all(isinstance(row, Mapping) and all(isinstance(v, str) for v in row.values()) for row in rows)
+        and len({tuple(row) for row in rows}) <= 1
+    ):
+        raise ValidationError(
+            f"{context}.data must be an array of objects with string values and the same keys"
         )
-    elif record.get("text") is not None:
-        text_or_data = str(record["text"])
-    return EnrichmentResult(
-        title=None if record.get("title") is None else str(record["title"]),
-        summary=None if record.get("summary") is None else str(record["summary"]),
-        text_or_data=text_or_data,
-    )
+    try:
+        return EnrichmentResult(
+            title=record.get("title"),
+            summary=record.get("summary"),
+            text=record.get("text") if rows is None else None,
+            data=None if rows is None else tuple(rows),
+        )
+    except ValidationError as exc:
+        raise ValidationError(f"{context}: {exc}") from None
 
 
 def load_fixture_json(path: Union[str, Path]) -> Mapping[str, Any]:
@@ -99,6 +104,25 @@ def load_fixture_json(path: Union[str, Path]) -> Mapping[str, Any]:
     return raw
 
 
+def _fixture_string(value: Any, context: str, kind: type = str) -> Any:
+    """``value`` as ``kind``, ``str`` or a string enum, checked and never coerced."""
+    allowed = [member.value for member in kind] if issubclass(kind, Enum) else []
+    if not isinstance(value, str) or (allowed and value not in allowed):
+        expected = " or ".join(map(repr, allowed)) or "a string"
+        raise ValidationError(f"{context} must be {expected}, got {value!r}")
+    return kind(value)
+
+
+def _fixture_table(
+    raw: Mapping[str, Any], key: str, path: Union[str, Path], parse: Callable[[Any, str], Any]
+) -> dict[str, Any]:
+    """The object under ``key`` (empty when absent), each value run through ``parse``."""
+    table = raw.get(key, {})
+    if not isinstance(table, Mapping):
+        raise ValidationError(f"{path}: {key} must be an object, got {type(table).__name__}")
+    return {k: parse(v, f"{path}: {key}[{k!r}]") for k, v in table.items()}
+
+
 class UsefulnessClassifier(Protocol):
     def classify(self, entity: Entity) -> UsefulnessVerdict: ...
 
@@ -111,58 +135,45 @@ class CategoryClassifier(Protocol):
     def classify(self, text: str) -> str: ...
 
 
-class StubUsefulnessClassifier:
-    """Deterministic stand-in for the image classifier.
+@dataclass
+class UsefulnessTable:
+    """Image classifier that looks verdicts up by entity id, else ``default``.
 
-    Classifies every image with ``default`` unless an explicit per-id verdict
-    is given.
+    With ``default=None`` an unknown id raises ``KeyError``, which
+    ``gate_images`` treats as a failed call: the image is kept.
     """
 
-    def __init__(
-        self,
-        default: UsefulnessVerdict = UsefulnessVerdict.USEFUL,
-        overrides: Optional[Mapping[str, UsefulnessVerdict]] = None,
-    ):
-        self.default = UsefulnessVerdict(default)
-        self.overrides = {k: UsefulnessVerdict(v) for k, v in (overrides or {}).items()}
+    verdicts: Mapping[str, UsefulnessVerdict] = field(default_factory=dict)
+    default: Optional[UsefulnessVerdict] = UsefulnessVerdict.USEFUL
 
-    def classify(self, entity: Entity) -> UsefulnessVerdict:
-        return self.overrides.get(entity.id, self.default)
+    @classmethod
+    def from_fixture(cls, path: Union[str, Path]) -> "UsefulnessTable":
+        """Fixture format, where a missing ``"default"`` means ``default=None``::
 
-
-class FixtureUsefulnessClassifier:
-    """Replays verdicts from a JSON fixture.
-
-    Fixture format::
-
-        {"verdicts": {"<entity id>": "useful" | "useless", ...},
-         "default": "useful"}
-    """
-
-    def __init__(self, path: Union[str, Path]):
+            {"verdicts": {"<entity id>": "useful" | "useless", ...},
+             "default": "useful" | "useless"}
+        """
         raw = load_fixture_json(path)
-        self.verdicts = {
-            str(k): UsefulnessVerdict(v) for k, v in raw.get("verdicts", {}).items()
-        }
-        self.default = UsefulnessVerdict(raw["default"]) if "default" in raw else None
+        check = partial(_fixture_string, kind=UsefulnessVerdict)
+        default = check(raw["default"], f"{path}: default") if "default" in raw else None
+        return cls(_fixture_table(raw, "verdicts", path, check), default)
 
     def classify(self, entity: Entity) -> UsefulnessVerdict:
-        if entity.id in self.verdicts:
-            return self.verdicts[entity.id]
-        if self.default is not None:
-            return self.default
-        raise KeyError(f"no usefulness verdict for entity {entity.id!r}")
+        verdict = self.verdicts.get(entity.id, self.default)
+        if verdict is None:
+            raise KeyError(f"no usefulness verdict for entity {entity.id!r}")
+        return verdict
 
 
 class StubEnrichmentClient:
     """Identity enrichment: echoes the entity's existing text, changing nothing."""
 
     def enrich(self, entity: Entity) -> EnrichmentResult:
-        return EnrichmentResult(text_or_data=entity.value.text)
+        return EnrichmentResult(text=entity.value.text)
 
 
 class FixtureEnrichmentClient:
-    """Replays enrichment responses from a JSON fixture.
+    """Replays enrichment responses from a JSON fixture, parsed once at load.
 
     Fixture format::
 
@@ -174,13 +185,14 @@ class FixtureEnrichmentClient:
     """
 
     def __init__(self, path: Union[str, Path]):
-        raw = load_fixture_json(path)
-        self.responses = {str(k): v for k, v in raw.get("responses", {}).items()}
+        self.results = _fixture_table(
+            load_fixture_json(path), "responses", path, enrichment_result_from_record
+        )
 
     def enrich(self, entity: Entity) -> EnrichmentResult:
-        if entity.id not in self.responses:
+        if entity.id not in self.results:
             raise KeyError(f"no enrichment response for entity {entity.id!r}")
-        return enrichment_result_from_record(self.responses[entity.id])
+        return self.results[entity.id]
 
 
 class HttpEnrichmentClient:
@@ -208,17 +220,7 @@ class HttpEnrichmentClient:
             timeout=self.timeout,
         )
         response.raise_for_status()
-        return enrichment_result_from_record(response.json())
-
-
-class StubCategoryClassifier:
-    """Constant document-category classifier."""
-
-    def __init__(self, category: str = UNCATEGORIZED):
-        self.category = category
-
-    def classify(self, text: str) -> str:
-        return self.category
+        return enrichment_result_from_record(response.json(), f"{self.url}: response")
 
 
 def text_digest(text: str) -> str:
@@ -226,19 +228,25 @@ def text_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-class FixtureCategoryClassifier:
-    """Replays categories from a JSON fixture keyed by sha256(text).
+@dataclass
+class CategoryTable:
+    """Document classifier that looks categories up by ``text_digest(text)``, else ``default``."""
 
-    Fixture format::
+    categories: Mapping[str, str] = field(default_factory=dict)
+    default: str = UNCATEGORIZED
 
-        {"categories": {"<sha256 hexdigest>": "<category>", ...},
-         "default": "uncategorized"}
-    """
+    @classmethod
+    def from_fixture(cls, path: Union[str, Path]) -> "CategoryTable":
+        """Fixture format::
 
-    def __init__(self, path: Union[str, Path]):
+            {"categories": {"<sha256 hexdigest>": "<category>", ...},
+             "default": "uncategorized"}
+        """
         raw = load_fixture_json(path)
-        self.categories = {str(k): str(v) for k, v in raw.get("categories", {}).items()}
-        self.default = str(raw.get("default", UNCATEGORIZED))
+        return cls(
+            _fixture_table(raw, "categories", path, _fixture_string),
+            _fixture_string(raw.get("default", UNCATEGORIZED), f"{path}: default"),
+        )
 
     def classify(self, text: str) -> str:
         return self.categories.get(text_digest(text), self.default)

@@ -165,7 +165,8 @@ def load_detections(
 ) -> DetectionInput:
     """Parse and validate a detection-input file, applying confidence thresholds.
 
-    A missing element ``id`` becomes a uuid5 of filename, page number and index.
+    Pages come back sorted by page number, whatever their order in the file. A
+    missing element ``id`` becomes a uuid5 of filename, page number and index.
     """
     path = Path(path)
     try:
@@ -242,6 +243,7 @@ def load_detections(
                 full_page_text=full_text,
             )
         )
+    pages.sort(key=lambda page: page.page_number)
     return DetectionInput(filename=filename, metadata=dict(metadata_raw), pages=tuple(pages))
 
 
@@ -375,19 +377,12 @@ def gate_images(
 
 def _merge_enrichment(entity: Entity, result: EnrichmentResult) -> Entity:
     value = entity.value
-    text = value.text
-    data = value.data
-    if isinstance(result.text_or_data, str):
-        if result.text_or_data:
-            text = result.text_or_data
-    elif result.text_or_data is not None:
-        data = result.text_or_data
     return entity.with_value(
         EntityValue(
-            text=text,
+            text=result.text or value.text,
             title=value.title if result.title is None else result.title,
             summary=value.summary if result.summary is None else result.summary,
-            data=data,
+            data=value.data if result.data is None else result.data,
         )
     )
 

@@ -352,35 +352,42 @@ def teds_s(tree_a: TableNode, tree_b: TableNode) -> float:
 
 
 @dataclass(frozen=True)
-class SampleScore:
-    sample_id: str
-    nid: Optional[float] = None
-    teds: Optional[float] = None
-    teds_s: Optional[float] = None
-
-    def to_dict(self) -> dict[str, Any]:
-        out: dict[str, Any] = {"sample_id": self.sample_id}
-        for name in ("nid", "teds", "teds_s"):
-            value = getattr(self, name)
-            if value is not None:
-                out[name] = value
-        return out
-
-
-@dataclass(frozen=True)
 class EvalReport:
+    """Scores of one ``evaluate`` run.
+
+    Each sample is its report record: ``{"sample_id", "nid"}`` in layout mode,
+    ``{"sample_id", "teds", "teds_s"}`` in table mode. The means are over the
+    samples that carry the score, and ``None`` when none does.
+    """
+
     mode: str
-    samples: tuple[SampleScore, ...]
-    mean_nid: Optional[float]
-    mean_teds: Optional[float]
-    mean_teds_s: Optional[float]
-    evaluated: int
+    samples: tuple[Mapping[str, Any], ...]
     skipped: int
+
+    @property
+    def evaluated(self) -> int:
+        return len(self.samples)
+
+    def _mean(self, name: str) -> Optional[float]:
+        values = [s[name] for s in self.samples if name in s]
+        return sum(values) / len(values) if values else None
+
+    @property
+    def mean_nid(self) -> Optional[float]:
+        return self._mean("nid")
+
+    @property
+    def mean_teds(self) -> Optional[float]:
+        return self._mean("teds")
+
+    @property
+    def mean_teds_s(self) -> Optional[float]:
+        return self._mean("teds_s")
 
     def to_dict(self) -> dict[str, Any]:
         return {
             "mode": self.mode,
-            "samples": [s.to_dict() for s in self.samples],
+            "samples": [dict(s) for s in self.samples],
             "aggregates": {
                 "mean_nid": self.mean_nid,
                 "mean_teds": self.mean_teds,
@@ -509,10 +516,6 @@ def _match_tables(
     return matches
 
 
-def _mean(values: list[float]) -> Optional[float]:
-    return sum(values) / len(values) if values else None
-
-
 def evaluate(
     reference_path: Union[str, Path],
     prediction_path: Union[str, Path],
@@ -535,22 +538,15 @@ def evaluate(
             raise EvaluationError(f"{path}: file not found")
 
     documents = _collect_documents(reference_path, prediction_path)
-    samples: list[SampleScore] = []
-    skipped = 0
-
     if mode == "layout":
-        for name, ref_elements, pred_elements in documents:
-            score = nid(serialize_for_nid(ref_elements), serialize_for_nid(pred_elements))
-            samples.append(SampleScore(sample_id=name, nid=score))
-        return EvalReport(
-            mode=mode,
-            samples=tuple(samples),
-            mean_nid=_mean([s.nid for s in samples]),
-            mean_teds=None,
-            mean_teds_s=None,
-            evaluated=len(samples),
-            skipped=0,
-        )
+        samples = [
+            {"sample_id": name, "nid": nid(serialize_for_nid(ref), serialize_for_nid(pred))}
+            for name, ref, pred in documents
+        ]
+        return EvalReport(mode, tuple(samples), skipped=0)
+
+    samples = []
+    skipped = 0
 
     for name, ref_elements, pred_elements in documents:
         ref_tables = [e for e in ref_elements if e.get("category") == "Table"]
@@ -581,16 +577,5 @@ def evaluate(
                     if pred_tree is not None:
                         score_teds = teds(ref_tree, pred_tree)
                         score_teds_s = teds_s(ref_tree, pred_tree)
-            samples.append(
-                SampleScore(sample_id=sample_id, teds=score_teds, teds_s=score_teds_s)
-            )
-
-    return EvalReport(
-        mode=mode,
-        samples=tuple(samples),
-        mean_nid=None,
-        mean_teds=_mean([s.teds for s in samples]),
-        mean_teds_s=_mean([s.teds_s for s in samples]),
-        evaluated=len(samples),
-        skipped=skipped,
-    )
+            samples.append({"sample_id": sample_id, "teds": score_teds, "teds_s": score_teds_s})
+    return EvalReport(mode, tuple(samples), skipped)

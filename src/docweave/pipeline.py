@@ -21,12 +21,10 @@ from . import export as export_mod
 from .assembly import AssemblyParams, assemble_page, correct_headers_footers
 from .clients import (
     CategoryClassifier,
+    CategoryTable,
     EnrichmentClient,
-    FixtureCategoryClassifier,
-    FixtureUsefulnessClassifier,
-    StubCategoryClassifier,
-    StubUsefulnessClassifier,
     UsefulnessClassifier,
+    UsefulnessTable,
     resolve_enrichment_client,
 )
 from .errors import DocweaveError, ValidationError
@@ -70,7 +68,8 @@ class PipelineConfig:
 
     Values are type-checked, never coerced: ``inputs`` and ``formats`` are
     lists or tuples, ``skip_*`` are bools, ``workers`` is an int, thresholds
-    are numbers and fixture paths are ``str`` or ``Path``.
+    are numbers, fixture paths are ``str`` or ``Path`` and ``weight_overrides``
+    maps element labels to positive ints.
     """
 
     inputs: tuple[Path, ...]
@@ -114,6 +113,11 @@ class PipelineConfig:
             raise ValidationError(f"unknown output formats: {unknown}")
         if not _is_int(self.workers) or self.workers < 1:
             raise ValidationError(f"worker count must be an integer >= 1, got {self.workers!r}")
+        if not isinstance(self.weight_overrides, Mapping):
+            raise ValidationError(
+                f"weight_overrides must be an object, got {self.weight_overrides!r}"
+            )
+        SchemaWeights.with_overrides(self.weight_overrides)  # raises on a bad label or weight
 
 
 @dataclass
@@ -191,15 +195,15 @@ class _PageOutcome:
 class _Clients:
     def __init__(self, config: PipelineConfig):
         self.usefulness: UsefulnessClassifier = (
-            FixtureUsefulnessClassifier(config.usefulness_fixture)
+            UsefulnessTable.from_fixture(config.usefulness_fixture)
             if config.usefulness_fixture
-            else StubUsefulnessClassifier()
+            else UsefulnessTable()
         )
         self.enrichment: EnrichmentClient = resolve_enrichment_client(config.enrichment_fixture)
         self.category: CategoryClassifier = (
-            FixtureCategoryClassifier(config.category_fixture)
+            CategoryTable.from_fixture(config.category_fixture)
             if config.category_fixture
-            else StubCategoryClassifier()
+            else CategoryTable()
         )
 
 
@@ -278,7 +282,6 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
 
     schema = SchemaWeights.with_overrides(config.weight_overrides)
     page_outcomes = [_process_page(p, schema, config, clients) for p in detections.pages]
-    page_outcomes.sort(key=lambda o: o.page_number)
     outcome.failed_pages = {o.page_number: o.error for o in page_outcomes if o.error is not None}
 
     assembled = [o.result for o in page_outcomes if o.result is not None]

@@ -191,17 +191,16 @@ class TestOrderGenericGroup:
 class TestAssignGroups:
     def test_no_regions_all_non_group(self, schema):
         entities = [build_entity("a", "text", (0, 0, 10, 10), text="abc", schema=schema)]
-        groups, non_groups = assign_groups([], entities, PARAMS)
-        assert groups == [] and non_groups == ["a"]
+        groups = assign_groups([], entities, PARAMS)
+        assert groups == []  # so "a" is in no group
 
     def test_overlapping_regions_first_claim_wins(self, schema):
         entity = build_entity("a", "text", (10, 10, 20, 20), text="abc", schema=schema)
         strong = layout_detection("group", (0, 0, 100, 100), confidence=0.9)
         weak = layout_detection("group", (0, 0, 50, 50), confidence=0.5)
-        groups, non_groups = assign_groups([weak, strong], [entity], PARAMS)
+        groups = assign_groups([weak, strong], [entity], PARAMS)
         assert len(groups) == 1
         assert groups[0].ids == ("a",)
-        assert non_groups == []
 
     def test_multi_column_region_clusters(self, schema):
         entities = [
@@ -211,20 +210,21 @@ class TestAssignGroups:
             build_entity("r2", "text", (488, 200, 512, 220), text="r2..", schema=schema),
         ]
         region = layout_detection("multi_column", (0, 0, 600, 400))
-        groups, non_groups = assign_groups([region], entities, PARAMS)
-        assert len(groups) == 2 and non_groups == []
+        groups = assign_groups([region], entities, PARAMS)
+        assert len(groups) == 2
+        assert sorted(eid for group in groups for eid in group.ids) == ["l1", "l2", "r1", "r2"]
 
     def test_excluded_labels_stay_non_group(self, schema):
         toc = build_entity("toc", "table_of_content", (10, 10, 20, 20), text="toc", schema=schema)
         region = layout_detection("group", (0, 0, 100, 100))
-        groups, non_groups = assign_groups([region], [toc], PARAMS)
-        assert groups == [] and non_groups == ["toc"]
+        groups = assign_groups([region], [toc], PARAMS)
+        assert groups == []  # so "toc" is in no group
 
     def test_row_group_region(self, schema):
         a = build_entity("a", "text", (200, 100, 240, 120), text="aaa", schema=schema)
         b = build_entity("b", "text", (100, 100, 140, 120), text="bbb", schema=schema)
         region = layout_detection("row_group", (0, 0, 600, 400))
-        groups, _ = assign_groups([region], [a, b], PARAMS)
+        groups = assign_groups([region], [a, b], PARAMS)
         assert groups[0].type is GroupType.ROW
         assert groups[0].ids == ("b", "a")
 
@@ -268,19 +268,19 @@ class TestOrderPageElements:
         from docweave.model import make_group
 
         group = make_group(GroupType.GENERIC, [grouped])
-        ordered = order_page_elements([group], [lone], {"g1": grouped, "n1": lone})
+        ordered = order_page_elements([group], {"g1": grouped, "n1": lone})
         assert list(ordered) == ["n1", "g1"]
 
     def test_misdetected_footer_still_last(self, schema):
         footer = build_entity("f", "page_footer", (0, 40, 10, 50), text="fff", schema=schema)
         body = build_entity("t", "text", (0, 100, 10, 110), text="ttt", schema=schema)
-        ordered = order_page_elements([], [footer, body], {"f": footer, "t": body})
+        ordered = order_page_elements([], {"f": footer, "t": body})
         assert list(ordered) == ["t", "f"]
 
     def test_header_always_first(self, schema):
         header = build_entity("h", "page_header", (0, 500, 10, 510), text="hhh", schema=schema)
         body = build_entity("t", "text", (0, 100, 10, 110), text="ttt", schema=schema)
-        ordered = order_page_elements([], [header, body], {"h": header, "t": body})
+        ordered = order_page_elements([], {"h": header, "t": body})
         assert list(ordered) == ["h", "t"]
 
     def test_groups_concatenated_by_top(self, schema):
@@ -289,7 +289,7 @@ class TestOrderPageElements:
         lower = build_entity("a", "text", (0, 300, 10, 310), text="aaa", schema=schema)
         upper = build_entity("b", "text", (0, 100, 10, 110), text="bbb", schema=schema)
         groups = [make_group(GroupType.GENERIC, [lower]), make_group(GroupType.GENERIC, [upper])]
-        ordered = order_page_elements(groups, [], {"a": lower, "b": upper})
+        ordered = order_page_elements(groups, {"a": lower, "b": upper})
         assert list(ordered) == ["b", "a"]
 
 
@@ -327,9 +327,7 @@ class TestFuzzyRatio:
 def _page(schema, page_number, entities, groups=(), skipped=()):
     from docweave.model import PageResult
 
-    by_id = {e.id: e for e in entities}
-    grouped = {eid for g in groups for eid in g.ids}
-    ordered = order_page_elements(list(groups), [e for e in entities if e.id not in grouped], by_id)
+    ordered = order_page_elements(list(groups), {e.id: e for e in entities})
     return PageResult(
         page_number=page_number,
         elements=ordered,

@@ -80,8 +80,9 @@ def test_success_merges_response(server):
         ((500, json.dumps({"title": "ignored"}), 0.0), 5.0),
         ((200, "{not json", 0.0), 5.0),
         ((200, json.dumps({"title": "late"}), 1.0), 0.2),
+        ((200, json.dumps({"title": 5}), 0.0), 5.0),
     ],
-    ids=["server-error", "bad-json", "timeout"],
+    ids=["server-error", "bad-json", "timeout", "title-number"],
 )
 def test_failure_keeps_ocr_value(server, reply, timeout):
     server.reply = reply

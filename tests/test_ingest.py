@@ -5,13 +5,11 @@ from hypothesis import given, strategies as st
 
 from conftest import build_entity, write_detection_file
 from docweave.clients import (
+    CategoryTable,
     EnrichmentResult,
-    FixtureCategoryClassifier,
     FixtureEnrichmentClient,
-    FixtureUsefulnessClassifier,
-    StubCategoryClassifier,
     StubEnrichmentClient,
-    StubUsefulnessClassifier,
+    UsefulnessTable,
     UsefulnessVerdict,
     text_digest,
 )
@@ -272,7 +270,7 @@ class _FailingEnricher:
 class TestGateImages:
     def test_useless_image_skipped(self, schema):
         image = build_entity("img", "image", (0, 0, 10, 10), schema=schema)
-        classifier = StubUsefulnessClassifier(overrides={"img": UsefulnessVerdict.USELESS})
+        classifier = UsefulnessTable({"img": UsefulnessVerdict.USELESS})
         kept, skipped = gate_images([image], classifier)
         assert kept == [] and skipped == ["img"]
 
@@ -290,7 +288,7 @@ class TestGateImages:
 
     def test_no_images_vacuous(self, schema):
         text = build_entity("t", "text", (0, 0, 10, 10), text="abc", schema=schema)
-        kept, skipped = gate_images([text], StubUsefulnessClassifier())
+        kept, skipped = gate_images([text], UsefulnessTable())
         assert kept == [text] and skipped == []
 
     def test_fail_open(self, schema):
@@ -303,7 +301,7 @@ class TestGateImages:
             build_entity(f"img{i}", "image", (i, 0, i + 5, 5), schema=schema) for i in range(6)
         ]
         overrides = {"img1": UsefulnessVerdict.USELESS, "img4": UsefulnessVerdict.USELESS}
-        kept, skipped = gate_images(images, StubUsefulnessClassifier(overrides=overrides))
+        kept, skipped = gate_images(images, UsefulnessTable(overrides))
         kept_ids = {e.id for e in kept}
         assert kept_ids | set(skipped) == {e.id for e in images}
         assert kept_ids & set(skipped) == set()
@@ -312,8 +310,8 @@ class TestGateImages:
         images = [
             build_entity(f"img{i}", "image", (i, 0, i + 5, 5), schema=schema) for i in range(8)
         ]
-        classifier = StubUsefulnessClassifier(
-            overrides={"img2": UsefulnessVerdict.USELESS, "img7": UsefulnessVerdict.USELESS}
+        classifier = UsefulnessTable(
+            {"img2": UsefulnessVerdict.USELESS, "img7": UsefulnessVerdict.USELESS}
         )
         serial = gate_images(images, classifier, max_workers=1)
         parallel = gate_images(images, classifier, max_workers=8)
@@ -383,12 +381,12 @@ class TestEnrichEntities:
         class Recorder:
             def enrich(self, entity):
                 calls.append(entity.id)
-                return EnrichmentResult(text_or_data=entity.value.text or "x")
+                return EnrichmentResult(text=entity.value.text or "x")
 
         useful = build_entity("img-useful", "image", (0, 0, 10, 10), schema=schema)
         useless = build_entity("img-useless", "image", (20, 0, 30, 10), schema=schema)
-        classifier = StubUsefulnessClassifier(
-            overrides={"img-useless": UsefulnessVerdict.USELESS}
+        classifier = UsefulnessTable(
+            {"img-useless": UsefulnessVerdict.USELESS}
         )
         kept, skipped = gate_images([useful, useless], classifier)
         _, count = enrich_entities(kept, Recorder())
@@ -421,7 +419,7 @@ class TestEnrichEntities:
 
 class TestClassifyDocument:
     def test_stub_returns_uncategorized(self):
-        assert classify_document("anything", StubCategoryClassifier()) == "uncategorized"
+        assert classify_document("anything", CategoryTable()) == "uncategorized"
 
     def test_fixture_lookup(self, tmp_path):
         fixture = tmp_path / "cat.json"
@@ -429,12 +427,12 @@ class TestClassifyDocument:
             json.dumps({"categories": {text_digest("quarterly revenue"): "financial"}}),
             encoding="utf-8",
         )
-        classifier = FixtureCategoryClassifier(fixture)
+        classifier = CategoryTable.from_fixture(fixture)
         assert classify_document("quarterly revenue", classifier) == "financial"
         assert classify_document("unknown text", classifier) == "uncategorized"
 
     def test_empty_text(self):
-        assert classify_document("", StubCategoryClassifier()) == "uncategorized"
+        assert classify_document("", CategoryTable()) == "uncategorized"
 
     def test_failure_maps_to_default(self):
         class Exploder:
@@ -480,7 +478,7 @@ class TestFixtureUsefulness:
             json.dumps({"verdicts": {"img": "useless"}, "default": "useful"}),
             encoding="utf-8",
         )
-        classifier = FixtureUsefulnessClassifier(fixture)
+        classifier = UsefulnessTable.from_fixture(fixture)
         image = build_entity("img", "image", (0, 0, 10, 10), schema=schema)
         other = build_entity("img2", "image", (0, 0, 10, 10), schema=schema)
         assert classifier.classify(image) is UsefulnessVerdict.USELESS

@@ -231,6 +231,36 @@ class TestRunPipeline:
         (outcome,) = run_pipeline(config)
         assert outcome.result.document_category == "technical"
 
+    def test_input_page_order_changes_no_output(self, tmp_path):
+        from docweave.clients import text_digest
+
+        raw = json.loads((FIXTURE_DIR / "report.json").read_text(encoding="utf-8"))
+        in_order = write_detection_file(tmp_path / "in_order.json", raw)
+        reversed_pages = write_detection_file(
+            tmp_path / "reversed.json", {**raw, "pages": raw["pages"][::-1]}
+        )
+        (probe,) = run_pipeline(
+            PipelineConfig(inputs=(in_order,), output_dir=tmp_path / "probe", formats=("json",))
+        )
+        doc_text = "\n\n".join(
+            "\n".join(e.value.text for e in page.elements.values() if e.value.text)
+            for page in probe.result.pages
+        )
+        fixture = tmp_path / "cat.json"
+        fixture.write_text(
+            json.dumps({"categories": {text_digest(doc_text): "financial"}}), encoding="utf-8"
+        )
+        outputs = []
+        for path in (in_order, reversed_pages):
+            out = tmp_path / path.stem
+            (outcome,) = run_pipeline(
+                PipelineConfig(inputs=(path,), output_dir=out, category_fixture=fixture)
+            )
+            assert outcome.result.document_category == "financial"
+            outputs.append({f.name[len(path.stem):]: f.read_bytes() for f in outcome.written})
+        assert len(outputs[0]) == len(FORMATS)
+        assert outputs[0] == outputs[1]
+
     def test_failed_page_isolated(self, tmp_path, monkeypatch):
         pages = [
             {
@@ -369,6 +399,14 @@ MISTYPED_CONFIGS = [
     ({"element_threshold": False}, "element_threshold must be a number"),
     ({"formats": "json"}, "formats must be a list"),
     ({"usefulness_fixture": 5}, "usefulness_fixture must be a path string"),
+    ({"assembly": {"cluster": {"eps": True}}}, "eps must be a number, got True"),
+    ({"assembly": {"cluster": {"min_samples": 2.5}}}, "min_samples must be an integer, got 2.5"),
+    ({"assembly": {"row": {"angle_threshold_degrees": "50"}}}, "angle_threshold_degrees must be a number"),
+    ({"assembly": {"header_footer": {"fuzzy_threshold": 94.5}}}, "fuzzy_threshold must be an integer, got 94.5"),
+    ({"assembly": {"header_footer": {"header_top_limit": "100"}}}, "header_top_limit must be a number"),
+    ({"weight_overrides": [1]}, r"weight_overrides must be an object, got \[1\]"),
+    ({"weight_overrides": {"txt": 2}}, "unknown element label in weight overrides: 'txt'"),
+    ({"weight_overrides": {"text": 1.5}}, "weight for 'text' must be a positive integer, got 1.5"),
 ]
 
 
@@ -551,17 +589,37 @@ class TestCli:
         md = (out / "skip.md").read_text(encoding="utf-8")
         assert "Head text" not in md and "Body text" in md
 
-    def test_parse_malformed_fixture_is_usage_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "flag, text, message",
+        [
+            ("usefulness", "{oops", "invalid fixture JSON"),
+            ("usefulness", '{"verdicts": {"a": "maybe"}}',
+             r"verdicts\['a'\] must be 'useful' or 'useless', got 'maybe'"),
+            ("usefulness", '{"verdicts": ["a"]}', "verdicts must be an object, got list"),
+            ("enrichment", '{"responses": [{"title": "T"}]}', "responses must be an object, got list"),
+            ("enrichment", '{"responses": {"t1": {"title": 5, "data": [{"a": null}]}}}',
+             r"responses\['t1'\].title must be a string or null, got 5"),
+            ("enrichment", '{"responses": {"t1": {"data": [{"a": null}]}}}',
+             r"responses\['t1'\].data must be an array of objects with string values"),
+            ("enrichment", '{"responses": {"t1": {"data": [{"a": "1"}, {"b": "2"}]}}}',
+             r"responses\['t1'\].data must be .* the same keys"),
+            ("category", '{"categories": [1]}', "categories must be an object, got list"),
+            ("category", '{"default": null}', "default must be a string, got None"),
+        ],
+        ids=["bad-json", "verdict-value", "verdicts-list", "responses-list", "title-number",
+             "data-null-cell", "data-row-keys", "categories-list", "default-null"],
+    )
+    def test_parse_malformed_fixture_is_usage_error(self, tmp_path, flag, text, message):
         path = minimal_input(tmp_path)
-        bad_fixture = tmp_path / "gate.json"
-        bad_fixture.write_text("{oops", encoding="utf-8")
+        bad_fixture = tmp_path / "fixture.json"
+        bad_fixture.write_text(text, encoding="utf-8")
         result = CliRunner().invoke(
             main,
-            ["parse", str(path), "-o", str(tmp_path / "out"),
-             "--usefulness-fixture", str(bad_fixture)],
+            ["parse", str(path), "-o", str(tmp_path / "out"), "--insights",
+             f"--{flag}-fixture", str(bad_fixture)],
         )
-        assert result.exit_code == 2
-        assert "invalid fixture JSON" in result.output
+        assert result.exit_code == 2, result.output
+        assert re.search(f"fixture.json: {message}", result.output)
 
     @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS + MISTYPED_CONFIGS)
     def test_parse_malformed_config_is_usage_error(self, tmp_path, raw, message):
@@ -680,3 +738,31 @@ class TestCli:
         assert result.exit_code == 0
         assert "TEDS   n/a" in result.output
         assert "skipped: 1" in result.output
+
+
+def test_perfbench_tracer_installs_on_current_names(tmp_path, monkeypatch):
+    """perfbench/tracing.py wraps module functions and the client methods by
+    name; renaming or deleting one must fail here, not only in its self-test."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    import docweave.pipeline as pipeline_mod
+
+    config = PipelineConfig(
+        inputs=(),
+        output_dir=tmp_path / "out",
+        skip_insights=False,
+        usefulness_fixture=FIXTURE_DIR / "usefulness.json",
+        enrichment_fixture=FIXTURE_DIR / "enrichment.json",
+    )
+    clients = _Clients(config)
+    original = pipeline_mod.assemble_page
+    tracer = Tracer()
+    with tracer.installed(clients):
+        assert pipeline_mod.assemble_page is not original
+        outcome = process_document(FIXTURE_DIR / "report.json", config, clients)
+    assert not outcome.failed
+    assert pipeline_mod.assemble_page is original
+    assert "classify" not in vars(clients.usefulness) and "enrich" not in vars(clients.enrichment)
+    counts = tracer.counts[tracer.op]
+    assert counts["ingest.gate_images.calls"] == 2 and counts["ingest.enrich_entities.calls"] == 2
