@@ -15,7 +15,6 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Mapping, Optional, Sequence
@@ -76,9 +75,9 @@ class ClusterParams:
     def __post_init__(self):
         _check_types(self, eps=_is_number, min_samples=_is_int)
         if self.eps <= 0:
-            raise ValueError(f"eps must be > 0, got {self.eps}")
+            raise ValidationError(f"eps must be > 0, got {self.eps}")
         if self.min_samples < 1:
-            raise ValueError(f"min_samples must be >= 1, got {self.min_samples}")
+            raise ValidationError(f"min_samples must be >= 1, got {self.min_samples}")
 
 
 @dataclass(frozen=True)
@@ -88,7 +87,7 @@ class RowOrderParams:
     def __post_init__(self):
         _check_types(self, angle_threshold_degrees=_is_number)
         if not 0 < self.angle_threshold_degrees <= 90:
-            raise ValueError(
+            raise ValidationError(
                 f"angle threshold must be in (0, 90], got {self.angle_threshold_degrees}"
             )
 
@@ -101,7 +100,9 @@ class HeaderFooterParams:
     def __post_init__(self):
         _check_types(self, fuzzy_threshold=_is_int, header_top_limit=_is_number)
         if not 0 < self.fuzzy_threshold <= 100:
-            raise ValueError(f"fuzzy threshold must be in (0, 100], got {self.fuzzy_threshold}")
+            raise ValidationError(
+                f"fuzzy threshold must be in (0, 100], got {self.fuzzy_threshold}"
+            )
 
 
 @dataclass(frozen=True)
@@ -140,32 +141,63 @@ def dbscan(points: Sequence[float], params: ClusterParams) -> list[int]:
     """1-D DBSCAN with deterministic labels.
 
     A core point has at least ``min_samples`` points (itself included) within
-    ``eps``. Clusters are grown from core points in input order, so cluster
-    numbers follow first-seen order and border points join the earliest
-    cluster that reaches them. Unreachable non-core points get NOISE.
+    ``eps``. Clusters are the connected components of the core points,
+    numbered by their smallest input index, so cluster numbers follow
+    first-seen order. A non-core point within ``eps`` of some core joins the
+    smallest-numbered cluster among those cores; any other point gets NOISE.
+
+    Cost is one sort and linear sweeps, O(n log n). In sorted order a point's
+    neighbours form a window that two pointers track, a cluster's cores are a
+    run of cores whose consecutive gaps are at most ``eps``, and the cores
+    within ``eps`` of a border point on either side all belong to the cluster
+    of its nearest core on that side. Distances are ``x - y`` on sorted
+    values; float subtraction is sign-symmetric and rounds monotonically, so
+    every comparison agrees with ``abs(a - b) <= eps`` on the unsorted pair.
     """
     n = len(points)
-    neighbors = [
-        [j for j in range(n) if abs(points[i] - points[j]) <= params.eps]
-        for i in range(n)
-    ]
-    core = [len(neighbors[i]) >= params.min_samples for i in range(n)]
-    labels: list[Optional[int]] = [None] * n
-    cluster = 0
-    for start in range(n):
-        if labels[start] is not None or not core[start]:
+    eps = params.eps
+    order = sorted(range(n), key=points.__getitem__)
+    values = [points[i] for i in order]
+
+    core = []
+    low = high = 0
+    for x in values:
+        while x - values[low] > eps:
+            low += 1
+        while high < n and values[high] - x <= eps:
+            high += 1
+        core.append(high - low >= params.min_samples)
+
+    # Core components in sorted order, each with its smallest input index.
+    component = [NOISE] * n
+    first_index: list[int] = []
+    previous = None
+    for pos in range(n):
+        if not core[pos]:
             continue
-        labels[start] = cluster
-        queue = deque([start])
-        while queue:
-            point = queue.popleft()
-            for neighbor in neighbors[point]:
-                if labels[neighbor] is None:
-                    labels[neighbor] = cluster
-                    if core[neighbor]:
-                        queue.append(neighbor)
-        cluster += 1
-    return [NOISE if label is None else label for label in labels]
+        if previous is None or values[pos] - values[previous] > eps:
+            first_index.append(order[pos])
+        elif order[pos] < first_index[-1]:
+            first_index[-1] = order[pos]
+        component[pos] = len(first_index) - 1
+        previous = pos
+    number = [0] * len(first_index)
+    for rank, c in enumerate(sorted(range(len(first_index)), key=first_index.__getitem__)):
+        number[c] = rank
+
+    # Each point takes the smaller number of its nearest cores on both sides.
+    labels = [NOISE] * n
+    for positions in (range(n), range(n - 1, -1, -1)):
+        nearest = None
+        for pos in positions:
+            if core[pos]:
+                nearest = pos
+                labels[order[pos]] = number[component[pos]]
+            elif nearest is not None and abs(values[pos] - values[nearest]) <= eps:
+                label = number[component[nearest]]
+                current = labels[order[pos]]
+                labels[order[pos]] = label if current == NOISE else min(current, label)
+    return labels
 
 
 def cluster_multi_column(
@@ -245,8 +277,10 @@ def assign_groups(
     """Assign entities to layout regions; each entity joins at most one group.
 
     Regions claim entities in descending confidence order (ties by descending
-    area, then position) so the strongest region wins overlaps. Entities left
-    unclaimed, including the labels excluded from grouping, join no group.
+    area, then the box edges and the label) so the strongest region wins
+    overlaps. Only identical regions tie on the whole key, and they claim
+    alike, so the input order does not matter. Entities left unclaimed,
+    including the labels excluded from grouping, join no group.
     """
     regions = sorted(
         layout_detections,
@@ -255,6 +289,8 @@ def assign_groups(
             -d.bbox.area,
             d.bbox.top,
             d.bbox.left,
+            d.bbox.right,
+            d.bbox.bottom,
             d.label,
         ),
     )
@@ -286,6 +322,10 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
     legitimately repeated strings apart. Duplicate sets are the connected
     components of that relation; ties on confidence keep the smallest id.
     Survivors preserve the input order.
+
+    Entities are bucketed by ``(type, text)`` and IoU is computed only for
+    pairs inside a bucket, so the cost is linear in the page plus the pairs
+    that share a type and text.
     """
     entities = list(entities)
     parent = {e.id: e.id for e in entities}
@@ -296,14 +336,14 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
             eid = parent[eid]
         return eid
 
-    for i, a in enumerate(entities):
-        for b in entities[i + 1 :]:
-            if (
-                a.type is b.type
-                and a.value.text == b.value.text
-                and iou(a.pixel_coordinates, b.pixel_coordinates) > DUPLICATE_IOU_THRESHOLD
-            ):
-                parent[find(a.id)] = find(b.id)
+    buckets: dict[tuple, list[Entity]] = {}
+    for entity in entities:
+        buckets.setdefault((entity.type, entity.value.text), []).append(entity)
+    for bucket in buckets.values():
+        for i, a in enumerate(bucket):
+            for b in bucket[i + 1 :]:
+                if iou(a.pixel_coordinates, b.pixel_coordinates) > DUPLICATE_IOU_THRESHOLD:
+                    parent[find(a.id)] = find(b.id)
 
     components: dict[str, list[Entity]] = {}
     for entity in entities:

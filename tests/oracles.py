@@ -5,7 +5,8 @@ production code: the indel oracle goes through an LCS table, the DBSCAN
 oracle recomputes reachability from set definitions, the tree edit oracle
 is a memoized recursion over forests instead of the keyroot DP, and the
 header/footer oracle scores every entity against every candidate with the
-LCS-table distance instead of using a candidate index.
+LCS-table distance instead of using a candidate index, and the dedupe oracle
+tests every pair of entities instead of (type, text) buckets.
 """
 
 from functools import lru_cache
@@ -127,6 +128,43 @@ def dbscan_oracle(points, eps: float, min_samples: int) -> list[int]:
         if neighbor_clusters:
             labels[i] = min(neighbor_clusters)
     return labels
+
+
+# --- pairwise duplicate removal --------------------------------------------
+
+
+def dedupe_oracle(entities):
+    """``dedupe_page`` with every entity pair tested. Returns the survivors
+    and the ``(dropped id, survivor id)`` pairs in the order they are logged."""
+    from docweave.assembly import DUPLICATE_IOU_THRESHOLD
+    from docweave.geometry import iou
+
+    entities = list(entities)
+    parent = {e.id: e.id for e in entities}
+
+    def find(eid):
+        while parent[eid] != eid:
+            eid = parent[eid]
+        return eid
+
+    for i, a in enumerate(entities):
+        for b in entities[i + 1 :]:
+            if (
+                a.type is b.type
+                and a.value.text == b.value.text
+                and iou(a.pixel_coordinates, b.pixel_coordinates) > DUPLICATE_IOU_THRESHOLD
+            ):
+                parent[find(a.id)] = find(b.id)
+
+    components = {}
+    for entity in entities:
+        components.setdefault(find(entity.id), []).append(entity)
+    keep, drops = set(), []
+    for members in components.values():
+        survivor = min(members, key=lambda e: (-e.confidence, e.id))
+        keep.add(survivor.id)
+        drops.extend((e.id, survivor.id) for e in members if e.id != survivor.id)
+    return [e for e in entities if e.id in keep], drops
 
 
 # --- brute-force tree edit distance -----------------------------------------

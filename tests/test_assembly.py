@@ -1,9 +1,11 @@
 import json
 import random
+from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import docweave.assembly as assembly
 from conftest import build_entity, layout_detection
 from docweave.assembly import (
     AssemblyParams,
@@ -25,9 +27,10 @@ from docweave.assembly import (
     order_page_elements,
     order_row_group,
 )
-from docweave.geometry import BBox
+from docweave.errors import ValidationError
+from docweave.geometry import BBox, iou
 from docweave.model import ElementLabel, GroupType, SchemaWeights, page_to_dict
-from oracles import dbscan_oracle, indel_oracle
+from oracles import dbscan_oracle, dedupe_oracle, indel_oracle
 
 PARAMS = AssemblyParams()
 
@@ -89,6 +92,38 @@ class TestDbscan:
     def test_min_samples_one_makes_everything_core(self):
         labels = dbscan([0.0, 1.0], ClusterParams(eps=0.3, min_samples=1))
         assert labels == [0, 1]
+
+    # Two clusters whose facing cores, 0.25 and 0.75, are 0.5 apart, and a
+    # border point at 0.5 within eps of both; the border point comes first.
+    LEFT = [0.0, 0.0, 0.125, 0.25]
+    RIGHT = [0.75, 0.875, 1.0, 1.0]
+    SHARED = ClusterParams(eps=0.25, min_samples=4)
+
+    def test_shared_border_joins_smaller_left_cluster(self):
+        points = [0.5] + self.LEFT + self.RIGHT
+        expected = [0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert dbscan(points, self.SHARED) == expected
+        assert dbscan_oracle(points, 0.25, 4) == expected
+
+    def test_right_cluster_with_smaller_index_is_numbered_zero(self):
+        points = [0.5] + self.RIGHT + self.LEFT
+        expected = [0, 0, 0, 0, 0, 1, 1, 1, 1]
+        assert dbscan(points, self.SHARED) == expected
+        assert dbscan_oracle(points, 0.25, 4) == expected
+
+    @settings(max_examples=300)
+    @given(
+        st.lists(st.integers(0, 12), max_size=40),
+        st.sampled_from([0.05, 0.1, 0.125, 0.25]),
+        st.integers(1, 3),
+        st.integers(1, 5),
+    )
+    def test_grid_ties_match_oracle(self, cells, step, gaps, min_samples):
+        # Many equal values, and eps equal to a whole number of grid gaps.
+        points = [cell * step for cell in cells]
+        eps = gaps * step
+        params = ClusterParams(eps=eps, min_samples=min_samples)
+        assert dbscan(points, params) == dbscan_oracle(points, eps, min_samples)
 
 
 class TestClusterMultiColumn:
@@ -228,6 +263,19 @@ class TestAssignGroups:
         assert groups[0].type is GroupType.ROW
         assert groups[0].ids == ("b", "a")
 
+    def test_equal_corner_and_area_regions_claim_independent_of_order(self, schema):
+        # Same label, confidence, area and top-left corner; different shapes.
+        wide = layout_detection("group", (0, 0, 100, 50))
+        tall = layout_detection("group", (0, 0, 50, 100))
+        entities = [
+            build_entity("a", "text", (10, 10, 30, 30), text="a", schema=schema),
+            build_entity("b", "text", (60, 10, 90, 30), text="b", schema=schema),
+            build_entity("c", "text", (10, 60, 30, 90), text="c", schema=schema),
+        ]
+        in_order = assign_groups([wide, tall], entities, PARAMS)
+        assert in_order == assign_groups([tall, wide], entities, PARAMS)
+        assert [group.ids for group in in_order] == [("a", "c"), ("b",)]
+
 
 class TestDedupePage:
     def test_higher_confidence_kept(self, schema):
@@ -259,6 +307,50 @@ class TestDedupePage:
         b = build_entity("b", "text", (20, 0, 120, 10), text="x" * 5, confidence=0.9, schema=schema)
         c = build_entity("c", "text", (40, 0, 140, 10), text="x" * 5, confidence=0.7, schema=schema)
         assert dedupe_page([a, b, c]) == [b]
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_matches_pairwise_oracle(self, data):
+        # Few types and texts, boxes on a coarse grid (overlaps and chains),
+        # confidence ties, and ids that do not follow input order.
+        count = data.draw(st.integers(0, 14))
+        ids = data.draw(st.permutations([f"e{i:02d}" for i in range(count)]))
+        entities = []
+        for eid in ids:
+            left = data.draw(st.integers(0, 6)) * 10
+            top = data.draw(st.integers(0, 2)) * 10
+            width = data.draw(st.sampled_from([20, 30, 40]))
+            entities.append(
+                build_entity(
+                    eid,
+                    data.draw(st.sampled_from(["text", "title"])),
+                    (left, top, left + width, top + 20),
+                    text=data.draw(st.sampled_from(["", "a", "b"])),
+                    confidence=data.draw(st.sampled_from([0.5, 0.7, 0.9])),
+                )
+            )
+        with mock.patch.object(assembly.logger, "info") as info:
+            survivors = dedupe_page(entities)
+        drops = [(call.args[2], call.args[4]) for call in info.call_args_list]
+        assert (survivors, drops) == dedupe_oracle(entities)
+
+    def test_iou_only_within_type_and_text(self, monkeypatch, schema):
+        calls = []
+
+        def counting_iou(a, b):
+            calls.append((a, b))
+            return iou(a, b)
+
+        monkeypatch.setattr(assembly, "iou", counting_iou)
+        box = (0, 0, 10, 10)
+        distinct = [
+            build_entity(f"e{i:03d}", "text", box, text=f"t{i}", schema=schema) for i in range(200)
+        ]
+        assert dedupe_page(distinct) == distinct
+        assert calls == []
+        pair = [build_entity(eid, "text", box, text="same", schema=schema) for eid in "ab"]
+        assert dedupe_page(pair) == pair[:1]
+        assert len(calls) == 1
 
 
 class TestOrderPageElements:
@@ -524,13 +616,17 @@ class TestAssemblePage:
 
 class TestParamValidation:
     def test_bad_eps(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             ClusterParams(eps=0)
 
+    def test_bad_min_samples(self):
+        with pytest.raises(ValidationError):
+            ClusterParams(min_samples=0)
+
     def test_bad_angle(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             RowOrderParams(angle_threshold_degrees=91)
 
     def test_bad_fuzzy(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             HeaderFooterParams(fuzzy_threshold=0)

@@ -261,6 +261,55 @@ class TestRunPipeline:
         assert len(outputs[0]) == len(FORMATS)
         assert outputs[0] == outputs[1]
 
+    def test_detection_order_changes_no_output(self, tmp_path):
+        import random
+
+        raw = json.loads((FIXTURE_DIR / "report.json").read_text(encoding="utf-8"))
+        page = raw["pages"][1]
+        # Two regions tied on label, confidence, area and top-left corner,
+        # each with one member of its own and one shared member.
+        page["layout_detections"] = [
+            {"label": "group", "confidence": 0.9, "bbox": [100, 600, 200, 650]},
+            {"label": "group", "confidence": 0.9, "bbox": [100, 600, 150, 700]},
+        ]
+        page["element_detections"] += [
+            {"id": eid, "label": "text", "confidence": 0.9, "bbox": box, "text": f"cell {eid}"}
+            for eid, box in (
+                ("p2-shared", [110, 610, 130, 630]),
+                ("p2-wide", [160, 610, 190, 630]),
+                ("p2-tall", [110, 660, 130, 690]),
+            )
+        ]
+        variants = [raw]
+        for seed in (1, 2, 3):
+            rng = random.Random(seed)
+            pages = []
+            for original in raw["pages"]:
+                shuffled = json.loads(json.dumps(original))
+                for key in ("element_detections", "layout_detections"):
+                    rng.shuffle(shuffled[key])
+                pages.append(shuffled)
+            rng.shuffle(pages)
+            variants.append({**raw, "pages": pages})
+        variants.append(
+            {
+                **raw,
+                "pages": [
+                    {**p, "element_detections": p["element_detections"][::-1],
+                     "layout_detections": p["layout_detections"][::-1]}
+                    for p in raw["pages"]
+                ],
+            }
+        )
+        outputs = []
+        for i, payload in enumerate(variants):
+            path = write_detection_file(tmp_path / f"v{i}.json", payload)
+            (outcome,) = run_pipeline(PipelineConfig(inputs=(path,), output_dir=tmp_path / f"out{i}"))
+            assert not outcome.failed
+            outputs.append({f.name[len(path.stem):]: f.read_bytes() for f in outcome.written})
+        assert len(outputs[0]) == len(FORMATS)
+        assert all(output == outputs[0] for output in outputs[1:])
+
     def test_failed_page_isolated(self, tmp_path, monkeypatch):
         pages = [
             {
