@@ -6,23 +6,21 @@ failed), 2 invalid usage.
 
 from __future__ import annotations
 
-import json
 import logging
 import sys
 from pathlib import Path
 
 import click
 
-from . import export as export_mod
 from .errors import DocweaveError, ValidationError
 from .metrics import evaluate
-from .model import document_from_json
+from .model import document_from_dict, json_text, read_json_object
 from .pipeline import (
     FORMATS,
-    PipelineConfig,
     config_from_mapping,
     export_document,
     run_pipeline,
+    write_atomic,
 )
 
 
@@ -84,16 +82,9 @@ def parse(
     workers,
 ):
     """Run the full pipeline over detection-input files."""
-    file_values = {}
-    if config_path is not None:
-        try:
-            file_values = json.loads(config_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise click.UsageError(f"{config_path}: invalid config JSON: {exc}")
-
     try:
         config = config_from_mapping(
-            file_values,
+            {} if config_path is None else read_json_object(config_path, ValidationError),
             inputs=tuple(inputs),
             output_dir=output_dir,
             formats=_parse_formats(formats) if formats is not None else None,
@@ -112,7 +103,7 @@ def parse(
                 "header_footer": {"fuzzy_threshold": fuzzy_threshold, "header_top_limit": header_top_limit},
             },
         )
-    except (ValidationError, TypeError, ValueError) as exc:
+    except ValidationError as exc:
         raise click.UsageError(str(exc))
 
     try:
@@ -143,9 +134,12 @@ def parse(
 def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers_footers: bool):
     """Re-run exporters over an existing document-result JSON file."""
     try:
-        doc = document_from_json(json_path.read_text(encoding="utf-8"))
+        doc = document_from_dict(read_json_object(json_path, DocweaveError))
     except ValidationError as exc:
         click.echo(f"schema error in {json_path}: {exc}", err=True)
+        sys.exit(1)
+    except DocweaveError as exc:  # unreadable or not a JSON object
+        click.echo(str(exc), err=True)
         sys.exit(1)
     written = export_document(
         doc,
@@ -172,9 +166,7 @@ def eval_command(reference: Path, prediction: Path, mode: str, report_path):
         sys.exit(1)
     click.echo(report.summary_text())
     if report_path is not None:
-        from .pipeline import write_atomic
-
-        write_atomic(report_path, json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n")
+        write_atomic(report_path, json_text(report.to_dict()))
         summary_path = report_path.with_suffix(".txt")
         write_atomic(summary_path, report.summary_text() + "\n")
         click.echo(f"report written to {report_path} and {summary_path}")

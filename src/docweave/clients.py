@@ -16,7 +16,6 @@ once, at load, and never coerced (formats below and in the README).
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from dataclasses import dataclass, field
 from enum import Enum
@@ -25,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Protocol, Union
 
 from .errors import ValidationError
-from .model import Entity
+from .model import Entity, read_json_object
 
 ENRICHMENT_URL_ENV = "DOCWEAVE_ENRICHMENT_URL"
 
@@ -90,20 +89,6 @@ def enrichment_result_from_record(record: Any, context: str = "enrichment record
         raise ValidationError(f"{context}: {exc}") from None
 
 
-def load_fixture_json(path: Union[str, Path]) -> Mapping[str, Any]:
-    """Read a client fixture file, mapping failures to ValidationError."""
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ValidationError(f"{path}: cannot read fixture: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path}: invalid fixture JSON: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise ValidationError(f"{path}: fixture must be a JSON object")
-    return raw
-
-
 def _fixture_string(value: Any, context: str, kind: type = str) -> Any:
     """``value`` as ``kind``, ``str`` or a string enum, checked and never coerced."""
     allowed = [member.value for member in kind] if issubclass(kind, Enum) else []
@@ -153,7 +138,7 @@ class UsefulnessTable:
             {"verdicts": {"<entity id>": "useful" | "useless", ...},
              "default": "useful" | "useless"}
         """
-        raw = load_fixture_json(path)
+        raw = read_json_object(path, ValidationError)
         check = partial(_fixture_string, kind=UsefulnessVerdict)
         default = check(raw["default"], f"{path}: default") if "default" in raw else None
         return cls(_fixture_table(raw, "verdicts", path, check), default)
@@ -185,9 +170,8 @@ class FixtureEnrichmentClient:
     """
 
     def __init__(self, path: Union[str, Path]):
-        self.results = _fixture_table(
-            load_fixture_json(path), "responses", path, enrichment_result_from_record
-        )
+        raw = read_json_object(path, ValidationError)
+        self.results = _fixture_table(raw, "responses", path, enrichment_result_from_record)
 
     def enrich(self, entity: Entity) -> EnrichmentResult:
         if entity.id not in self.results:
@@ -242,7 +226,7 @@ class CategoryTable:
             {"categories": {"<sha256 hexdigest>": "<category>", ...},
              "default": "uncategorized"}
         """
-        raw = load_fixture_json(path)
+        raw = read_json_object(path, ValidationError)
         return cls(
             _fixture_table(raw, "categories", path, _fixture_string),
             _fixture_string(raw.get("default", UNCATEGORIZED), f"{path}: default"),

@@ -10,7 +10,6 @@ their content.
 from __future__ import annotations
 
 import html as html_escape
-import json
 import re
 import unicodedata
 from typing import Any, Iterable, Mapping, Optional
@@ -195,10 +194,6 @@ def to_chunks(doc: DocumentResult) -> list[dict[str, Any]]:
     return chunks
 
 
-def chunks_to_jsonl(chunks: list[dict[str, Any]]) -> str:
-    return "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in chunks)
-
-
 # ---------------------------------------------------------------------------
 # Knowledge graph
 # ---------------------------------------------------------------------------
@@ -234,10 +229,6 @@ def to_graph(doc: DocumentResult) -> tuple[list[dict[str, Any]], list[dict[str, 
             else:
                 edges.append({"from": current.id, "to": previous.id, "relation": "parent-child"})
     return nodes, edges
-
-
-def graph_to_json(nodes: list[dict[str, Any]], edges: list[dict[str, Any]]) -> str:
-    return json.dumps({"nodes": nodes, "edges": edges}, indent=2, ensure_ascii=False) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +278,3 @@ def to_dpbench(doc: DocumentResult) -> list[dict[str, Any]]:
                 }
             )
     return out
-
-
-def dpbench_to_json(doc: DocumentResult, elements: list[dict[str, Any]]) -> str:
-    payload = {"filename": doc.filename, "elements": elements}
-    return json.dumps(payload, indent=2, ensure_ascii=False) + "\n"

@@ -48,7 +48,15 @@ from .clients import (
 )
 from .errors import DetectionInputError
 from .geometry import BBox
-from .model import ElementLabel, Entity, EntityValue, LayoutLabel, SchemaWeights, make_entity
+from .model import (
+    ElementLabel,
+    Entity,
+    EntityValue,
+    LayoutLabel,
+    SchemaWeights,
+    make_entity,
+    read_json_object,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -168,20 +176,7 @@ def load_detections(
     Pages come back sorted by page number, whatever their order in the file. A
     missing element ``id`` becomes a uuid5 of filename, page number and index.
     """
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DetectionInputError(f"{path}: cannot read file: {exc}") from exc
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DetectionInputError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    if not isinstance(raw, Mapping):
-        _fail(str(path), "top level must be an object")
-
+    raw = read_json_object(path, DetectionInputError)
     filename = raw.get("filename")
     if not isinstance(filename, str) or not filename:
         _fail(f"{path}: filename", "must be a non-empty string")

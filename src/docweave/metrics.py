@@ -12,7 +12,6 @@ the same comparison with cell texts blanked.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
@@ -20,6 +19,7 @@ from pathlib import Path
 from typing import Any, Mapping, Optional, Sequence, Union
 
 from .errors import EvaluationError, TableParseError
+from .model import read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -412,17 +412,9 @@ class EvalReport:
 
 
 def _load_dpbench_file(path: Path) -> list[Mapping[str, Any]]:
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise EvaluationError(f"{path}: cannot read file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise EvaluationError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    elements = raw.get("elements") if isinstance(raw, Mapping) else None
+    elements = read_json_object(path, EvaluationError).get("elements")
     if not isinstance(elements, list):
-        raise EvaluationError(f"{path}: expected an object with an 'elements' array")
+        raise EvaluationError(f"{path}: expected an 'elements' array")
     for index, element in enumerate(elements):
         context = f"{path}: elements[{index}]"
         if not isinstance(element, Mapping):

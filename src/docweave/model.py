@@ -12,7 +12,8 @@ import json
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Any, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import Any, Mapping, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .geometry import BBox, union_bbox
@@ -292,6 +293,7 @@ class DocumentResult:
 
 # ---------------------------------------------------------------------------
 # JSON serialization (stable field order; optional fields omitted when absent)
+# and the JSON file boundary: one indented writer and one checked reader
 # ---------------------------------------------------------------------------
 
 
@@ -362,8 +364,13 @@ def document_to_dict(doc: DocumentResult) -> dict[str, Any]:
     }
 
 
+def json_text(value: Any) -> str:
+    """``value`` as indented JSON text, the form of every JSON file docweave writes."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
 def document_to_json(doc: DocumentResult) -> str:
-    return json.dumps(document_to_dict(doc), indent=2, ensure_ascii=False) + "\n"
+    return json_text(document_to_dict(doc))
 
 
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:
@@ -550,9 +557,32 @@ def document_from_dict(raw: Mapping[str, Any]) -> DocumentResult:
     return doc
 
 
-def document_from_json(text: str) -> DocumentResult:
+def _json_object(text: str, error: type[Exception], context: str) -> dict[str, Any]:
+    """Parse ``text`` as a JSON object; a failure raises ``error`` starting with ``context``."""
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValidationError(f"invalid document JSON: {exc}") from exc
-    return document_from_dict(raw)
+        raise error(f"{context} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise error(f"{context}: nested deeper than the parser's recursion limit") from None
+    if not isinstance(raw, dict):
+        raise error(f"{context}: top level must be an object, got {type(raw).__name__}")
+    return raw
+
+
+def read_json_object(path: Union[str, Path], error: type[Exception]) -> dict[str, Any]:
+    """Read a UTF-8 (RFC 8259 section 8.1) JSON file whose top level is an object.
+
+    Every failure raises ``error`` with a message naming ``path``.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: invalid JSON: byte {exc.start} is not UTF-8 ({exc.reason})") from exc
+    except OSError as exc:
+        raise error(f"{path}: cannot read file: {exc}") from exc
+    return _json_object(text, error, f"{path}: invalid JSON")
+
+
+def document_from_json(text: str) -> DocumentResult:
+    return document_from_dict(_json_object(text, ValidationError, "invalid document JSON"))

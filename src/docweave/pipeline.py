@@ -10,7 +10,9 @@ truncated file at a final path.
 
 from __future__ import annotations
 
+import json
 import logging
+import math
 import os
 import tempfile
 from dataclasses import dataclass, field, fields
@@ -47,13 +49,13 @@ from .model import (
     _is_int,
     _is_number,
     document_to_json,
+    json_text,
 )
 
 logger = logging.getLogger(__name__)
 
-FORMATS = ("json", "markdown", "chunks", "graph", "dpbench")
-
-_SUFFIXES = {
+#: Output format -> file suffix, in the default format order.
+FORMATS = {
     "json": ".json",
     "markdown": ".md",
     "chunks": ".chunks.jsonl",
@@ -79,7 +81,7 @@ class PipelineConfig:
     skip_images: bool = True  # when True the usefulness gate runs
     skip_insights: bool = True  # when True no enrichment calls are made
     skip_headers_footers: bool = False
-    formats: tuple[str, ...] = FORMATS
+    formats: tuple[str, ...] = tuple(FORMATS)
     assembly: AssemblyParams = field(default_factory=AssemblyParams)
     weight_overrides: Mapping[str, int] = field(default_factory=dict)
     usefulness_fixture: Optional[Path] = None
@@ -99,6 +101,9 @@ class PipelineConfig:
             if value is not None and not isinstance(value, (str, Path)):
                 raise ValidationError(f"{name} must be a path string, got {value!r}")
             object.__setattr__(self, name, None if value is None else Path(value))
+        for value in (*self.inputs, self.output_dir):
+            if not isinstance(value, (str, Path)):
+                raise ValidationError(f"inputs and output_dir must be path strings, got {value!r}")
         object.__setattr__(self, "inputs", tuple(Path(p) for p in self.inputs))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         object.__setattr__(self, "formats", tuple(self.formats))
@@ -108,7 +113,7 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be a number in [0,1], got {value!r}")
         if not self.formats:
             raise ValidationError("at least one output format is required")
-        unknown = [f for f in self.formats if f not in FORMATS]
+        unknown = [f for f in self.formats if not isinstance(f, str) or f not in FORMATS]
         if unknown:
             raise ValidationError(f"unknown output formats: {unknown}")
         if not _is_int(self.workers) or self.workers < 1:
@@ -159,11 +164,12 @@ def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> 
     if fmt == "markdown":
         return export_mod.to_markdown(doc, skip_headers_footers=skip_headers_footers)
     if fmt == "chunks":
-        return export_mod.chunks_to_jsonl(export_mod.to_chunks(doc))
+        return "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in export_mod.to_chunks(doc))
     if fmt == "graph":
-        return export_mod.graph_to_json(*export_mod.to_graph(doc))
+        nodes, edges = export_mod.to_graph(doc)
+        return json_text({"nodes": nodes, "edges": edges})
     if fmt == "dpbench":
-        return export_mod.dpbench_to_json(doc, export_mod.to_dpbench(doc))
+        return json_text({"filename": doc.filename, "elements": export_mod.to_dpbench(doc)})
     raise ValidationError(f"unknown output format {fmt!r}")
 
 
@@ -178,7 +184,7 @@ def export_document(
     rendered = {fmt: render_format(doc, fmt, skip_headers_footers) for fmt in formats}
     written = []
     for fmt in sorted(formats):
-        target = output_dir / f"{stem}{_SUFFIXES[fmt]}"
+        target = output_dir / f"{stem}{FORMATS[fmt]}"
         write_atomic(target, rendered[fmt])
         written.append(target)
     return written
@@ -254,13 +260,17 @@ def _document_text(detections: DetectionInput, pages: Sequence[PageResult]) -> s
 
 
 def _page_heights(detections: DetectionInput) -> dict[int, float]:
+    """Each page's height from ``metadata.page_height``; a value that is not a
+    positive finite number is ignored, so pages fall back to their lowest element."""
     raw = detections.metadata.get("page_height")
     if raw is None:
         return {}
     try:
         height = float(raw)
     except ValueError:
-        logger.warning("ignoring non-numeric page_height metadata %r", raw)
+        height = math.nan
+    if not 0 < height < math.inf:
+        logger.warning("ignoring page_height metadata %r: not a positive finite number", raw)
         return {}
     return {page.page_number: height for page in detections.pages}
 
@@ -350,6 +360,9 @@ def config_from_mapping(raw: Mapping[str, Any], **overrides: Any) -> PipelineCon
         section_raw = assembly_raw.get(name, {})
         if not isinstance(section_raw, Mapping):
             raise ValidationError(f"assembly config section {name!r} must be an object")
+        unknown = set(section_raw) - {f.name for f in fields(params_type)}
+        if unknown:
+            raise ValidationError(f"unknown keys in assembly config section {name!r}: {sorted(unknown)}")
         merged = dict(section_raw)
         merged.update((k, v) for k, v in assembly_flags.get(name, {}).items() if v is not None)
         assembly[name] = params_type(**merged)

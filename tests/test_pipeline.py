@@ -394,6 +394,34 @@ class TestRunPipeline:
         text = (tmp_path / "out" / "doc.json").read_text(encoding="utf-8")
         assert document_from_json(text) == outcome.result
 
+    @pytest.mark.parametrize("page_height", ["0", "-5", "nan", "inf"])
+    def test_unusable_page_height_is_ignored(self, tmp_path, caplog, page_height):
+        # A header at the bottom and a footer at the top of a 1000 px page.
+        detections = [
+            {"id": "head", "label": "page_header", "confidence": 0.9,
+             "bbox": [0, 950, 300, 980], "text": "Running head"},
+            {"id": "foot", "label": "page_footer", "confidence": 0.9,
+             "bbox": [0, 10, 300, 30], "text": "Page footer"},
+            {"id": "body", "label": "text", "confidence": 0.9,
+             "bbox": [0, 200, 300, 400], "text": "Body paragraph"},
+        ]
+
+        def labels(height):
+            path = write_detection_file(
+                tmp_path / f"h{height}.json",
+                {"filename": "doc.pdf",
+                 "metadata": {} if height is None else {"page_height": height},
+                 "pages": [{"page_number": 1, "element_detections": detections,
+                            "layout_detections": []}]},
+            )
+            config = PipelineConfig(inputs=(), output_dir=tmp_path / "out", formats=("json",))
+            page = process_document(path, config).result.pages[0]
+            return {eid: entity.type.value for eid, entity in page.elements.items()}
+
+        assert labels(None) == {"foot": "page_header", "body": "text", "head": "page_footer"}
+        assert labels(page_height) == labels(None)
+        assert f"ignoring page_height metadata '{page_height}'" in caplog.text
+
 
 class TestExportFailureIsolation:
     def test_export_error_marks_document_failed(self, tmp_path, monkeypatch):
@@ -459,6 +487,19 @@ MISTYPED_CONFIGS = [
 ]
 
 
+#: Config values that Python's own constructors would reject with TypeError;
+#: they must fail as ValidationError like every other config error.
+MISSHAPED_CONFIGS = [
+    ({"assembly": {"cluster": {"epss": 1}}},
+     r"unknown keys in assembly config section 'cluster': \['epss'\]"),
+    ({"assembly": {"header_footer": {"top_limit": 1}}},
+     r"section 'header_footer': \['top_limit'\]"),
+    ({"output_dir": 5}, "inputs and output_dir must be path strings, got 5"),
+    ({"inputs": [5]}, "inputs and output_dir must be path strings, got 5"),
+    ({"formats": [["json"]]}, r"unknown output formats: \[\['json'\]\]"),
+]
+
+
 class TestConfig:
     def test_threshold_validation(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -515,6 +556,11 @@ class TestConfig:
         "raw, message", MISTYPED_CONFIGS + [({"inputs": "ab"}, "inputs must be a list")]
     )
     def test_mistyped_config_rejected(self, tmp_path, raw, message):
+        with pytest.raises(ValidationError, match=message):
+            config_from_mapping({"output_dir": str(tmp_path), "inputs": [], **raw})
+
+    @pytest.mark.parametrize("raw, message", MISSHAPED_CONFIGS)
+    def test_misshaped_config_is_validation_error(self, tmp_path, raw, message):
         with pytest.raises(ValidationError, match=message):
             config_from_mapping({"output_dir": str(tmp_path), "inputs": [], **raw})
 
@@ -641,7 +687,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "flag, text, message",
         [
-            ("usefulness", "{oops", "invalid fixture JSON"),
+            ("usefulness", "{oops", "invalid JSON at line 1 column 2"),
             ("usefulness", '{"verdicts": {"a": "maybe"}}',
              r"verdicts\['a'\] must be 'useful' or 'useless', got 'maybe'"),
             ("usefulness", '{"verdicts": ["a"]}', "verdicts must be an object, got list"),
@@ -670,7 +716,13 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert re.search(f"fixture.json: {message}", result.output)
 
-    @pytest.mark.parametrize("raw, message", MALFORMED_CONFIGS + MISTYPED_CONFIGS)
+    @pytest.mark.parametrize(
+        "raw, message",
+        [([], "invalid JSON: top level must be an object, got list")]
+        + MALFORMED_CONFIGS[1:]
+        + MISTYPED_CONFIGS
+        + [MISSHAPED_CONFIGS[0], MISSHAPED_CONFIGS[-1]],
+    )
     def test_parse_malformed_config_is_usage_error(self, tmp_path, raw, message):
         path = minimal_input(tmp_path)
         config_file = tmp_path / "config.json"
@@ -681,6 +733,17 @@ class TestCli:
         assert result.exit_code == 2, result.output
         assert re.search(message, result.output)
         assert not (tmp_path / "out").exists()
+
+    def test_parse_bad_file_fails_alone(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"filename": "\xff"}')
+        ok = minimal_input(tmp_path, "ok.json")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["parse", str(bad), str(ok), "-o", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert f"FAILED {bad}: {bad}: invalid JSON: byte 14 is not UTF-8" in result.output
+        assert sorted(p.name for p in out.iterdir()) == sorted(f"ok{s}" for s in FORMATS.values())
 
     def test_parse_with_config_file(self, tmp_path):
         path = minimal_input(tmp_path)
