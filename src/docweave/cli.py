@@ -134,11 +134,9 @@ def parse(
 def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers_footers: bool):
     """Re-run exporters over an existing document-result JSON file."""
     try:
-        doc = document_from_dict(read_json_object(json_path, DocweaveError))
+        raw = read_json_object(json_path, ValidationError)
+        doc = document_from_dict(raw, f"{json_path}: schema error in document")
     except ValidationError as exc:
-        click.echo(f"schema error in {json_path}: {exc}", err=True)
-        sys.exit(1)
-    except DocweaveError as exc:  # unreadable or not a JSON object
         click.echo(str(exc), err=True)
         sys.exit(1)
     written = export_document(

@@ -525,8 +525,7 @@ def page_from_dict(raw: Mapping[str, Any], context: str = "page") -> PageResult:
     return page
 
 
-def document_from_dict(raw: Mapping[str, Any]) -> DocumentResult:
-    context = "document"
+def document_from_dict(raw: Mapping[str, Any], context: str = "document") -> DocumentResult:
     filename = _require_str(raw, "filename", context)
     if not filename:
         raise ValidationError(f"{context}: filename must be a non-empty string")
@@ -565,6 +564,8 @@ def _json_object(text: str, error: type[Exception], context: str) -> dict[str, A
         raise error(f"{context} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise error(f"{context}: nested deeper than the parser's recursion limit") from None
+    except ValueError as exc:  # e.g. an integer literal longer than sys.get_int_max_str_digits()
+        raise error(f"{context}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{context}: top level must be an object, got {type(raw).__name__}")
     return raw

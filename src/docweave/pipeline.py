@@ -64,6 +64,12 @@ FORMATS = {
 }
 
 
+def _path(name: str, value: Any) -> Path:
+    if not isinstance(value, (str, Path)):
+        raise ValidationError(f"{name} must be a path string, got {value!r}")
+    return Path(value)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run needs; flags mirror these fields.
@@ -98,14 +104,9 @@ class PipelineConfig:
                 raise ValidationError(f"{name} must be true or false, got {getattr(self, name)!r}")
         for name in ("usefulness_fixture", "enrichment_fixture", "category_fixture"):
             value = getattr(self, name)
-            if value is not None and not isinstance(value, (str, Path)):
-                raise ValidationError(f"{name} must be a path string, got {value!r}")
-            object.__setattr__(self, name, None if value is None else Path(value))
-        for value in (*self.inputs, self.output_dir):
-            if not isinstance(value, (str, Path)):
-                raise ValidationError(f"inputs and output_dir must be path strings, got {value!r}")
-        object.__setattr__(self, "inputs", tuple(Path(p) for p in self.inputs))
-        object.__setattr__(self, "output_dir", Path(self.output_dir))
+            object.__setattr__(self, name, None if value is None else _path(name, value))
+        object.__setattr__(self, "inputs", tuple(_path("inputs", p) for p in self.inputs))
+        object.__setattr__(self, "output_dir", _path("output_dir", self.output_dir))
         object.__setattr__(self, "formats", tuple(self.formats))
         for name in ("layout_threshold", "element_threshold"):
             value = getattr(self, name)

@@ -27,6 +27,10 @@ BAD_FILES = {
         "invalid JSON: nested deeper than the parser's recursion limit",
     ),
     "array": (b"[]", "invalid JSON: top level must be an object, got list"),
+    "huge-int": (
+        b'{"filename": "a", "x": ' + b"1" * 5000 + b"}",
+        "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
 }
 
 #: Library entry points that read a JSON file, with the error class each raises.

@@ -494,8 +494,8 @@ MISSHAPED_CONFIGS = [
      r"unknown keys in assembly config section 'cluster': \['epss'\]"),
     ({"assembly": {"header_footer": {"top_limit": 1}}},
      r"section 'header_footer': \['top_limit'\]"),
-    ({"output_dir": 5}, "inputs and output_dir must be path strings, got 5"),
-    ({"inputs": [5]}, "inputs and output_dir must be path strings, got 5"),
+    ({"output_dir": 5}, "output_dir must be a path string, got 5"),
+    ({"inputs": [5]}, "inputs must be a path string, got 5"),
     ({"formats": [["json"]]}, r"unknown output formats: \[\['json'\]\]"),
 ]
 
