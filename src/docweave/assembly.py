@@ -59,12 +59,15 @@ BOTTOM_BAND_FRACTION = 0.2
 
 
 def _check_types(params, **checks) -> None:
-    """Raise ValidationError for a field that fails its type check (bools never pass)."""
+    """Raise ValidationError for a field that fails its type check (bools never
+    pass) or is a NaN or infinite float, which no range check can exclude."""
     for name, check in checks.items():
         value = getattr(params, name)
         if not check(value):
             kind = "an integer" if check is _is_int else "a number"
             raise ValidationError(f"{name} must be {kind}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValidationError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

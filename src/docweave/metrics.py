@@ -4,10 +4,20 @@ NID scores serialized reading order with a character-level insert/delete
 distance, computed exactly from a bit-parallel longest common subsequence
 (a few big-int operations per character of one string). TEDS and TEDS-S
 score tables as ordered labeled trees under a tree edit distance computed
-with the Zhang-Shasha keyroot decomposition; the cost model charges 1 for
-insert/delete, 1 for tag or span mismatches, and a normalized character
-edit distance between cell texts for matching ``td`` nodes. TEDS-S runs
-the same comparison with cell texts blanked.
+with the Zhang-Shasha keyroot decomposition; the cost model (Zhong et al.
+2020) charges 1 for insert/delete, 1 for tag or span mismatches, and a
+normalized character edit distance between cell texts for matching ``td``
+nodes. TEDS-S runs the same comparison with cell texts blanked. The cell
+edit distance is bit-parallel too (Myers 1999, in Hyyrö 2003's form for
+global distance), with the shorter text in the bit masks, so a pair of
+cells costs a few big-int operations per character of the longer one.
+
+TEDS is quadratic in table size. Measured on one core of a 2-core x86 host
+under CPython 3.11, for a table against a copy with one row deleted and a
+fifth of its cells reworded, one ``teds`` call takes about 0.07 s at 10x10
+with 1-word cells, 0.4 s at 10x10 with 5-word cells, 1.0 s at 30x10 with
+1-word cells and 4.4 s at 30x10 with 5-word cells; ``teds_s`` takes
+0.03-0.5 s on the same tables. ``evaluate`` sets no size limit.
 """
 
 from __future__ import annotations
@@ -72,23 +82,37 @@ def levenshtein(a: str, b: str) -> int:
     """Classic edit distance with substitutions (used by the TEDS cell cost)."""
     if a == b:
         return 0
+    if len(a) > len(b):
+        a, b = b, a
     if not a:
         return len(b)
-    if not b:
-        return len(a)
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        previous = current
-    return previous[-1]
+
+    # Bit-vector edit distance (Myers 1999, in Hyyrö 2003's form for global
+    # distance): bit i of ``pv``/``mv`` is set where the DP column over
+    # a[:i + 1] steps by +1/-1 from row i to row i + 1, and ``score`` tracks
+    # the last row. Each character of ``b`` costs a few big-int operations,
+    # whatever the length of ``a``.
+    masks: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        masks[ch] = masks.get(ch, 0) | (1 << i)
+    full = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, score = full, 0, len(a)
+    for ch in b:
+        eq = masks.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv) & full
+        mh = pv & xh
+        if ph & last:
+            score += 1
+        elif mh & last:
+            score -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & full
+        mv = ph & xv
+    return score
 
 
 def serialize_for_nid(elements: Sequence[Mapping[str, Any]]) -> str:
@@ -295,43 +319,68 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     """Ordered tree edit distance under the TEDS cost model."""
     a_nodes, a_lmds = _postorder(tree_a)
     b_nodes, b_lmds = _postorder(tree_b)
-    na, nb = len(a_nodes), len(b_nodes)
-    treedist = [[0.0] * nb for _ in range(na)]
-
-    def compute(i: int, j: int) -> None:
-        # Forest distance over the subtrees rooted at keyroots i and j.
-        ioff = a_lmds[i] - 1
-        joff = b_lmds[j] - 1
-        m = i - a_lmds[i] + 2
-        n = j - b_lmds[j] + 2
-        fd = [[0.0] * n for _ in range(m)]
-        for x in range(1, m):
-            fd[x][0] = fd[x - 1][0] + 1.0
-        for y in range(1, n):
-            fd[0][y] = fd[0][y - 1] + 1.0
-        for x in range(1, m):
-            for y in range(1, n):
-                if a_lmds[i] == a_lmds[x + ioff] and b_lmds[j] == b_lmds[y + joff]:
-                    fd[x][y] = min(
-                        fd[x - 1][y] + 1.0,
-                        fd[x][y - 1] + 1.0,
-                        fd[x - 1][y - 1]
-                        + relabel_cost(a_nodes[x + ioff], b_nodes[y + joff]),
-                    )
-                    treedist[x + ioff][y + joff] = fd[x][y]
-                else:
-                    p = a_lmds[x + ioff] - 1 - ioff
-                    q = b_lmds[y + joff] - 1 - joff
-                    fd[x][y] = min(
-                        fd[x - 1][y] + 1.0,
-                        fd[x][y - 1] + 1.0,
-                        fd[p][q] + treedist[x + ioff][y + joff],
-                    )
+    treedist = [[0.0] * len(b_nodes) for _ in range(len(a_nodes))]
+    cost = relabel_cost  # looked up once per call, so a patched module attribute is used
+    # Per keyroot j of b, one column per node of its subtree: the node's index,
+    # the forest-distance column just left of its own subtree, whether it
+    # shares j's leftmost leaf, and the node itself.
+    b_columns = {
+        j: [(y, b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j], b_nodes[y])
+            for y in range(b_lmds[j], j + 1)]
+        for j in _keyroots(b_lmds)
+    }
 
     for i in _keyroots(a_lmds):
-        for j in _keyroots(b_lmds):
-            compute(i, j)
-    return treedist[na - 1][nb - 1]
+        li = a_lmds[i]
+        for j, columns in b_columns.items():
+            if li == i and b_lmds[j] == j:
+                # Two leaves: the forest distance is min(2, 2, relabel) and a
+                # relabel costs at most 1.
+                treedist[i][j] = cost(a_nodes[i], b_nodes[j])
+                continue
+            # Forest distance over the subtrees rooted at keyroots i and j,
+            # one row per node of i's subtree; row 0 is the empty forest.
+            first = [float(y) for y in range(len(columns) + 1)]
+            fd = [first]
+            above = first
+            for x in range(li, i + 1):
+                left = above[0] + 1.0
+                row = [left]
+                tree_row = treedist[x]
+                lx = a_lmds[x]
+                if lx == li:
+                    a_node = a_nodes[x]
+                    for up, diagonal, (y, q, same_leaf, b_node) in zip(above[1:], above, columns):
+                        best = up + 1.0
+                        step = left + 1.0
+                        if step < best:
+                            best = step
+                        if same_leaf:
+                            step = diagonal + cost(a_node, b_node)
+                            if step < best:
+                                best = step
+                            tree_row[y] = best
+                        else:
+                            step = first[q] + tree_row[y]
+                            if step < best:
+                                best = step
+                        row.append(best)
+                        left = best
+                else:
+                    before = fd[lx - li]
+                    for up, (y, q, _, _) in zip(above[1:], columns):
+                        best = up + 1.0
+                        step = left + 1.0
+                        if step < best:
+                            best = step
+                        step = before[q] + tree_row[y]
+                        if step < best:
+                            best = step
+                        row.append(best)
+                        left = best
+                fd.append(row)
+                above = row
+    return treedist[-1][-1]
 
 
 def teds(tree_a: TableNode, tree_b: TableNode) -> float:

@@ -9,6 +9,7 @@ object whose key order is the page reading order.
 from __future__ import annotations
 
 import json
+import re
 import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -556,18 +557,56 @@ def document_from_dict(raw: Mapping[str, Any], context: str = "document") -> Doc
     return doc
 
 
+#: A ``\uD800``-``\uDFFF`` escape: only JSON text holding one can decode to a
+#: string with a surrogate, so only such text gets the full string walk.
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _reject_constant(name: str) -> None:
+    raise ValueError(f"{name} is not a JSON value (RFC 8259 has no non-finite numbers)")
+
+
+def _find_surrogate(raw: Any) -> Optional[str]:
+    """A surrogate code point in any key or string of ``raw``, or None.
+
+    ``json.loads`` joins an escaped surrogate pair into one character, so a
+    surrogate left in a decoded string is lone and cannot be encoded as UTF-8.
+    """
+    stack = [raw]
+    while stack:
+        value = stack.pop()
+        if isinstance(value, str):
+            match = _SURROGATE.search(value)
+            if match:
+                return match.group()
+        elif isinstance(value, dict):
+            stack.extend(value)
+            stack.extend(value.values())
+        elif isinstance(value, list):
+            stack.extend(value)
+    return None
+
+
 def _json_object(text: str, error: type[Exception], context: str) -> dict[str, Any]:
     """Parse ``text`` as a JSON object; a failure raises ``error`` starting with ``context``."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise error(f"{context} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
         raise error(f"{context}: nested deeper than the parser's recursion limit") from None
-    except ValueError as exc:  # e.g. an integer literal longer than sys.get_int_max_str_digits()
+    except ValueError as exc:  # NaN/Infinity, or an integer literal over sys.get_int_max_str_digits()
         raise error(f"{context}: {exc}") from exc
     if not isinstance(raw, dict):
         raise error(f"{context}: top level must be an object, got {type(raw).__name__}")
+    if _SURROGATE_ESCAPE.search(text):
+        surrogate = _find_surrogate(raw)
+        if surrogate is not None:
+            raise error(
+                f"{context}: a string holds the lone surrogate U+{ord(surrogate):04X}, "
+                "which UTF-8 cannot encode"
+            )
     return raw
 
 

@@ -1,7 +1,8 @@
 """Independent reference implementations used only to check the library.
 
 Each oracle deliberately takes a different algorithmic route than the
-production code: the indel oracle goes through an LCS table, the DBSCAN
+production code: the indel oracle goes through an LCS table, the edit
+distance oracle is the row-by-row dynamic program, the DBSCAN
 oracle recomputes reachability from set definitions, the tree edit oracle
 is a memoized recursion over forests instead of the keyroot DP, and the
 header/footer oracle scores every entity against every candidate with the
@@ -42,6 +43,34 @@ def _lcs_recursive(a: str, b: str) -> int:
 def indel_oracle_fast(a: str, b: str) -> int:
     """Memoized variant for the exhaustive sweep over short alphabets."""
     return len(a) + len(b) - 2 * _lcs_recursive(a, b)
+
+
+# --- edit distance by the row dynamic program ----------------------------
+
+
+def levenshtein_oracle(a: str, b: str) -> int:
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        previous = current
+    return previous[-1]
+
+
+def relabel_cost_oracle(a, b) -> float:
+    """The TEDS relabel cost (Zhong et al. 2020) with the oracle's cell-text distance."""
+    if a.tag != b.tag or a.colspan != b.colspan or a.rowspan != b.rowspan:
+        return 1.0
+    if a.tag != "td" or (not a.text and not b.text):
+        return 0.0
+    return levenshtein_oracle(a.text, b.text) / max(len(a.text), len(b.text))
 
 
 # --- brute-force header/footer relabeling ---------------------------------

@@ -26,14 +26,19 @@ from docweave.metrics import (
     evaluate,
     indel_distance,
     nid,
-    relabel_cost,
     teds,
     teds_s,
     tree_edit_distance,
 )
 from docweave.model import SchemaWeights, page_to_dict
 from docweave.pipeline import PipelineConfig, run_pipeline
-from oracles import dbscan_oracle, indel_oracle, indel_oracle_fast, tree_edit_oracle
+from oracles import (
+    dbscan_oracle,
+    indel_oracle,
+    indel_oracle_fast,
+    relabel_cost_oracle,
+    tree_edit_oracle,
+)
 
 PARAMS = AssemblyParams()
 SCHEMA = SchemaWeights()
@@ -129,7 +134,7 @@ def test_tree_edit_oracle_equivalence():
     rng = random.Random(20240301)
     for _ in range(500):
         a, b = _random_tree(rng), _random_tree(rng)
-        expected = tree_edit_oracle(a, b, relabel_cost)
+        expected = tree_edit_oracle(a, b, relabel_cost_oracle)
         assert abs(tree_edit_distance(a, b) - expected) <= 1e-9
     # TEDS self-similarity and TEDS-S cell-text invariance on random tables
     for _ in range(100):

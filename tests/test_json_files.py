@@ -1,7 +1,7 @@
 """Every JSON file docweave reads goes through one checked reader.
 
-A file that is not UTF-8, nests too deeply to parse, or has no object at the
-top level fails on its own: the library raises the entry point's own error
+A file that is not UTF-8, nests too deeply to parse, holds NaN, Infinity or
+a lone surrogate escape, or has no object at the top level fails on its own: the library raises the entry point's own error
 class naming the file, and the CLI exits with a one-line message and no
 traceback.
 """
@@ -30,6 +30,16 @@ BAD_FILES = {
     "huge-int": (
         b'{"filename": "a", "x": ' + b"1" * 5000 + b"}",
         "invalid JSON: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "nan": (b'{"assembly": {"cluster": {"eps": NaN}}}', "invalid JSON: NaN is not a JSON value"),
+    "infinity": (b'{"x": [-Infinity]}', "invalid JSON: -Infinity is not a JSON value"),
+    "lone-surrogate": (
+        b'{"filename": "a.pdf", "text": "bad \\ud800 text"}',
+        "invalid JSON: a string holds the lone surrogate U+D800, which UTF-8 cannot encode",
+    ),
+    "lone-low-surrogate-key": (
+        b'{"\\uDC00": 1}',
+        "invalid JSON: a string holds the lone surrogate U+DC00, which UTF-8 cannot encode",
     ),
 }
 
@@ -97,3 +107,10 @@ def test_read_json_object_names_missing_file(tmp_path):
 def test_document_from_json_maps_deep_nesting():
     with pytest.raises(ValidationError, match="invalid document JSON: nested deeper"):
         document_from_json("[" * 100_000 + "]" * 100_000)
+
+
+def test_escaped_surrogate_pair_and_escaped_backslash_are_accepted(tmp_path):
+    path = tmp_path / "ok.json"
+    path.write_bytes(b'{"pair": "\\ud834\\udd1e", "literal": "\\\\ud800"}')
+    assert read_json_object(path, ValidationError) == {"pair": "\U0001d11e", "literal": "\\ud800"}
+

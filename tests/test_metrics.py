@@ -2,7 +2,7 @@ import json
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from docweave.errors import EvaluationError, TableParseError
 from docweave.metrics import (
@@ -12,13 +12,12 @@ from docweave.metrics import (
     levenshtein,
     nid,
     parse_table_html,
-    relabel_cost,
     serialize_for_nid,
     teds,
     teds_s,
     tree_edit_distance,
 )
-from oracles import indel_oracle, tree_edit_oracle
+from oracles import indel_oracle, levenshtein_oracle, relabel_cost_oracle, tree_edit_oracle
 
 short_text = st.text(alphabet="abcdef ", max_size=20)
 # Long enough that the bit vectors span several 30-bit big-int digits, with
@@ -198,7 +197,7 @@ class TestTreeEditDistance:
     def test_row_insertion_cost(self):
         one = table(row(cell("x")))
         two = table(row(cell("x")), row(cell("x")))
-        oracle = tree_edit_oracle(one, two, relabel_cost)
+        oracle = tree_edit_oracle(one, two, relabel_cost_oracle)
         assert tree_edit_distance(one, two) == pytest.approx(oracle)
         assert oracle == 2.0  # tr + td inserted
 
@@ -212,8 +211,65 @@ class TestTreeEditDistance:
         for _ in range(200):
             a = _random_tree(rng)
             b = _random_tree(rng)
-            expected = tree_edit_oracle(a, b, relabel_cost)
+            expected = tree_edit_oracle(a, b, relabel_cost_oracle)
             assert tree_edit_distance(a, b) == pytest.approx(expected, abs=1e-9)
+
+
+_PIN_WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "kappa", "mu")
+
+
+def _seeded_grid_pair(seed: int) -> tuple[TableNode, TableNode]:
+    """A 10x10 table of 1-word cells and a copy with one row deleted and 18 cells reworded."""
+    rng = random.Random(seed)
+    grid = [[rng.choice(_PIN_WORDS) for _ in range(10)] for _ in range(10)]
+    deleted = rng.randrange(10)
+    edited = [list(cells) for r, cells in enumerate(grid) if r != deleted]
+    for r, c in rng.sample([(r, c) for r in range(9) for c in range(10)], 18):
+        edited[r][c] = rng.choice(_PIN_WORDS) + " " + rng.choice(_PIN_WORDS)
+    return (
+        table(*(row(*(cell(text) for text in cells)) for cells in grid)),
+        table(*(row(*(cell(text) for text in cells)) for cells in edited)),
+    )
+
+
+def _spanned_pair() -> tuple[TableNode, TableNode]:
+    """Tables with a ``thead``, col/row spans and cells longer than a machine word."""
+    head = TableNode("thead", children=[row(cell("Quarterly revenue by region", colspan=3))])
+    head_edit = TableNode("thead", children=[row(cell("Quarterly revenue per region"),
+                                                 cell("", colspan=2))])
+    body = TableNode("tbody", children=[
+        row(cell("North", rowspan=2), cell("1,204.50"), cell("+3.1%")),
+        row(cell("1,180.00"), cell("-0.7%")),
+        row(cell("South"), cell("998.25"), cell("+12.4% after the merger with ÉCOLE 𝄞 "
+                                                "Holdings, restated for the calendar year")),
+    ])
+    body_edit = TableNode("tbody", children=[
+        row(cell("North"), cell("1,204.50"), cell("+3.1%")),
+        row(cell("North"), cell("1,180.00"), cell("-0.7 %")),
+        row(cell("South", colspan=2), cell("+12.4% after the merger with ECOLE 𝄞 "
+                                           "Holdings, restated for the fiscal year")),
+    ])
+    return TableNode("table", children=[head, body]), TableNode("table", children=[head_edit, body_edit])
+
+
+class TestPinnedScores:
+    """Exact TEDS and TEDS-S values of fixed pairs, compared with ``==``.
+
+    Any change to the tree edit distance must reproduce these floats bit for
+    bit: the cost model and the order in which costs are added are fixed.
+    """
+
+    @pytest.mark.parametrize("pair, expected_teds, expected_teds_s", [
+        (_seeded_grid_pair(9), 0.7691089941089941, 0.9009009009009009),
+        (_spanned_pair(), 0.6311433664374841, 0.6470588235294117),
+        ((cell("kitten"), cell("sitting")), 0.5714285714285714, 1.0),
+        ((cell("kitten"), cell("kitten", colspan=2)), 0.0, 0.0),
+    ])
+    def test_exact(self, pair, expected_teds, expected_teds_s):
+        a, b = pair
+        assert teds(a, b) == expected_teds
+        assert teds_s(a, b) == expected_teds_s
+        assert teds(b, a) == expected_teds
 
 
 class TestTeds:
@@ -411,3 +467,18 @@ class TestLevenshtein:
         assert levenshtein("kitten", "sitting") == 3
         assert levenshtein("", "abc") == 3
         assert levenshtein("abc", "abc") == 0
+
+    @given(short_text, short_text)
+    def test_matches_row_dp_oracle(self, a, b):
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+        assert levenshtein(b, a) == levenshtein_oracle(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(long_pairs())
+    @example(("ab𝄞" * 30, "b𝄞a" * 25))
+    @example(("", "é𝄞" * 40))
+    @example(("c𝄞a", "abc é€𝄞" * 20))
+    def test_matches_row_dp_oracle_beyond_one_machine_word(self, pair):
+        a, b = pair
+        assert levenshtein(a, b) == levenshtein_oracle(a, b)
+        assert levenshtein(b, a) == levenshtein_oracle(a, b)

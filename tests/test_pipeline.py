@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import threading
 import time
@@ -558,6 +559,15 @@ class TestConfig:
     def test_mistyped_config_rejected(self, tmp_path, raw, message):
         with pytest.raises(ValidationError, match=message):
             config_from_mapping({"output_dir": str(tmp_path), "inputs": [], **raw})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "section, name",
+        [("cluster", "eps"), ("row", "angle_threshold_degrees"), ("header_footer", "header_top_limit")],
+    )
+    def test_non_finite_assembly_number_rejected(self, tmp_path, section, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be finite, got {value!r}"):
+            config_from_mapping({"assembly": {section: {name: value}}}, inputs=(), output_dir=tmp_path)
 
     @pytest.mark.parametrize("raw, message", MISSHAPED_CONFIGS)
     def test_misshaped_config_is_validation_error(self, tmp_path, raw, message):
