@@ -125,6 +125,7 @@ def to_markdown(doc: DocumentResult, skip_headers_footers: bool = False) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Unused in docweave; kept because perfbench/tracing.py patches it by name (see ROADMAP item 4).
 def fnv1a_64(text: str) -> int:
     """64-bit FNV-1a over the NFKC-normalized UTF-8 bytes of ``text``."""
     data = unicodedata.normalize("NFKC", text).encode("utf-8")
@@ -158,19 +159,20 @@ def to_chunks(doc: DocumentResult) -> list[dict[str, Any]]:
 
     Each chunk is the ``{"page_content", "metadata"}`` record that one line of
     the ``.chunks.jsonl`` file holds. Emission order is page chunks, then
-    header blocks, then element chunks (each in page/reading order);
-    duplicates by content hash are dropped, first occurrence winning.
+    header blocks, then element chunks (each in page/reading order); a chunk
+    whose NFKC-normalized content equals an earlier one's is dropped, first
+    occurrence winning.
     """
     chunks: list[dict[str, Any]] = []
-    seen: set[int] = set()
+    seen: set[str] = set()
 
     def add(content: str, page_number: int, kind: str, element_type: Optional[str] = None):
         if not content:
             return
-        digest = fnv1a_64(content)
-        if digest in seen:
+        key = unicodedata.normalize("NFKC", content)
+        if key in seen:
             return
-        seen.add(digest)
+        seen.add(key)
         metadata: dict[str, Any] = {"page_number": page_number}
         if element_type is not None:
             metadata["element_type"] = element_type

@@ -165,7 +165,8 @@ def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> 
     if fmt == "markdown":
         return export_mod.to_markdown(doc, skip_headers_footers=skip_headers_footers)
     if fmt == "chunks":
-        return "".join(json.dumps(c, ensure_ascii=False) + "\n" for c in export_mod.to_chunks(doc))
+        encode = json.JSONEncoder(ensure_ascii=False).encode
+        return "".join(encode(c) + "\n" for c in export_mod.to_chunks(doc))
     if fmt == "graph":
         nodes, edges = export_mod.to_graph(doc)
         return json_text({"nodes": nodes, "edges": edges})

@@ -6,10 +6,13 @@ distance oracle is the row-by-row dynamic program, the DBSCAN
 oracle recomputes reachability from set definitions, the tree edit oracle
 is a memoized recursion over forests instead of the keyroot DP, and the
 header/footer oracle scores every entity against every candidate with the
-LCS-table distance instead of using a candidate index, and the dedupe oracle
-tests every pair of entities instead of (type, text) buckets.
+LCS-table distance instead of using a candidate index, the dedupe oracle
+tests every pair of entities instead of (type, text) buckets, and the chunk
+dedupe oracle compares each chunk with every earlier one instead of keeping a
+set of seen contents.
 """
 
+import unicodedata
 from functools import lru_cache
 
 
@@ -194,6 +197,22 @@ def dedupe_oracle(entities):
         keep.add(survivor.id)
         drops.extend((e.id, survivor.id) for e in members if e.id != survivor.id)
     return [e for e in entities if e.id in keep], drops
+
+
+# --- chunk dedupe by pairwise comparison ------------------------------------
+
+
+def chunk_dedupe_oracle(candidates):
+    """The ``(content, ...)`` candidates ``to_chunks`` keeps: the non-empty
+    ones whose NFKC-normalized content equals no earlier candidate's."""
+    kept = []
+    for i, candidate in enumerate(candidates):
+        content = unicodedata.normalize("NFKC", candidate[0])
+        if candidate[0] and all(
+            unicodedata.normalize("NFKC", earlier[0]) != content for earlier in candidates[:i]
+        ):
+            kept.append(candidate)
+    return kept
 
 
 # --- brute-force tree edit distance -----------------------------------------

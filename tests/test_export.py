@@ -1,10 +1,12 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FIXTURE_DIR, build_entity
 from docweave.export import (
     DPBENCH_CATEGORY,
+    _page_header_blocks,
     extract_list_items,
     fnv1a_64,
     to_chunks,
@@ -17,6 +19,7 @@ from docweave.model import (
     ElementLabel,
     PageResult,
 )
+from oracles import chunk_dedupe_oracle
 
 
 def make_doc(entities_per_page, filename="doc.pdf", category="uncategorized", skipped=()):
@@ -173,6 +176,16 @@ class TestToChunks:
         hashes = [fnv1a_64(c["page_content"]) for c in chunks]
         assert len(hashes) == len(set(hashes))
 
+    def test_nfkc_equal_contents_dedupe_and_whitespace_variants_stay(self, schema):
+        texts = ["ﬁne print", "fine print", "１２３", "123", "a b", "a  b", "a\tb", "a\u00a0b"]
+        entities = [
+            build_entity(f"e{i}", "list_item", (0, 10 * i, 10, 10 * i + 5), text=text, schema=schema)
+            for i, text in enumerate(texts)
+        ]
+        chunks = to_chunks(make_doc([entities]))
+        elements = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "element"]
+        assert elements == ["ﬁne print", "１２３", "a b", "a  b", "a\tb"]
+
     def test_metadata_fields(self, schema):
         doc = make_doc(
             [[build_entity("t", "text", (0, 0, 10, 10), text="body here", schema=schema)]],
@@ -183,6 +196,48 @@ class TestToChunks:
         assert record["metadata"]["filename"] == "f.pdf"
         assert record["metadata"]["document_category"] == "financial"
         assert record["metadata"]["page_number"] == 1
+
+
+#: Texts with NFKC-equal pairs ("ﬁ"/"fi", full-width digits, no-break space)
+#: and pairs that differ only in whitespace, which are distinct chunks.
+CHUNK_TEXTS = ["", "ﬁle", "file", "４２", "42", "x y", "x  y", "x\ny", "x\u00a0y", "Intro", "Ｉｎｔｒｏ"]
+CHUNK_LABELS = ["text", "list_item", "section", "title", "page_header"]
+
+
+@st.composite
+def _chunk_documents(draw):
+    pages = []
+    for number in range(1, draw(st.integers(1, 3)) + 1):
+        labels_texts = draw(
+            st.lists(st.tuples(st.sampled_from(CHUNK_LABELS), st.sampled_from(CHUNK_TEXTS)), max_size=6)
+        )
+        pages.append([
+            build_entity(f"p{number}-{i}", label, (0, 10 * i, 10, 10 * i + 5), text=text)
+            for i, (label, text) in enumerate(labels_texts)
+        ])
+    return make_doc(pages)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_chunk_documents())
+def test_chunk_dedupe_matches_oracle(doc):
+    candidates = [
+        ("\n".join(e.value.text for e in page.elements.values() if e.value.text), page.page_number, "page")
+        for page in doc.pages
+    ]
+    candidates += [
+        (block, page.page_number, "header_block")
+        for page in doc.pages
+        for _, block in _page_header_blocks(page)
+    ]
+    candidates += [
+        (e.value.text, page.page_number, "element") for page in doc.pages for e in page.elements.values()
+    ]
+    emitted = [
+        (c["page_content"], c["metadata"]["page_number"], c["metadata"]["chunk_kind"])
+        for c in to_chunks(doc)
+    ]
+    assert emitted == chunk_dedupe_oracle(candidates)
 
 
 class TestToGraph:

@@ -1,4 +1,6 @@
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +29,7 @@ from docweave.model import (
     entity_to_dict,
     group_from_dict,
     group_to_dict,
+    json_text,
     make_entity,
     make_group,
 )
@@ -313,6 +316,19 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="invalid document JSON"):
             document_from_json("{not json")
 
+    @pytest.mark.parametrize("where", ["key", "value"])
+    def test_raw_surrogate_in_text_rejected(self, schema, where):
+        # A str argument, unlike a strictly decoded file, can hold a raw surrogate.
+        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        if where == "key":
+            raw["metadata"] = {"bad \ud800": "x"}
+        else:
+            raw["filename"] = "a\udfff.pdf"
+        text = json.dumps(raw, ensure_ascii=False)
+        code_point = "D800" if where == "key" else "DFFF"
+        with pytest.raises(ValidationError, match=f"holds the surrogate U\\+{code_point}, which UTF-8"):
+            document_from_json(text)
+
 
 TEXTS = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)
 COORDS = st.floats(0, 1000, allow_nan=False)
@@ -375,3 +391,55 @@ def test_json_round_trip_property(doc):
     restored = document_from_json(text)
     assert restored == doc
     assert document_to_json(restored) == text
+
+
+#: Leaves the writer must encode exactly as ``json.dumps``: escapes, control
+#: characters, U+2028, non-BMP text, ``-0.0``, subnormals, exponent floats and
+#: integers wider than 64 bits.
+_JSON_TEXT = st.text(
+    st.characters(blacklist_categories=("Cs",))
+    | st.sampled_from(["\"", "\\", "\n", "\x00", "\x1f", "\x7f", "\u2028", "\ufeff", "\U0001d11e"]),
+    max_size=8,
+)
+_JSON_LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([2**64, -(2**64) - 1, 10**40])
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 1e16, 1e-7])
+    | _JSON_TEXT
+)
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(_JSON_TEXT, _JSON_VALUES, max_size=4) | st.lists(_JSON_VALUES, max_size=4))
+def test_json_text_matches_stdlib_indented_dump(value):
+    assert json_text(value) == json.dumps(value, indent=2, ensure_ascii=False) + "\n"
+
+
+@pytest.mark.parametrize("number", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "wrap",
+    [lambda x: {"a": x}, lambda x: [x], lambda x: {"a": [0, {"b": (x,)}]}],
+    ids=["dict", "list", "nested"],
+)
+def test_json_text_rejects_non_finite_floats(number, wrap):
+    with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+        json_text(wrap(number))
+
+
+@pytest.mark.skipif(
+    sys.version_info >= (3, 13), reason="json_text is json.dumps there, which writes a key 1 as \"1\""
+)
+@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
+def test_json_text_rejects_non_str_keys(key):
+    with pytest.raises(TypeError, match="keys must be str"):
+        json_text({"a": [{key: 0}]})
