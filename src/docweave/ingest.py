@@ -115,7 +115,7 @@ def _array(value: Any, context: str) -> list:
 def _parse_detection(
     raw: Any, context: str, labels: type, threshold: float
 ) -> Optional[RawDetection]:
-    if not isinstance(raw, Mapping):
+    if not isinstance(raw, dict):
         _fail(context, "detection must be an object")
     label_raw = raw.get("label")
     if not label_raw or not isinstance(label_raw, str):
@@ -132,7 +132,7 @@ def _parse_detection(
     if not 0.0 <= confidence <= 1.0:
         _fail(f"{context}.confidence", f"confidence must be in [0,1], got {confidence}")
     bbox_raw = raw.get("bbox")
-    if not isinstance(bbox_raw, Sequence) or len(bbox_raw) != 4:
+    if not isinstance(bbox_raw, list) or len(bbox_raw) != 4:
         _fail(f"{context}.bbox", "bbox must be a [left, top, right, bottom] array")
     try:
         bbox = BBox(*bbox_raw)
@@ -181,7 +181,7 @@ def load_detections(
     if not isinstance(filename, str) or not filename:
         _fail(f"{path}: filename", "must be a non-empty string")
     metadata_raw = raw.get("metadata", {})
-    if not isinstance(metadata_raw, Mapping) or not all(
+    if not isinstance(metadata_raw, dict) or not all(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata_raw.items()
     ):
         _fail(f"{path}: metadata", "must be a string-to-string map")
@@ -192,7 +192,7 @@ def load_detections(
     seen_ids: set[str] = set()
     for page_index, page_raw in enumerate(pages_raw):
         context = f"{path}: pages[{page_index}]"
-        if not isinstance(page_raw, Mapping):
+        if not isinstance(page_raw, dict):
             _fail(context, "page must be an object")
         number = page_raw.get("page_number")
         if not isinstance(number, int) or isinstance(number, bool) or number < 1:

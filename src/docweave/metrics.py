@@ -7,17 +7,25 @@ score tables as ordered labeled trees under a tree edit distance computed
 with the Zhang-Shasha keyroot decomposition; the cost model (Zhong et al.
 2020) charges 1 for insert/delete, 1 for tag or span mismatches, and a
 normalized character edit distance between cell texts for matching ``td``
-nodes. TEDS-S runs the same comparison with cell texts blanked. The cell
-edit distance is bit-parallel too (Myers 1999, in Hyyrö 2003's form for
-global distance), with the shorter text in the bit masks, so a pair of
-cells costs a few big-int operations per character of the longer one.
+nodes. TEDS-S runs the same comparison with cell texts blanked.
+
+Before the keyroot loop, ``tree_edit_distance`` builds the relabel cost of
+every (A node, B node) pair as one matrix. The cell edit distances come from
+a multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro 2005): the
+non-empty B cell texts of one span are packed as lanes of a single int, and
+Myers' recurrence (Myers 1999, in Hyyrö 2003's form for global distance)
+runs once per A cell, a few big-int operations per character, to give its
+distance to every B cell at once. The matrix holds at most one entry per
+(A node, B node) pair, as the loop's ``treedist`` table does, so a call
+keeps at most two entries per pair; A nodes with equal tags, spans and
+texts share one row of the matrix.
 
 TEDS is quadratic in table size. Measured on one core of a 2-core x86 host
 under CPython 3.11, for a table against a copy with one row deleted and a
-fifth of its cells reworded, one ``teds`` call takes about 0.07 s at 10x10
-with 1-word cells, 0.4 s at 10x10 with 5-word cells, 1.0 s at 30x10 with
-1-word cells and 4.4 s at 30x10 with 5-word cells; ``teds_s`` takes
-0.03-0.5 s on the same tables. ``evaluate`` sets no size limit.
+fifth of its cells reworded, one ``teds`` call takes about 0.014 s at 10x10
+with 1-word cells, 0.02 s at 10x10 with 5-word cells, 0.14 s at 30x10 with
+1-word cells and 0.2 s at 30x10 with 5-word cells; ``teds_s`` takes
+0.01-0.1 s on the same tables. ``evaluate`` sets no size limit.
 """
 
 from __future__ import annotations
@@ -78,51 +86,85 @@ def nid(reference: str, prediction: str) -> float:
     return 1.0 - indel_distance(reference, prediction) / total
 
 
+class _Lanes:
+    """Edit distances from one text to many, all in one bit-parallel pass.
+
+    Each text is packed as one lane of a single int: lane k holds bits
+    ``[offset_k, offset_k + len(text_k))`` plus a zero guard bit above them,
+    which absorbs the carry of the addition and the top bit of each shift,
+    so no lane reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
+    ``distances(a)`` then runs Myers' recurrence (Myers 1999, in Hyyrö 2003's
+    form for global distance) once over the characters of ``a``: bit i of
+    lane k in ``pv``/``mv`` is set where the DP column of ``text_k`` steps
+    by +1/-1 from row i to row i + 1. Each character of ``a`` costs a few
+    big-int operations, whatever the number and length of the texts.
+    """
+
+    __slots__ = ("peq", "lanes", "low", "width", "slices")
+
+    def __init__(self, texts: Sequence[str]):
+        self.peq: dict[str, int] = {}
+        self.lanes = self.low = 0
+        bounds = []
+        offset = 0
+        for text in texts:
+            for i, ch in enumerate(text, offset):
+                self.peq[ch] = self.peq.get(ch, 0) | (1 << i)
+            if text:
+                self.low |= 1 << offset
+            end = offset + len(text)
+            self.lanes |= (1 << end) - (1 << offset)
+            bounds.append((offset, end))
+            offset = end + 1
+        self.width = offset
+        # Each lane's slice of a ``width``-digit binary string, most significant bit first.
+        self.slices = [(offset - end, offset - start) for start, end in bounds]
+
+    def distances(self, a: str) -> list[int]:
+        """Edit distance from ``a`` to each packed text, in packing order."""
+        peq, lanes, low = self.peq, self.lanes, self.low
+        pv, mv = lanes, 0
+        for ch in a:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            ph = mv | ((xh | pv) ^ lanes)
+            mh = pv & xh
+            # Row 0 of a lane, its text's empty prefix, is the edit distance
+            # to a's prefix, which grows by 1 per character: ``low`` carries
+            # that +1 into the bottom bit of every non-empty lane.
+            ph = ((ph << 1) & lanes) | low
+            mh = (mh << 1) & lanes
+            pv = mh | ((xv | ph) ^ lanes)
+            mv = ph & xv
+        # A lane's distance is row 0's len(a) plus the lane's vertical deltas.
+        spec = f"0{self.width}b"
+        plus = format(pv, spec).count
+        minus = format(mv, spec).count
+        n = len(a)
+        return [n + plus("1", start, end) - minus("1", start, end) for start, end in self.slices]
+
+
 def levenshtein(a: str, b: str) -> int:
-    """Classic edit distance with substitutions (used by the TEDS cell cost)."""
+    """Classic edit distance with substitutions: one lane of :class:`_Lanes`."""
     if a == b:
         return 0
     if len(a) > len(b):
         a, b = b, a
-    if not a:
-        return len(b)
-
-    # Bit-vector edit distance (Myers 1999, in Hyyrö 2003's form for global
-    # distance): bit i of ``pv``/``mv`` is set where the DP column over
-    # a[:i + 1] steps by +1/-1 from row i to row i + 1, and ``score`` tracks
-    # the last row. Each character of ``b`` costs a few big-int operations,
-    # whatever the length of ``a``.
-    masks: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        masks[ch] = masks.get(ch, 0) | (1 << i)
-    full = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, score = full, 0, len(a)
-    for ch in b:
-        eq = masks.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = mv | ~(xh | pv) & full
-        mh = pv & xh
-        if ph & last:
-            score += 1
-        elif mh & last:
-            score -= 1
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & full
-        mv = ph & xv
-    return score
+    return _Lanes((a,)).distances(b)[0]
 
 
 def serialize_for_nid(elements: Sequence[Mapping[str, Any]]) -> str:
-    """Concatenate the text of non-table/figure/chart elements, newline-joined."""
+    """Concatenate the text of non-table/figure/chart elements, newline-joined.
+
+    A missing or null text counts as an empty string.
+    """
     parts = []
     for element in elements:
         if element.get("category") in NID_EXCLUDED_CATEGORIES:
             continue
         content = element.get("content") or {}
-        parts.append(str(content.get("text") or ""))
+        parts.append(content.get("text") or "")
     return "\n".join(parts)
 
 
@@ -277,14 +319,56 @@ def parse_table_html(html: str) -> TableNode:
 
 
 def relabel_cost(a: TableNode, b: TableNode) -> float:
-    """TEDS relabel cost: 1 for tag/span mismatch, cell-text distance otherwise."""
-    if a.tag != b.tag or a.colspan != b.colspan or a.rowspan != b.rowspan:
-        return 1.0
-    if a.tag == "td":
-        if not a.text and not b.text:
-            return 0.0
-        return levenshtein(a.text, b.text) / max(len(a.text), len(b.text))
-    return 0.0
+    """TEDS relabel cost of one pair, as ``tree_edit_distance`` computes it.
+
+    1 for a tag or span mismatch; for two ``td`` cells, 0 when both are
+    empty and otherwise their text edit distance over the longer length;
+    0 for two equal nodes of any other tag.
+    """
+    return _relabel_costs([a], [b])[0][0]
+
+
+def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -> list[list[float]]:
+    """``costs[x][y]``: the relabel cost of ``a_nodes[x]`` to ``b_nodes[y]``.
+
+    The non-empty ``td`` texts of ``b_nodes`` with the same spans form one
+    :class:`_Lanes` each, so a cell of ``a_nodes`` gets its distances to all
+    of them in one pass. A cell text or node label repeated in ``a_nodes``
+    shares one row. The matrix holds at most one entry per (A node, B node)
+    pair, as many as the Zhang-Shasha ``treedist`` table.
+    """
+    # Per (tag, colspan, rowspan): the nodes an equal A node relabels to for
+    # free, and the non-empty cells whose cost is a text distance.
+    free: dict[tuple[str, int, int], list[int]] = {}
+    cells: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
+    texts: dict[tuple[str, int, int], list[str]] = {}
+    for y, node in enumerate(b_nodes):
+        key = (node.tag, node.colspan, node.rowspan)
+        if node.tag == "td" and node.text:
+            cells.setdefault(key, []).append((y, len(node.text)))
+            texts.setdefault(key, []).append(node.text)
+        else:
+            free.setdefault(key, []).append(y)
+    lanes = {key: _Lanes(group) for key, group in texts.items()}
+
+    rows: dict[tuple[str, int, int, str], list[float]] = {}
+    costs = []
+    for node in a_nodes:
+        key = (node.tag, node.colspan, node.rowspan)
+        text = node.text if node.tag == "td" else ""
+        row = rows.get((*key, text))
+        if row is None:
+            row = [1.0] * len(b_nodes)
+            if not text:
+                for y in free.get(key, ()):
+                    row[y] = 0.0
+            elif key in cells:
+                n = len(text)
+                for (y, m), d in zip(cells[key], lanes[key].distances(text)):
+                    row[y] = d / (n if n > m else m)
+            rows[(*key, text)] = row
+        costs.append(row)
+    return costs
 
 
 def _postorder(root: TableNode) -> tuple[list[TableNode], list[int]]:
@@ -319,24 +403,67 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     """Ordered tree edit distance under the TEDS cost model."""
     a_nodes, a_lmds = _postorder(tree_a)
     b_nodes, b_lmds = _postorder(tree_b)
+    costs = _relabel_costs(a_nodes, b_nodes)
     treedist = [[0.0] * len(b_nodes) for _ in range(len(a_nodes))]
-    cost = relabel_cost  # looked up once per call, so a patched module attribute is used
     # Per keyroot j of b, one column per node of its subtree: the node's index,
-    # the forest-distance column just left of its own subtree, whether it
-    # shares j's leftmost leaf, and the node itself.
+    # the forest-distance column just left of its own subtree, and whether it
+    # shares j's leftmost leaf.
     b_columns = {
-        j: [(y, b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j], b_nodes[y])
-            for y in range(b_lmds[j], j + 1)]
+        j: [(y, b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j]) for y in range(b_lmds[j], j + 1)]
         for j in _keyroots(b_lmds)
     }
 
     for i in _keyroots(a_lmds):
         li = a_lmds[i]
         for j, columns in b_columns.items():
-            if li == i and b_lmds[j] == j:
-                # Two leaves: the forest distance is min(2, 2, relabel) and a
-                # relabel costs at most 1.
-                treedist[i][j] = cost(a_nodes[i], b_nodes[j])
+            if b_lmds[j] == j:
+                if li == i:
+                    # Two leaves: the forest distance is min(2, 2, relabel)
+                    # and a relabel costs at most 1.
+                    treedist[i][j] = costs[i][j]
+                    continue
+                # A leaf j: the forest table has one column besides column 0,
+                # and column 0 holds r in row r, so one running value is kept.
+                # The additions are those of the general loop below.
+                up = 1.0
+                for x in range(li, i + 1):
+                    r = float(x - li)
+                    best = up + 1.0
+                    step = r + 2.0
+                    if step < best:
+                        best = step
+                    lx = a_lmds[x]
+                    if lx == li:
+                        step = r + costs[x][j]
+                        if step < best:
+                            best = step
+                        treedist[x][j] = best
+                    else:
+                        step = float(lx - li) + treedist[x][j]
+                        if step < best:
+                            best = step
+                    up = best
+                continue
+            if li == i:
+                # A leaf i: one row besides row 0, and row 0 holds k in column k.
+                cost_row = costs[i]
+                tree_row = treedist[i]
+                left = 1.0
+                for k, (y, q, same_leaf) in enumerate(columns):
+                    best = k + 2.0
+                    step = left + 1.0
+                    if step < best:
+                        best = step
+                    if same_leaf:
+                        step = k + cost_row[y]
+                        if step < best:
+                            best = step
+                        tree_row[y] = best
+                    else:
+                        step = q + tree_row[y]
+                        if step < best:
+                            best = step
+                    left = best
                 continue
             # Forest distance over the subtrees rooted at keyroots i and j,
             # one row per node of i's subtree; row 0 is the empty forest.
@@ -349,14 +476,14 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                 tree_row = treedist[x]
                 lx = a_lmds[x]
                 if lx == li:
-                    a_node = a_nodes[x]
-                    for up, diagonal, (y, q, same_leaf, b_node) in zip(above[1:], above, columns):
+                    cost_row = costs[x]
+                    for up, diagonal, (y, q, same_leaf) in zip(above[1:], above, columns):
                         best = up + 1.0
                         step = left + 1.0
                         if step < best:
                             best = step
                         if same_leaf:
-                            step = diagonal + cost(a_node, b_node)
+                            step = diagonal + cost_row[y]
                             if step < best:
                                 best = step
                             tree_row[y] = best
@@ -368,7 +495,7 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                         left = best
                 else:
                     before = fd[lx - li]
-                    for up, (y, q, _, _) in zip(above[1:], columns):
+                    for up, (y, q, _) in zip(above[1:], columns):
                         best = up + 1.0
                         step = left + 1.0
                         if step < best:
@@ -468,8 +595,12 @@ def _load_dpbench_file(path: Path) -> list[Mapping[str, Any]]:
         context = f"{path}: elements[{index}]"
         if not isinstance(element, Mapping):
             raise EvaluationError(f"{context} must be an object")
-        if not isinstance(element.get("content", {}), Mapping):
+        content = element.get("content", {})
+        if not isinstance(content, Mapping):
             raise EvaluationError(f"{context}.content must be an object")
+        for key in ("text", "html"):
+            if not isinstance(content.get(key), (str, type(None))):
+                raise EvaluationError(f"{context}.content.{key} must be a string or null")
         if not isinstance(element.get("category"), (str, type(None))):
             raise EvaluationError(f"{context}.category must be a string")
     return elements
@@ -530,7 +661,7 @@ def _bbox_iou(a, b) -> float:
 def _table_html(element: Mapping[str, Any]) -> Optional[str]:
     content = element.get("content") or {}
     html = content.get("html")
-    return html if isinstance(html, str) and html.strip() else None
+    return html if html and html.strip() else None
 
 
 def _match_tables(

@@ -70,6 +70,11 @@ def _path(name: str, value: Any) -> Path:
     return Path(value)
 
 
+#: Most client calls one page runs at once: each is a thread, and the calls
+#: wait on I/O, so more threads than this add memory rather than speed.
+MAX_WORKERS = 32
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
     """Everything a pipeline run needs; flags mirror these fields.
@@ -117,8 +122,10 @@ class PipelineConfig:
         unknown = [f for f in self.formats if not isinstance(f, str) or f not in FORMATS]
         if unknown:
             raise ValidationError(f"unknown output formats: {unknown}")
-        if not _is_int(self.workers) or self.workers < 1:
-            raise ValidationError(f"worker count must be an integer >= 1, got {self.workers!r}")
+        if not _is_int(self.workers) or not 1 <= self.workers <= MAX_WORKERS:
+            raise ValidationError(
+                f"worker count must be an integer in [1, {MAX_WORKERS}], got {self.workers!r}"
+            )
         if not isinstance(self.weight_overrides, Mapping):
             raise ValidationError(
                 f"weight_overrides must be an object, got {self.weight_overrides!r}"
@@ -159,14 +166,30 @@ def write_atomic(path: Path, text: str) -> None:
         raise
 
 
+def _json_lines(values: Sequence[Any]) -> str:
+    """One ``json.dumps(value, ensure_ascii=False)`` line per value.
+
+    ``JSONEncoder.encode`` builds a new C encoder on every call, so the lines
+    share one, built with the same settings; without the ``_json`` C module
+    each line goes through ``encode``.
+    """
+    encoder = json.JSONEncoder(ensure_ascii=False)
+    if json.encoder.c_make_encoder is None:
+        return "".join(encoder.encode(value) + "\n" for value in values)
+    encode = json.encoder.c_make_encoder(
+        {}, encoder.default, json.encoder.encode_basestring, None,
+        encoder.key_separator, encoder.item_separator, False, False, True,
+    )
+    return "".join("".join(encode(value, 0)) + "\n" for value in values)
+
+
 def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> str:
     if fmt == "json":
         return document_to_json(doc)
     if fmt == "markdown":
         return export_mod.to_markdown(doc, skip_headers_footers=skip_headers_footers)
     if fmt == "chunks":
-        encode = json.JSONEncoder(ensure_ascii=False).encode
-        return "".join(encode(c) + "\n" for c in export_mod.to_chunks(doc))
+        return _json_lines(export_mod.to_chunks(doc))
     if fmt == "graph":
         nodes, edges = export_mod.to_graph(doc)
         return json_text({"nodes": nodes, "edges": edges})

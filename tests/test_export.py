@@ -19,6 +19,7 @@ from docweave.model import (
     ElementLabel,
     PageResult,
 )
+from docweave.pipeline import render_format
 from oracles import chunk_dedupe_oracle
 
 
@@ -238,6 +239,23 @@ def test_chunk_dedupe_matches_oracle(doc):
         for c in to_chunks(doc)
     ]
     assert emitted == chunk_dedupe_oracle(candidates)
+
+
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
+def test_chunk_lines_equal_json_dumps(c_encoder, monkeypatch):
+    if not c_encoder:
+        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    texts = CHUNK_TEXTS + ['say "hi"', "back\\slash", "nul\x00", "é€𝄞", "line\u2028sep", "tab\there"]
+    doc = make_doc([
+        [build_entity(f"p{page}-{i}", label, (0, 10 * i, 10, 10 * i + 5), text=text)
+         for i, (label, text) in enumerate(zip(CHUNK_LABELS * 4, texts[page::2]))]
+        for page in (0, 1)
+    ])
+    chunks = to_chunks(doc)
+    *lines, last = render_format(doc, "chunks", skip_headers_footers=False).split("\n")
+    assert last == ""
+    assert lines == [json.dumps(chunk, ensure_ascii=False) for chunk in chunks]
+    assert len(lines) > 10
 
 
 class TestToGraph:

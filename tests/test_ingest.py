@@ -106,6 +106,36 @@ class TestLoadDetections:
         with pytest.raises(DetectionInputError, match=r"element_detections\[0\].confidence"):
             load_detections(path)
 
+    @pytest.mark.parametrize(
+        "raw, field, message",
+        [
+            ("text", "", "detection must be an object"),
+            ([["label", "text"]], "", "detection must be an object"),
+            ({**detection("text", 0.9), "bbox": "abcd"}, ".bbox",
+             r"bbox must be a \[left, top, right, bottom\] array"),
+            (detection("text", 0.9, bbox=(0, 0, 10)), ".bbox",
+             r"bbox must be a \[left, top, right, bottom\] array"),
+            ({**detection("text", 0.9), "bbox": {"0": 0, "1": 0, "2": 1, "3": 1}}, ".bbox",
+             r"bbox must be a \[left, top, right, bottom\] array"),
+        ],
+    )
+    def test_bad_detection_names_its_field(self, tmp_path, raw, field, message):
+        path = write_detection_file(tmp_path / "in.json", input_payload(element_detections=[raw]))
+        with pytest.raises(DetectionInputError, match=rf"element_detections\[0\]{field}: {message}"):
+            load_detections(path)
+
+    @pytest.mark.parametrize(
+        "payload, context, message",
+        [
+            ({"filename": "doc.pdf", "metadata": [["k", "v"]]}, "metadata", "must be a string-to-string map"),
+            ({"filename": "doc.pdf", "pages": [[1]]}, r"pages\[0\]", "page must be an object"),
+        ],
+    )
+    def test_bad_container_names_its_field(self, tmp_path, payload, context, message):
+        path = write_detection_file(tmp_path / "in.json", payload)
+        with pytest.raises(DetectionInputError, match=rf"in\.json: {context}: {message}"):
+            load_detections(path)
+
     def test_duplicate_page_numbers_rejected(self, tmp_path):
         payload = input_payload()
         payload["pages"].append(dict(payload["pages"][0]))

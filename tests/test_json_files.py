@@ -6,6 +6,8 @@ class naming the file, and the CLI exits with a one-line message and no
 traceback.
 """
 
+import json
+
 import pytest
 from click.testing import CliRunner
 
@@ -114,3 +116,52 @@ def test_escaped_surrogate_pair_and_escaped_backslash_are_accepted(tmp_path):
     path.write_bytes(b'{"pair": "\\ud834\\udd1e", "literal": "\\\\ud800"}')
     assert read_json_object(path, ValidationError) == {"pair": "\U0001d11e", "literal": "\\ud800"}
 
+
+
+#: DP-Bench element contents the eval loader rejects, and the field each names.
+#: ``null`` and a missing key are accepted and score as an empty string.
+BAD_DPBENCH_CONTENT = {
+    "text-object": ({"text": {"a": 1}}, "content.text"),
+    "text-number": ({"text": 5}, "content.text"),
+    "html-number": ({"html": 5}, "content.html"),
+    "html-list": ({"html": ["<table></table>"]}, "content.html"),
+}
+
+
+@pytest.fixture(params=sorted(BAD_DPBENCH_CONTENT))
+def bad_dpbench(request, tmp_path):
+    content, field = BAD_DPBENCH_CONTENT[request.param]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": [{"category": "Paragraph", "content": content}]}),
+                    encoding="utf-8")
+    return path, f"{path}: elements[0].{field} must be a string or null"
+
+
+@pytest.mark.parametrize("mode", ["layout", "table"])
+def test_eval_rejects_non_string_content(bad_dpbench, mode):
+    path, message = bad_dpbench
+    with pytest.raises(EvaluationError) as excinfo:
+        evaluate(GOOD_DPBENCH, path, mode)
+    assert message in str(excinfo.value)
+
+
+@pytest.mark.parametrize("mode", ["layout", "table"])
+def test_cli_eval_rejects_non_string_content(bad_dpbench, mode):
+    path, message = bad_dpbench
+    result = CliRunner().invoke(main, ["eval", str(GOOD_DPBENCH), str(path), "--mode", mode])
+    assert result.exit_code == 1, result.output
+    assert message in result.output
+    assert "Traceback" not in result.output
+
+
+def test_eval_null_or_missing_content_scores_as_empty(tmp_path):
+    elements = [{"category": "Paragraph", "content": {"text": None, "html": None}},
+                {"category": "Paragraph", "content": {}},
+                {"category": "Table", "content": {"html": None}}]
+    path = tmp_path / "nulls.json"
+    path.write_text(json.dumps({"elements": elements}), encoding="utf-8")
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"elements": [{"category": "Paragraph"}] * 2}), encoding="utf-8")
+    assert evaluate(empty, path, "layout").mean_nid == 1.0
+    report = evaluate(path, path, "table")
+    assert (report.evaluated, report.skipped) == (0, 1)

@@ -7,11 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 from docweave.errors import EvaluationError, TableParseError
 from docweave.metrics import (
     TableNode,
+    _Lanes,
     evaluate,
     indel_distance,
     levenshtein,
     nid,
     parse_table_html,
+    relabel_cost,
     serialize_for_nid,
     teds,
     teds_s,
@@ -213,6 +215,39 @@ class TestTreeEditDistance:
             b = _random_tree(rng)
             expected = tree_edit_oracle(a, b, relabel_cost_oracle)
             assert tree_edit_distance(a, b) == pytest.approx(expected, abs=1e-9)
+
+
+#: Cell texts whose lengths are all powers of two (or zero), so every relabel
+#: cost is a dyadic fraction and any order of adding costs gives the same
+#: float: the keyroot DP and the forest recursion must then agree exactly.
+#: They cover empty cells, non-BMP characters and cells longer than 64 bits.
+_DYADIC_TEXTS = ("", "a", "ab", "ba", "é𝄞", "kitten!!", "sitting!", "€𝄞€𝄞", "North 1,204.50 +",
+                 "North 1,180.00 -", "ab" * 32, "ba" * 32 + "é𝄞" * 32)
+
+
+def _span(rng: random.Random) -> str:
+    return rng.choice(["", "", "", ' colspan="2"', ' rowspan="2"', ' colspan="1"'])
+
+
+def _random_table_html(rng: random.Random) -> str:
+    """A small table with an optional ``th`` header row, spans and varied cell texts."""
+    parts = ["<table>"]
+    if rng.random() < 0.5:
+        cells = "".join(f"<th{_span(rng)}>{rng.choice(_DYADIC_TEXTS)}</th>" for _ in range(rng.randint(1, 3)))
+        parts.append(f"<thead><tr>{cells}</tr></thead>")
+    for _ in range(rng.randint(1, 3)):
+        cells = "".join(f"<td{_span(rng)}>{rng.choice(_DYADIC_TEXTS)}</td>" for _ in range(rng.randint(1, 3)))
+        parts.append(f"<tr>{cells}</tr>")
+    return "".join(parts) + "</table>"
+
+
+def test_tree_edit_distance_equals_oracle_exactly():
+    rng = random.Random(20261018)
+    for _ in range(300):
+        a = parse_table_html(_random_table_html(rng))
+        b = parse_table_html(_random_table_html(rng))
+        assert tree_edit_distance(a, b) == tree_edit_oracle(a, b, relabel_cost_oracle)
+        assert tree_edit_distance(b, a) == tree_edit_oracle(b, a, relabel_cost_oracle)
 
 
 _PIN_WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "kappa", "mu")
@@ -482,3 +517,38 @@ class TestLevenshtein:
         a, b = pair
         assert levenshtein(a, b) == levenshtein_oracle(a, b)
         assert levenshtein(b, a) == levenshtein_oracle(a, b)
+
+
+#: Lane texts up to 90 characters over an alphabet with non-BMP characters.
+lane_text = st.text(alphabet=long_alphabet, max_size=90)
+
+
+class TestLanes:
+    """``_Lanes`` against the row DP: every lane's distance is exact."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(st.lists(lane_text, min_size=1, max_size=1),
+                     st.lists(lane_text, min_size=2, max_size=8),
+                     st.lists(st.text(alphabet=long_alphabet, max_size=12), min_size=40, max_size=48)),
+           lane_text)
+    @example(["", "abc", ""], "")
+    @example(["", "abc", ""], "cab")
+    @example(["ab𝄞" * 30, "", "b𝄞a" * 25], "é𝄞" * 40)
+    @example(["a" * 65, "a" * 65], "a" * 66)
+    @example([""] * 41 + ["€"], "€")
+    def test_matches_row_dp_oracle(self, texts, a):
+        assert _Lanes(texts).distances(a) == [levenshtein_oracle(a, text) for text in texts]
+
+    def test_carry_does_not_cross_lanes(self):
+        # Each lane's addition carries out of its top bit; without a guard
+        # bit above every lane, the carry would change the next lane.
+        texts = ["aaaa", "b", "aaaa", "ab", ""]
+        assert _Lanes(texts).distances("aaaa") == [0, 4, 0, 3, 4]
+
+    def test_relabel_cost_is_the_matrix_entry(self):
+        assert relabel_cost(cell("kitten"), cell("sitting")) == 3 / 7
+        assert relabel_cost(cell(""), cell("")) == 0.0
+        assert relabel_cost(cell(""), cell("ab")) == 1.0
+        assert relabel_cost(cell("ab", colspan=2), cell("ab")) == 1.0
+        assert relabel_cost(row(), row()) == 0.0
+        assert relabel_cost(row(), cell("")) == 1.0

@@ -15,6 +15,7 @@ from docweave.errors import ValidationError
 from docweave.model import document_from_json
 from docweave.pipeline import (
     FORMATS,
+    MAX_WORKERS,
     PipelineConfig,
     _Clients,
     config_from_mapping,
@@ -518,6 +519,12 @@ class TestConfig:
         with pytest.raises(ValidationError):
             PipelineConfig(inputs=(), output_dir=tmp_path, workers=0)
 
+    def test_workers_above_cap_rejected(self, tmp_path):
+        # Only the rejection is tested: a run with this many workers is never started.
+        with pytest.raises(ValidationError, match=rf"\[1, {MAX_WORKERS}\], got {MAX_WORKERS + 1}"):
+            PipelineConfig(inputs=(), output_dir=tmp_path, workers=MAX_WORKERS + 1)
+        PipelineConfig(inputs=(), output_dir=tmp_path, workers=MAX_WORKERS)
+
     def test_config_from_mapping_overrides(self, tmp_path):
         config = config_from_mapping(
             {"layout_threshold": 0.5, "workers": 4, "assembly": {"cluster": {"eps": 0.2}}},
@@ -637,6 +644,20 @@ class TestCli:
     def test_parse_usage_error_exit_code(self, tmp_path):
         result = CliRunner().invoke(main, ["parse"])
         assert result.exit_code == 2
+
+    def test_parse_workers_above_cap_usage_error(self, tmp_path, monkeypatch):
+        import docweave.pipeline as pipeline_mod
+
+        def never(*args, **kwargs):
+            raise AssertionError("no document may be processed")
+
+        monkeypatch.setattr(pipeline_mod, "process_document", never)
+        path = minimal_input(tmp_path)
+        result = CliRunner().invoke(
+            main, ["parse", str(path), "-o", str(tmp_path / "out"), "-w", str(MAX_WORKERS + 1)]
+        )
+        assert result.exit_code == 2, result.output
+        assert f"worker count must be an integer in [1, {MAX_WORKERS}]" in result.output
 
     def test_parse_unknown_format_usage_error(self, tmp_path):
         path = minimal_input(tmp_path)
