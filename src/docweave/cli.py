@@ -154,9 +154,14 @@ def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers
 @click.argument("reference", type=click.Path(path_type=Path))
 @click.argument("prediction", type=click.Path(path_type=Path))
 @click.option("--mode", type=click.Choice(["layout", "table"]), required=True)
-@click.option("--report", "report_path", type=click.Path(path_type=Path), default=None, help="Write the full report JSON here.")
+@click.option("--report", "report_path", type=click.Path(path_type=Path), default=None, help="Write the full report JSON here, and the summary to the same path with a .txt suffix.")
 def eval_command(reference: Path, prediction: Path, mode: str, report_path):
     """Score prediction files against reference files (NID or TEDS/TEDS-S)."""
+    if report_path is not None and report_path.suffix == ".txt":
+        raise click.UsageError(
+            f"--report {report_path}: the summary is written to the report path with a .txt suffix; "
+            "give the report another suffix"
+        )
     try:
         report = evaluate(reference, prediction, mode)
     except DocweaveError as exc:

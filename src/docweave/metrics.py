@@ -9,23 +9,34 @@ with the Zhang-Shasha keyroot decomposition; the cost model (Zhong et al.
 normalized character edit distance between cell texts for matching ``td``
 nodes. TEDS-S runs the same comparison with cell texts blanked.
 
+Each node of a table tree gets a shape id: equal ids mean equal labelled
+subtrees (tag, spans, cell text and children's shapes, in order). The
+keyroot loop's ``treedist`` table and the relabel costs are indexed by (A
+shape, B shape), and a keyroot whose shape appeared at an earlier keyroot is
+skipped on either side, so repeated rows and repeated cell texts are
+compared once. This is exact: an entry's float comes from the two labelled
+subtrees alone, by the same additions in the same order. With cell texts
+blanked, the rows of a regular table share one shape, so TEDS-S runs a
+handful of keyroot pairs instead of one per pair of cells.
+
 Before the keyroot loop, ``tree_edit_distance`` builds the relabel cost of
-every (A node, B node) pair as one matrix. The cell edit distances come from
-a multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro 2005): the
-non-empty B cell texts of one span are packed as lanes of a single int, and
-Myers' recurrence (Myers 1999, in Hyyrö 2003's form for global distance)
-runs once per A cell, a few big-int operations per character, to give its
-distance to every B cell at once. The matrix holds at most one entry per
-(A node, B node) pair, as the loop's ``treedist`` table does, so a call
-keeps at most two entries per pair; A nodes with equal tags, spans and
+every (A shape, B shape) pair as one matrix. The cell edit distances come
+from a multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro
+2005): the non-empty B cell texts of one span are packed as lanes of a
+single int, and Myers' recurrence (Myers 1999, in Hyyrö 2003's form for
+global distance) runs once per A cell, a few big-int operations per
+character, to give its distance to every B cell at once. The matrix and
+``treedist`` each hold at most one entry per (A shape, B shape) pair, never
+more than one per (A node, B node) pair; A shapes with equal tags, spans and
 texts share one row of the matrix.
 
 TEDS is quadratic in table size. Measured on one core of a 2-core x86 host
-under CPython 3.11, for a table against a copy with one row deleted and a
-fifth of its cells reworded, one ``teds`` call takes about 0.014 s at 10x10
-with 1-word cells, 0.02 s at 10x10 with 5-word cells, 0.14 s at 30x10 with
-1-word cells and 0.2 s at 30x10 with 5-word cells; ``teds_s`` takes
-0.01-0.1 s on the same tables. ``evaluate`` sets no size limit.
+under CPython 3.11, for a table of words from a 30-word vocabulary against a
+copy with one row deleted and a fifth of its cells reworded, one ``teds``
+call takes about 0.016 s at 10x10 with 1-word cells, 0.036 s at 10x10 with
+5-word cells, 0.12 s at 30x10 with 1-word cells and 0.38 s at 30x10 with
+5-word cells (1-word cells repeat, 5-word cells do not); ``teds_s`` takes
+0.004-0.03 s on the same tables. ``evaluate`` sets no size limit.
 """
 
 from __future__ import annotations
@@ -199,6 +210,8 @@ class TableNode:
 
 _SECTION_TAGS = {"thead", "tbody", "tfoot"}
 _CELL_TAGS = {"td", "th"}
+#: Tags of a nested table that separate the texts around them by a space.
+_NESTED_BREAK_TAGS = {"table", "tr", "td", "th"}
 
 
 def _parse_span(attrs: dict[str, Optional[str]], name: str) -> int:
@@ -220,7 +233,9 @@ class _TableHtmlParser(HTMLParser):
     """Builds a TableNode tree from the first <table> element.
 
     Only table/thead/tbody/tfoot/tr/td(th) become nodes; other markup inside
-    cells contributes text only. Unclosed rows and cells are repaired by
+    cells contributes text only. A table nested in a cell contributes text
+    only too: its rows and cells separate their texts by a space, and its
+    ``</table>`` closes only itself. Unclosed rows and cells are repaired by
     closing them at the next structural boundary.
     """
 
@@ -231,6 +246,7 @@ class _TableHtmlParser(HTMLParser):
         self.row: Optional[TableNode] = None
         self.cell: Optional[TableNode] = None
         self.cell_parts: list[str] = []
+        self.nested = 0  # tables open inside the first one
         self.done = False
 
     def _close_cell(self):
@@ -255,7 +271,11 @@ class _TableHtmlParser(HTMLParser):
                 self.root = TableNode("table")
             return
         if tag == "table":
-            return  # nested tables contribute cell text only
+            self.nested += 1
+        if self.nested:
+            if tag in _NESTED_BREAK_TAGS:
+                self.handle_data(" ")
+            return
         if tag in _SECTION_TAGS:
             self._close_section()
             self.section = TableNode(tag)
@@ -282,7 +302,12 @@ class _TableHtmlParser(HTMLParser):
     def handle_endtag(self, tag):
         if self.done or self.root is None:
             return
-        if tag in _CELL_TAGS:
+        if self.nested:
+            if tag in _NESTED_BREAK_TAGS:
+                self.handle_data(" ")
+            if tag == "table":
+                self.nested -= 1
+        elif tag in _CELL_TAGS:
             self._close_cell()
         elif tag == "tr":
             self._close_row()
@@ -334,8 +359,8 @@ def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -
     The non-empty ``td`` texts of ``b_nodes`` with the same spans form one
     :class:`_Lanes` each, so a cell of ``a_nodes`` gets its distances to all
     of them in one pass. A cell text or node label repeated in ``a_nodes``
-    shares one row. The matrix holds at most one entry per (A node, B node)
-    pair, as many as the Zhang-Shasha ``treedist`` table.
+    shares one row. ``tree_edit_distance`` passes one node per shape, so the
+    matrix holds as many entries as its ``treedist`` table.
     """
     # Per (tag, colspan, rowspan): the nodes an equal A node relabels to for
     # free, and the non-empty cells whose cost is a text distance.
@@ -371,83 +396,112 @@ def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -
     return costs
 
 
-def _postorder(root: TableNode) -> tuple[list[TableNode], list[int]]:
-    """Postorder node list plus, per node, the index of its leftmost leaf."""
-    nodes: list[TableNode] = []
+def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
+    """Per node in postorder, its leftmost leaf's index and its shape id; plus
+    the first node of each shape, indexed by shape id.
+
+    Two nodes share a shape id exactly when their subtrees carry the same
+    labels in the same order: the key is the node's tag, spans, text (for a
+    ``td``; the cost model ignores any other node's text) and its children's
+    shape ids. Ids go out in order of first appearance, so in a tree with no
+    repeated subtree each node's shape id is its postorder index.
+    """
     lmds: list[int] = []
+    shapes: list[int] = []
+    firsts: list[TableNode] = []
+    ids: dict[tuple, int] = {}
 
     def visit(node: TableNode) -> int:
         first_leaf = None
+        child_shapes = []
         for child in node.children:
             child_lmd = visit(child)
+            child_shapes.append(shapes[-1])
             if first_leaf is None:
                 first_leaf = child_lmd
-        index = len(nodes)
-        nodes.append(node)
+        index = len(lmds)
         lmds.append(first_leaf if first_leaf is not None else index)
+        text = node.text if node.tag == "td" else ""
+        shape = ids.setdefault((node.tag, node.colspan, node.rowspan, text, tuple(child_shapes)), len(ids))
+        if shape == len(firsts):
+            firsts.append(node)
+        shapes.append(shape)
         return lmds[index]
 
     visit(root)
-    return nodes, lmds
+    return lmds, shapes, firsts
 
 
-def _keyroots(lmds: list[int]) -> list[int]:
+def _keyroots(lmds: list[int], shapes: list[int]) -> list[int]:
+    """Keyroots in postorder, keeping only the first keyroot of each shape."""
     # Highest postorder index per distinct leftmost-leaf value.
     latest: dict[int, int] = {}
     for index, lmd in enumerate(lmds):
         latest[lmd] = index
-    return sorted(latest.values())
+    first: dict[int, int] = {}
+    for index in sorted(latest.values()):
+        first.setdefault(shapes[index], index)
+    return list(first.values())
 
 
 def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
-    """Ordered tree edit distance under the TEDS cost model."""
-    a_nodes, a_lmds = _postorder(tree_a)
-    b_nodes, b_lmds = _postorder(tree_b)
-    costs = _relabel_costs(a_nodes, b_nodes)
-    treedist = [[0.0] * len(b_nodes) for _ in range(len(a_nodes))]
-    # Per keyroot j of b, one column per node of its subtree: the node's index,
-    # the forest-distance column just left of its own subtree, and whether it
-    # shares j's leftmost leaf.
+    """Ordered tree edit distance under the TEDS cost model.
+
+    ``treedist`` and the relabel costs are indexed by (A shape, B shape), and
+    a keyroot whose shape appeared at an earlier keyroot is skipped on either
+    side. This is exact: the float in ``treedist[s][t]`` is built from the
+    labelled subtrees of shapes ``s`` and ``t`` alone, by the same additions
+    in the same order wherever they occur, and the inner keyroots of a
+    keyroot come before it in postorder, so the first keyroot of each inner
+    shape has already filled its entries.
+    """
+    a_lmds, a_shapes, a_firsts = _postorder(tree_a)
+    b_lmds, b_shapes, b_firsts = _postorder(tree_b)
+    costs = _relabel_costs(a_firsts, b_firsts)
+    treedist = [[0.0] * len(b_firsts) for _ in a_firsts]
+    # Per keyroot of either tree, one entry per node of its subtree: the node's
+    # shape, the forest-distance row or column just before its own subtree,
+    # and whether it shares the keyroot's leftmost leaf.
     b_columns = {
-        j: [(y, b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j]) for y in range(b_lmds[j], j + 1)]
-        for j in _keyroots(b_lmds)
+        j: [(b_shapes[y], b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j]) for y in range(b_lmds[j], j + 1)]
+        for j in _keyroots(b_lmds, b_shapes)
     }
 
-    for i in _keyroots(a_lmds):
+    for i in _keyroots(a_lmds, a_shapes):
         li = a_lmds[i]
+        rows = [(a_shapes[x], a_lmds[x] - li, a_lmds[x] == li) for x in range(li, i + 1)]
         for j, columns in b_columns.items():
             if b_lmds[j] == j:
+                sj = b_shapes[j]
                 if li == i:
                     # Two leaves: the forest distance is min(2, 2, relabel)
                     # and a relabel costs at most 1.
-                    treedist[i][j] = costs[i][j]
+                    treedist[a_shapes[i]][sj] = costs[a_shapes[i]][sj]
                     continue
                 # A leaf j: the forest table has one column besides column 0,
                 # and column 0 holds r in row r, so one running value is kept.
                 # The additions are those of the general loop below.
                 up = 1.0
-                for x in range(li, i + 1):
-                    r = float(x - li)
+                for r, (x, p, leftmost) in enumerate(rows):
                     best = up + 1.0
                     step = r + 2.0
                     if step < best:
                         best = step
-                    lx = a_lmds[x]
-                    if lx == li:
-                        step = r + costs[x][j]
+                    if leftmost:
+                        step = r + costs[x][sj]
                         if step < best:
                             best = step
-                        treedist[x][j] = best
+                        treedist[x][sj] = best
                     else:
-                        step = float(lx - li) + treedist[x][j]
+                        step = p + treedist[x][sj]
                         if step < best:
                             best = step
                     up = best
                 continue
             if li == i:
                 # A leaf i: one row besides row 0, and row 0 holds k in column k.
-                cost_row = costs[i]
-                tree_row = treedist[i]
+                cost_row = costs[a_shapes[i]]
+                tree_row = treedist[a_shapes[i]]
                 left = 1.0
                 for k, (y, q, same_leaf) in enumerate(columns):
                     best = k + 2.0
@@ -470,12 +524,11 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
             first = [float(y) for y in range(len(columns) + 1)]
             fd = [first]
             above = first
-            for x in range(li, i + 1):
+            for x, p, leftmost in rows:
                 left = above[0] + 1.0
                 row = [left]
                 tree_row = treedist[x]
-                lx = a_lmds[x]
-                if lx == li:
+                if leftmost:
                     cost_row = costs[x]
                     for up, diagonal, (y, q, same_leaf) in zip(above[1:], above, columns):
                         best = up + 1.0
@@ -494,7 +547,7 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                         row.append(best)
                         left = best
                 else:
-                    before = fd[lx - li]
+                    before = fd[p]
                     for up, (y, q, _) in zip(above[1:], columns):
                         best = up + 1.0
                         step = left + 1.0
@@ -507,7 +560,7 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                         left = best
                 fd.append(row)
                 above = row
-    return treedist[-1][-1]
+    return treedist[a_shapes[-1]][b_shapes[-1]]
 
 
 def teds(tree_a: TableNode, tree_b: TableNode) -> float:

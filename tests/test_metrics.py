@@ -8,6 +8,8 @@ from docweave.errors import EvaluationError, TableParseError
 from docweave.metrics import (
     TableNode,
     _Lanes,
+    _keyroots,
+    _postorder,
     evaluate,
     indel_distance,
     levenshtein,
@@ -157,6 +159,14 @@ class TestParseTableHtml:
         tree = parse_table_html("<div><p>x</p><table><tr><td>y</td></tr></table></div>")
         assert tree.children[0].children[0].text == "y"
 
+    def test_nested_table_contributes_cell_text_only(self):
+        tree = parse_table_html(
+            "<table><tr><td>a<table><tr><td>x</td><td>w<table><tr><td>deep</td></tr></table>"
+            "</td></tr></table> after</td><td>y</td></tr><tr><td>z</td></tr></table>"
+            "<table><tr><td>second table</td></tr></table>"
+        )
+        assert [[c.text for c in r.children] for r in tree.children] == [["a x w deep after", "y"], ["z"]]
+
 
 def cell(text, colspan=1, rowspan=1):
     return TableNode("td", text=text, colspan=colspan, rowspan=rowspan)
@@ -250,6 +260,60 @@ def test_tree_edit_distance_equals_oracle_exactly():
         assert tree_edit_distance(b, a) == tree_edit_oracle(b, a, relabel_cost_oracle)
 
 
+def _repeated_table_html(rng: random.Random) -> str:
+    """A table of 2-4 rows drawn from two row templates over three texts.
+
+    Some rows are reversed, so rows that hold the same cells in another
+    order occur; an optional ``thead`` repeats the first row as ``th`` cells.
+    """
+    texts = rng.sample(_DYADIC_TEXTS, 3)
+    templates = [[f"<td{_span(rng)}>{rng.choice(texts)}</td>" for _ in range(rng.randint(1, 3))]
+                 for _ in range(2)]
+    rows = []
+    for _ in range(rng.randint(2, 4)):
+        cells = rng.choice(templates)
+        rows.append("<tr>" + "".join(cells[::-1] if rng.random() < 0.3 else cells) + "</tr>")
+    head = f"<thead>{rows[0].replace('td', 'th')}</thead>" if rng.random() < 0.3 else ""
+    return f"<table>{head}{''.join(rows)}</table>"
+
+
+def test_tree_edit_distance_equals_oracle_exactly_on_shared_shapes():
+    rng = random.Random(20261019)
+    for _ in range(100):
+        a = parse_table_html(_repeated_table_html(rng))
+        b = parse_table_html(_repeated_table_html(rng))
+        for x, y in ((a, b), (b, a), (a.blanked(), b.blanked()), (b.blanked(), a.blanked())):
+            assert tree_edit_distance(x, y) == tree_edit_oracle(x, y, relabel_cost_oracle)
+
+
+class TestShapes:
+    """Shape ids from ``_postorder`` and the keyroots kept per shape."""
+
+    def test_no_repeated_subtree_gives_postorder_index(self):
+        tree = table(row(cell("a"), cell("b")), row(cell("c", colspan=2)))
+        assert _postorder(tree)[1] == list(range(tree.size()))
+
+    def test_equal_subtrees_share_a_shape(self):
+        tree = table(row(cell("a"), cell("b")), row(cell("a"), cell("b")), row(cell("b"), cell("a")))
+        lmds, shapes, firsts = _postorder(tree)
+        # Postorder: a b tr | a b tr | b a tr | table.
+        assert shapes == [0, 1, 2, 0, 1, 2, 1, 0, 3, 4]
+        assert _keyroots(lmds, shapes) == [1, 5, 7, 8, 9]
+        first_row = tree.children[0]
+        expected = [first_row.children[0], first_row.children[1], first_row, tree.children[2], tree]
+        assert [id(node) for node in firsts] == [id(node) for node in expected]
+
+    def test_key_holds_text_spans_and_tag(self):
+        cells = [cell("a"), cell("b"), cell("a", colspan=2), cell("a", rowspan=2), TableNode("tr", text="a")]
+        assert _postorder(row(*cells))[1] == list(range(6))
+
+    def test_blanked_grid_has_three_shapes(self):
+        a, _ = _seeded_grid_pair(9)
+        lmds, shapes, _ = _postorder(a.blanked())
+        assert max(shapes) == 2
+        assert len(_keyroots(lmds, shapes)) == 3
+
+
 _PIN_WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "kappa", "mu")
 
 
@@ -287,6 +351,26 @@ def _spanned_pair() -> tuple[TableNode, TableNode]:
     return TableNode("table", children=[head, body]), TableNode("table", children=[head_edit, body_edit])
 
 
+def _repeated_pair() -> tuple[TableNode, TableNode]:
+    """Tables with a spanned ``thead`` and repeated filler rows.
+
+    The copy loses one filler row, rewords another and splits a head cell.
+    """
+    filler = ("-", "0", "N/A")
+    head = TableNode("thead", children=[row(cell("Item", rowspan=2), cell("2023", colspan=2)),
+                                        row(cell("Q1"), cell("Q2"))])
+    body = TableNode("tbody", children=[row(cell("North"), cell("12"), cell("0"))]
+                     + [row(*(cell(text) for text in filler)) for _ in range(4)]
+                     + [row(cell("Total", colspan=2), cell("12"))])
+    head_edit = TableNode("thead", children=[row(cell("Item"), cell("2023", colspan=2)),
+                                             row(cell(""), cell("Q1"), cell("Q2"))])
+    body_edit = TableNode("tbody", children=[row(cell("North"), cell("12"), cell("-"))]
+                          + [row(*(cell(text) for text in filler)) for _ in range(3)]
+                          + [row(cell("-"), cell("0"), cell("n/a"))]
+                          + [row(cell("Total", colspan=2), cell("12"))])
+    return TableNode("table", children=[head, body]), TableNode("table", children=[head_edit, body_edit])
+
+
 class TestPinnedScores:
     """Exact TEDS and TEDS-S values of fixed pairs, compared with ``==``.
 
@@ -299,6 +383,7 @@ class TestPinnedScores:
         (_spanned_pair(), 0.6311433664374841, 0.6470588235294117),
         ((cell("kitten"), cell("sitting")), 0.5714285714285714, 1.0),
         ((cell("kitten"), cell("kitten", colspan=2)), 0.0, 0.0),
+        (_repeated_pair(), 0.8888888888888888, 0.9393939393939394),
     ])
     def test_exact(self, pair, expected_teds, expected_teds_s):
         a, b = pair

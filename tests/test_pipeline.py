@@ -840,6 +840,18 @@ class TestCli:
         summary = report_path.with_suffix(".txt").read_text(encoding="utf-8")
         assert "TEDS   1.00" in summary
 
+    def test_eval_rejects_txt_report_path(self, tmp_path):
+        golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
+        report_path = tmp_path / "out.txt"
+        result = CliRunner().invoke(
+            main,
+            ["eval", str(golden), str(golden), "--mode", "table", "--report", str(report_path)],
+        )
+        assert result.exit_code == 2
+        assert "give the report another suffix" in result.output
+        assert "TEDS" not in result.output
+        assert not report_path.exists()
+
     def test_eval_missing_file(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
         result = CliRunner().invoke(
