@@ -404,6 +404,23 @@ class TestGoldenFiles:
         assert json.loads(read("report.graph.json")) == {"nodes": nodes, "edges": edges}
         assert json.loads(read("report.dpbench.json"))["elements"] == to_dpbench(doc)
 
+    @pytest.mark.parametrize(
+        "suffix", [".md", ".chunks.jsonl", ".graph.json", ".dpbench.json", ".json"]
+    )
+    def test_ingest_cases_match_golden(self, tmp_path_factory, suffix):
+        """Second fixture, default flags: ids derived for detections without one,
+        short and empty texts dropped, titles and bodies normalized, detections
+        at and below both thresholds, pages out of order in the file, and
+        ``row_group``, ``group``, ``column_text`` and ``layout_box`` regions."""
+        from docweave.pipeline import PipelineConfig, run_pipeline
+
+        out = tmp_path_factory.mktemp("ingest_cases")
+        config = PipelineConfig(inputs=(FIXTURE_DIR / "ingest_cases.json",), output_dir=out)
+        (outcome,) = run_pipeline(config)
+        assert outcome.error is None and not outcome.failed_pages
+        name = "ingest_cases" + suffix
+        assert (out / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
     def test_exporters_are_pure(self, outputs):
         from docweave.model import document_from_json
 

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -45,6 +46,36 @@ def input_payload(element_detections=(), layout_detections=(), page_number=1, **
         ],
         **extra,
     }
+
+
+def bad_fields(label, kind):
+    """One (detection, field, message) per field check; every message is literal text.
+
+    Each field is checked before the confidence threshold, so a detection far
+    below it is still rejected.
+    """
+    return [
+        ({"confidence": 0.9, "bbox": [0, 0, 10, 10]}, ".label", "label must be a non-empty string"),
+        (detection("", 0.9), ".label", "label must be a non-empty string"),
+        (detection(7, 0.9), ".label", "label must be a non-empty string"),
+        (detection("heading", 0.9), ".label", f"unknown {kind} label 'heading'"),
+        (detection(label, True), ".confidence", "confidence must be a number"),
+        (detection(label, "0.9"), ".confidence", "confidence must be a number"),
+        (detection(label, None), ".confidence", "confidence must be a number"),
+        (detection(label, 1.5), ".confidence", "confidence must be in [0,1], got 1.5"),
+        (detection(label, -0.25), ".confidence", "confidence must be in [0,1], got -0.25"),
+        (detection(label, 0.01, text=5), ".text", "text must be a string"),
+        (detection(label, 0.01, id=5), ".id", "id must be a non-empty string when present"),
+        (detection(label, 0.01, id=""), ".id", "id must be a non-empty string when present"),
+        (detection(label, 0.01, image_payload=5), ".image_payload",
+         "image_payload must be a string when present"),
+        (detection(label, 0.01, image_payload=["a.png"]), ".image_payload",
+         "image_payload must be a string when present"),
+        (detection(label, 0.01, bbox=(10, 0, 0, 10)), ".bbox",
+         "box must satisfy left <= right and top <= bottom, got (10.0, 0.0, 0.0, 10.0)"),
+        (detection(label, 0.01, bbox=(0, -1, 10, 10)), ".bbox",
+         "box coordinates must be non-negative, got (0.0, -1.0, 10.0, 10.0)"),
+    ]
 
 
 class TestLoadDetections:
@@ -117,11 +148,27 @@ class TestLoadDetections:
              r"bbox must be a \[left, top, right, bottom\] array"),
             ({**detection("text", 0.9), "bbox": {"0": 0, "1": 0, "2": 1, "3": 1}}, ".bbox",
              r"bbox must be a \[left, top, right, bottom\] array"),
+            *[(raw, field, re.escape(message)) for raw, field, message in bad_fields("text", "element")],
         ],
     )
     def test_bad_detection_names_its_field(self, tmp_path, raw, field, message):
         path = write_detection_file(tmp_path / "in.json", input_payload(element_detections=[raw]))
         with pytest.raises(DetectionInputError, match=rf"element_detections\[0\]{field}: {message}"):
+            load_detections(path)
+
+    @pytest.mark.parametrize(
+        "raw, field, message",
+        [
+            ("group", "", "detection must be an object"),
+            ({**detection("group", 0.9), "bbox": "abcd"}, ".bbox",
+             "bbox must be a [left, top, right, bottom] array"),
+            *bad_fields("group", "layout"),
+        ],
+    )
+    def test_bad_layout_detection_names_its_field(self, tmp_path, raw, field, message):
+        path = write_detection_file(tmp_path / "in.json", input_payload(layout_detections=[raw]))
+        expected = re.escape(f"layout_detections[0]{field}: {message}")
+        with pytest.raises(DetectionInputError, match=expected):
             load_detections(path)
 
     @pytest.mark.parametrize(
