@@ -52,12 +52,12 @@ from .export import (
 from .geometry import BBox, contains_midpoint, iou, union_bbox
 from .ingest import (
     DetectionInput,
+    LayoutDetection,
     PageDetections,
     RawDetection,
     build_entities,
     classify_document,
     enrich_entities,
-    filter_small_text,
     gate_images,
     load_detections,
     normalize_body,

@@ -21,7 +21,7 @@ from typing import Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .geometry import BBox, contains_midpoint, iou
-from .ingest import RawDetection
+from .ingest import LayoutDetection
 from .metrics import indel_distance
 from .model import (
     ElementLabel,
@@ -273,7 +273,7 @@ def order_generic_group(members: Sequence[Entity]) -> Group:
 
 
 def assign_groups(
-    layout_detections: Sequence[RawDetection],
+    layout_detections: Sequence[LayoutDetection],
     entities: Sequence[Entity],
     params: AssemblyParams,
 ) -> list[Group]:
@@ -305,10 +305,9 @@ def assign_groups(
         ]
         if not candidates:
             continue
-        label = LayoutLabel(region.label)
-        if label is LayoutLabel.MULTI_COLUMN:
+        if region.label is LayoutLabel.MULTI_COLUMN:
             region_groups = cluster_multi_column(candidates, params.cluster)
-        elif label is LayoutLabel.ROW_GROUP:
+        elif region.label is LayoutLabel.ROW_GROUP:
             region_groups = [order_row_group(candidates, params.row)]
         else:
             region_groups = [order_generic_group(candidates)]
@@ -403,7 +402,7 @@ def order_page_elements(groups: Sequence[Group], members: Mapping[str, Entity]) 
 
 def assemble_page(
     page_number: int,
-    layout_detections: Sequence[RawDetection],
+    layout_detections: Sequence[LayoutDetection],
     entities: Sequence[Entity],
     params: AssemblyParams,
     skipped_image_ids: Sequence[str] = (),

@@ -9,7 +9,10 @@ from typing import Iterable
 
 @dataclass(frozen=True)
 class BBox:
-    """Axis-aligned pixel box. Invariant: left <= right, top <= bottom, all >= 0."""
+    """Axis-aligned pixel box. Invariant: left <= right, top <= bottom, all >= 0.
+
+    Coordinates are ints or floats, never coerced from bools or strings.
+    """
 
     left: float
     top: float
@@ -18,7 +21,13 @@ class BBox:
 
     def __post_init__(self):
         for name in ("left", "top", "right", "bottom"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, got {value!r}")
+            try:
+                object.__setattr__(self, name, float(value))
+            except OverflowError:
+                raise ValueError(f"{name} is too large for a float") from None
         coords = (self.left, self.top, self.right, self.bottom)
         if not all(math.isfinite(c) for c in coords):
             raise ValueError(f"box coordinates must be finite, got {coords}")

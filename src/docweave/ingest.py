@@ -21,9 +21,11 @@ with OCR/PDF text already bound to each detection::
       ]
     }
 
-Layout detections below the layout threshold (default 0.20) and element
-detections below the element threshold (default 0.30) are dropped; equality
-keeps the detection. Unknown labels are rejected.
+``load_detections`` checks every field of every detection once, parsing labels
+into their enums (unknown labels are rejected) and deriving missing element ids,
+then drops layout detections below the layout threshold (default 0.20) and
+element detections below the element threshold (default 0.30); equality keeps
+the detection. ``build_entities`` turns the kept element records into entities.
 """
 
 from __future__ import annotations
@@ -34,9 +36,9 @@ import re
 import unicodedata
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .clients import (
     CategoryClassifier,
@@ -54,7 +56,6 @@ from .model import (
     EntityValue,
     LayoutLabel,
     SchemaWeights,
-    make_entity,
     read_json_object,
 )
 
@@ -75,23 +76,30 @@ _BULLET_LINE = re.compile(rf"^[ \t]*[{BULLET_GLYPHS}][ \t]*")
 _SPACE_RUN = re.compile(r"[ \t]+")
 
 
-@dataclass(frozen=True)
-class RawDetection:
-    """One detector hit, element- or layout-level, as read from the input file."""
+class RawDetection(NamedTuple):
+    """One checked element detection, as read from the input file."""
 
-    label: str
+    id: str
+    label: ElementLabel
     confidence: float
     bbox: BBox
     text: str = ""
     image_payload: Optional[str] = None
-    id: Optional[str] = None
+
+
+class LayoutDetection(NamedTuple):
+    """One checked layout region, as read from the input file."""
+
+    label: LayoutLabel
+    confidence: float
+    bbox: BBox
 
 
 @dataclass(frozen=True)
 class PageDetections:
     page_number: int
     element_detections: tuple[RawDetection, ...]
-    layout_detections: tuple[RawDetection, ...]
+    layout_detections: tuple[LayoutDetection, ...]
     full_page_text: Optional[str] = None
 
 
@@ -112,16 +120,16 @@ def _array(value: Any, context: str) -> list:
     return value
 
 
-def _parse_detection(
-    raw: Any, context: str, labels: type, threshold: float
-) -> Optional[RawDetection]:
+def _parse_detection(raw: Any, context: str, labels: type) -> tuple:
+    """Check one detection; returns its label (a ``labels`` member), confidence,
+    bbox, text, id and image_payload, the last two possibly None."""
     if not isinstance(raw, dict):
         _fail(context, "detection must be an object")
     label_raw = raw.get("label")
     if not label_raw or not isinstance(label_raw, str):
         _fail(f"{context}.label", "label must be a non-empty string")
     try:
-        labels(label_raw)
+        label = labels(label_raw)
     except ValueError:
         kind = "layout" if labels is LayoutLabel else "element"
         _fail(f"{context}.label", f"unknown {kind} label {label_raw!r}")
@@ -149,17 +157,7 @@ def _parse_detection(
     payload = raw.get("image_payload")
     if payload is not None and not isinstance(payload, str):
         _fail(f"{context}.image_payload", "image_payload must be a string when present")
-
-    if confidence < threshold:
-        return None
-    return RawDetection(
-        label=label_raw,
-        confidence=confidence,
-        bbox=bbox,
-        text=text,
-        image_payload=payload,
-        id=entity_id,
-    )
+    return label, confidence, bbox, text, entity_id, payload
 
 
 #: Namespace of the ids given to element detections that carry none.
@@ -205,27 +203,26 @@ def load_detections(
         detections = _array(page_raw.get("element_detections", []), f"{context}.element_detections")
         for det_index, det_raw in enumerate(detections):
             det_context = f"{context}.element_detections[{det_index}]"
-            det = _parse_detection(det_raw, det_context, ElementLabel, element_threshold)
-            if det is None:
+            label, confidence, bbox, text, det_id, payload = _parse_detection(
+                det_raw, det_context, ElementLabel
+            )
+            if confidence < element_threshold:
                 continue
-            if det.id is None:
+            if det_id is None:
                 key = json.dumps([filename, number, det_index])
-                det = replace(det, id=str(uuid.uuid5(_ID_NAMESPACE, key)))
-            if det.id in seen_ids:
-                _fail(f"{det_context}.id", f"duplicate entity id {det.id!r}")
-            seen_ids.add(det.id)
-            elements.append(det)
+                det_id = str(uuid.uuid5(_ID_NAMESPACE, key))
+            if det_id in seen_ids:
+                _fail(f"{det_context}.id", f"duplicate entity id {det_id!r}")
+            seen_ids.add(det_id)
+            elements.append(RawDetection(det_id, label, confidence, bbox, text, payload))
         layouts = []
         detections = _array(page_raw.get("layout_detections", []), f"{context}.layout_detections")
         for det_index, det_raw in enumerate(detections):
-            det = _parse_detection(
-                det_raw,
-                f"{context}.layout_detections[{det_index}]",
-                LayoutLabel,
-                layout_threshold,
+            label, confidence, bbox, *_ = _parse_detection(
+                det_raw, f"{context}.layout_detections[{det_index}]", LayoutLabel
             )
-            if det is not None:
-                layouts.append(det)
+            if confidence >= layout_threshold:
+                layouts.append(LayoutDetection(label, confidence, bbox))
 
         full_text = page_raw.get("full_page_text")
         if full_text is not None and not isinstance(full_text, str):
@@ -290,45 +287,38 @@ def normalize_body(s: str) -> str:
     return "\n".join(lines)
 
 
-def normalize_for_label(text: str, label: ElementLabel) -> str:
-    if label in TITLE_LIKE_LABELS:
-        return normalize_title(text)
-    return normalize_body(text)
-
-
 # ---------------------------------------------------------------------------
-# Entity construction and filtering
+# Entity construction
 # ---------------------------------------------------------------------------
 
 
 def build_entities(
     detections: Sequence[RawDetection], schema: SchemaWeights
 ) -> list[Entity]:
-    """Turn element detections into entities with normalized text."""
+    """Turn element detections into entities with normalized text.
+
+    An entity whose normalized text is shorter than ``MIN_TEXT_LENGTH`` is
+    dropped, unless it is a table or an image.
+    """
     entities = []
     for det in detections:
-        label = ElementLabel(det.label)
+        label = det.label
+        normalize = normalize_title if label in TITLE_LIKE_LABELS else normalize_body
+        text = normalize(det.text)
+        if len(text) < MIN_TEXT_LENGTH and label not in SMALL_TEXT_EXEMPT:
+            continue
         entities.append(
-            make_entity(
-                label=label,
+            Entity(
+                id=det.id,
+                type=label,
                 confidence=det.confidence,
-                bbox=det.bbox,
-                value=EntityValue(text=normalize_for_label(det.text, label)),
-                schema=schema,
-                entity_id=det.id,
+                value=EntityValue(text=text),
+                pixel_coordinates=det.bbox,
+                weight=schema.weights[label],
                 image_payload=det.image_payload,
             )
         )
     return entities
-
-
-def filter_small_text(entities: Sequence[Entity]) -> list[Entity]:
-    """Drop near-empty entities; tables and images are kept regardless."""
-    return [
-        e
-        for e in entities
-        if e.type in SMALL_TEXT_EXEMPT or len(e.value.text) >= MIN_TEXT_LENGTH
-    ]
 
 
 def _run_per_entity(targets, call, max_workers: int):

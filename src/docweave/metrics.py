@@ -210,8 +210,10 @@ class TableNode:
 
 _SECTION_TAGS = {"thead", "tbody", "tfoot"}
 _CELL_TAGS = {"td", "th"}
-#: Tags of a nested table that separate the texts around them by a space.
-_NESTED_BREAK_TAGS = {"table", "tr", "td", "th"}
+#: Tags inside a cell that separate the texts around them by a space; a nested
+#: table's structural tags do too.
+_WORD_BREAK_TAGS = {"br", "p", "div", "li", "ul", "ol"}
+_NESTED_BREAK_TAGS = {"table", "tr", "td", "th"} | _WORD_BREAK_TAGS
 
 
 def _parse_span(attrs: dict[str, Optional[str]], name: str) -> int:
@@ -233,10 +235,11 @@ class _TableHtmlParser(HTMLParser):
     """Builds a TableNode tree from the first <table> element.
 
     Only table/thead/tbody/tfoot/tr/td(th) become nodes; other markup inside
-    cells contributes text only. A table nested in a cell contributes text
-    only too: its rows and cells separate their texts by a space, and its
-    ``</table>`` closes only itself. Unclosed rows and cells are repaired by
-    closing them at the next structural boundary.
+    cells contributes text only, with line-break and block tags separating
+    words and inline tags (``b``, ``span``) not. A table nested in a cell
+    contributes text only too: its rows and cells separate their texts by a
+    space, and its ``</table>`` closes only itself. Unclosed rows and cells
+    are repaired by closing them at the next structural boundary.
     """
 
     def __init__(self):
@@ -272,9 +275,9 @@ class _TableHtmlParser(HTMLParser):
             return
         if tag == "table":
             self.nested += 1
+        if tag in (_NESTED_BREAK_TAGS if self.nested else _WORD_BREAK_TAGS):
+            self.handle_data(" ")
         if self.nested:
-            if tag in _NESTED_BREAK_TAGS:
-                self.handle_data(" ")
             return
         if tag in _SECTION_TAGS:
             self._close_section()
@@ -302,9 +305,9 @@ class _TableHtmlParser(HTMLParser):
     def handle_endtag(self, tag):
         if self.done or self.root is None:
             return
+        if tag in (_NESTED_BREAK_TAGS if self.nested else _WORD_BREAK_TAGS):
+            self.handle_data(" ")
         if self.nested:
-            if tag in _NESTED_BREAK_TAGS:
-                self.handle_data(" ")
             if tag == "table":
                 self.nested -= 1
         elif tag in _CELL_TAGS:

@@ -12,7 +12,6 @@ import json
 import math
 import re
 import sys
-import uuid
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -172,22 +171,19 @@ def make_entity(
     bbox: BBox,
     value: EntityValue,
     schema: SchemaWeights,
-    entity_id: Optional[str] = None,
+    entity_id: str,
     image_payload: Optional[str] = None,
 ) -> Entity:
-    """Build an entity, deriving its weight from the schema.
-
-    Caller-supplied ids are preserved; otherwise a random version-4 UUID is
-    assigned (``load_detections`` already gives every detection a stable id).
-    """
+    """Build an entity with a checked label and confidence, deriving its weight
+    from the schema."""
     label = ElementLabel(label)
     confidence = float(confidence)
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"confidence must be in [0,1], got {confidence}")
-    if entity_id is not None and not entity_id:
+    if not entity_id:
         raise ValidationError("entity id must be a non-empty string")
     return Entity(
-        id=entity_id if entity_id is not None else str(uuid.uuid4()),
+        id=entity_id,
         type=label,
         confidence=confidence,
         value=value,

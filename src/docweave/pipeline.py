@@ -38,7 +38,6 @@ from .ingest import (
     build_entities,
     classify_document,
     enrich_entities,
-    filter_small_text,
     gate_images,
     load_detections,
 )
@@ -246,7 +245,7 @@ def _process_page(
 ) -> _PageOutcome:
     outcome = _PageOutcome(page_number=page.page_number)
     try:
-        entities = filter_small_text(build_entities(page.element_detections, schema))
+        entities = build_entities(page.element_detections, schema)
         skipped_ids: list[str] = []
         if config.skip_images:
             entities, skipped_ids = gate_images(

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from docweave.geometry import BBox
-from docweave.ingest import RawDetection
-from docweave.model import ElementLabel, EntityValue, SchemaWeights, make_entity
+from docweave.ingest import LayoutDetection
+from docweave.model import ElementLabel, EntityValue, LayoutLabel, SchemaWeights, make_entity
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
 
@@ -41,7 +41,7 @@ def build_entity(
 
 
 def layout_detection(label, box, confidence=0.9):
-    return RawDetection(label=label, confidence=confidence, bbox=BBox(*box))
+    return LayoutDetection(LayoutLabel(label), confidence, BBox(*box))
 
 
 def write_detection_file(path: Path, payload: dict) -> Path:

@@ -404,10 +404,9 @@ class TestGoldenFiles:
         assert json.loads(read("report.graph.json")) == {"nodes": nodes, "edges": edges}
         assert json.loads(read("report.dpbench.json"))["elements"] == to_dpbench(doc)
 
-    @pytest.mark.parametrize(
-        "suffix", [".md", ".chunks.jsonl", ".graph.json", ".dpbench.json", ".json"]
-    )
-    def test_ingest_cases_match_golden(self, tmp_path_factory, suffix):
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def ingest_case_outputs(tmp_path_factory):
         """Second fixture, default flags: ids derived for detections without one,
         short and empty texts dropped, titles and bodies normalized, detections
         at and below both thresholds, pages out of order in the file, and
@@ -418,8 +417,21 @@ class TestGoldenFiles:
         config = PipelineConfig(inputs=(FIXTURE_DIR / "ingest_cases.json",), output_dir=out)
         (outcome,) = run_pipeline(config)
         assert outcome.error is None and not outcome.failed_pages
-        name = "ingest_cases" + suffix
-        assert (out / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+        return out
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "ingest_cases.md",
+            "ingest_cases.chunks.jsonl",
+            "ingest_cases.graph.json",
+            "ingest_cases.dpbench.json",
+            "ingest_cases.json",
+        ],
+    )
+    def test_ingest_cases_match_golden(self, ingest_case_outputs, name):
+        produced = (ingest_case_outputs / name).read_bytes()
+        assert produced == (FIXTURE_DIR / "golden" / name).read_bytes()
 
     def test_exporters_are_pure(self, outputs):
         from docweave.model import document_from_json

@@ -16,11 +16,11 @@ from docweave.clients import (
 )
 from docweave.errors import DetectionInputError, ValidationError
 from docweave.geometry import BBox
+from docweave.model import ElementLabel
 from docweave.ingest import (
     build_entities,
     classify_document,
     enrich_entities,
-    filter_small_text,
     gate_images,
     load_detections,
     normalize_body,
@@ -75,6 +75,11 @@ def bad_fields(label, kind):
          "box must satisfy left <= right and top <= bottom, got (10.0, 0.0, 0.0, 10.0)"),
         (detection(label, 0.01, bbox=(0, -1, 10, 10)), ".bbox",
          "box coordinates must be non-negative, got (0.0, -1.0, 10.0, 10.0)"),
+        # coordinates are numbers, never coerced from strings or bools
+        (detection(label, 0.01, bbox=("0", "0", "10", "10")), ".bbox", "left must be a number, got '0'"),
+        (detection(label, 0.01, bbox=(0, True, 10, 10)), ".bbox", "top must be a number, got True"),
+        (detection(label, 0.01, bbox=(0, 0, None, 10)), ".bbox", "right must be a number, got None"),
+        (detection(label, 0.01, bbox=(0, 0, 10, 10**400)), ".bbox", "bottom is too large for a float"),
     ]
 
 
@@ -293,45 +298,50 @@ class TestNormalizeBody:
         assert normalize_body(once) == once
 
 
+def raw(label, text, box=(0, 0, 10, 10), entity_id="e", **kwargs):
+    return RawDetection(entity_id, ElementLabel(label), 0.9, BBox(*box), text, **kwargs)
+
+
 class TestBuildEntities:
     def test_geometry_and_weight(self, schema):
-        det = RawDetection("text", 0.9, BBox(0, 0, 10, 10), text="hello")
-        (entity,) = build_entities([det], schema)
+        (entity,) = build_entities([raw("text", "hello")], schema)
         assert entity.pixel_coordinates.x_center == 5 and entity.pixel_coordinates.y_center == 5
         assert entity.weight == 6
 
     def test_title_normalized(self, schema):
-        det = RawDetection("title", 0.9, BBox(0, 0, 10, 10), text="Intro\u0000duction!!")
-        (entity,) = build_entities([det], schema)
+        (entity,) = build_entities([raw("title", "Intro\u0000duction!!")], schema)
         assert entity.value.text == "Introduction!!"
 
     def test_table_with_empty_text_retained(self, schema):
-        det = RawDetection("table", 0.9, BBox(0, 0, 10, 10), text="")
-        entities = filter_small_text(build_entities([det], schema))
-        assert len(entities) == 1
+        assert len(build_entities([raw("table", "")], schema)) == 1
 
     def test_supplied_id_preserved(self, schema):
-        det = RawDetection("text", 0.9, BBox(0, 0, 10, 10), text="hello", id="keep-me")
-        (entity,) = build_entities([det], schema)
+        (entity,) = build_entities([raw("text", "hello", entity_id="keep-me")], schema)
         assert entity.id == "keep-me"
+
+    def test_equals_checked_constructor(self, schema):
+        det = raw("image", "", image_payload="map.png")
+        expected = build_entity("e", "image", (0, 0, 10, 10), schema=schema, image_payload="map.png")
+        assert build_entities([det], schema) == [expected]
 
 
 class TestFilterSmallText:
+    """``build_entities`` drops entities whose normalized text is under 3 characters."""
+
     def test_two_chars_removed(self, schema):
-        entity = build_entity("e", "text", (0, 0, 5, 5), text="ab", schema=schema)
-        assert filter_small_text([entity]) == []
+        assert build_entities([raw("text", "ab")], schema) == []
 
     def test_empty_image_kept(self, schema):
-        entity = build_entity("e", "image", (0, 0, 5, 5), text="", schema=schema)
-        assert filter_small_text([entity]) == [entity]
+        assert len(build_entities([raw("image", "")], schema)) == 1
 
     def test_three_chars_kept(self, schema):
-        entity = build_entity("e", "text", (0, 0, 5, 5), text="abc", schema=schema)
-        assert filter_small_text([entity]) == [entity]
+        assert len(build_entities([raw("text", "abc")], schema)) == 1
 
     def test_empty_caption_removed(self, schema):
-        entity = build_entity("e", "image_caption", (0, 0, 5, 5), text="", schema=schema)
-        assert filter_small_text([entity]) == []
+        assert build_entities([raw("image_caption", "")], schema) == []
+
+    def test_length_counted_after_normalizing(self, schema):
+        assert build_entities([raw("title", "a\u0007b  ")], schema) == []
 
 
 class _FailingClassifier:

@@ -159,6 +159,22 @@ class TestParseTableHtml:
         tree = parse_table_html("<div><p>x</p><table><tr><td>y</td></tr></table></div>")
         assert tree.children[0].children[0].text == "y"
 
+    @pytest.mark.parametrize(
+        "cell_html, text",
+        [
+            ("Total<br>2023", "Total 2023"),
+            ("Total<br/>2023", "Total 2023"),
+            ("a<p>b</p>", "a b"),
+            ("x<div>y</div>z", "x y z"),
+            ("<ul><li>one</li><li>two</li></ul>after", "one two after"),
+            ("<ol><li>1</li></ol>x", "1 x"),
+            ("<b>bo</b>ld<span>er</span>", "bolder"),
+        ],
+    )
+    def test_line_breaks_and_blocks_separate_words(self, cell_html, text):
+        tree = parse_table_html(f"<table><tr><td>{cell_html}</td></tr></table>")
+        assert tree.children[0].children[0].text == text
+
     def test_nested_table_contributes_cell_text_only(self):
         tree = parse_table_html(
             "<table><tr><td>a<table><tr><td>x</td><td>w<table><tr><td>deep</td></tr></table>"

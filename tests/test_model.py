@@ -14,7 +14,7 @@ from docweave.assembly import (
 )
 from docweave.errors import ValidationError
 from docweave.geometry import BBox
-from docweave.ingest import RawDetection
+from docweave.ingest import LayoutDetection
 from docweave.model import (
     DocumentResult,
     ElementLabel,
@@ -72,11 +72,13 @@ class TestEntity:
         with pytest.raises(ValidationError):
             build_entity("e1", "text", (0, 0, 1, 1), confidence=1.5, schema=schema)
 
-    def test_generated_id_is_uuid4(self, schema):
-        entity = make_entity(
-            ElementLabel.TEXT, 0.5, BBox(0, 0, 1, 1), EntityValue(text="abc"), schema
-        )
-        assert len(entity.id) == 36
+    def test_id_is_required(self, schema):
+        args = (ElementLabel.TEXT, 0.5, BBox(0, 0, 1, 1), EntityValue(text="abc"), schema)
+        with pytest.raises(TypeError, match="entity_id"):
+            make_entity(*args)
+        with pytest.raises(ValidationError, match="entity id must be a non-empty string"):
+            make_entity(*args, entity_id="")
+        assert make_entity(*args, entity_id="e1").id == "e1"
 
     def test_data_rows_must_share_keys(self):
         with pytest.raises(ValidationError, match="key set"):
@@ -301,13 +303,22 @@ class TestSerialization:
             ("page", "groups", [{"type": "group", "ids": [5]}], r"ids: entries must be strings"),
             ("page", "non_groups", ["a", 5], r"non_groups: entries must be strings"),
             ("page", "skipped_images", [5], r"skipped_images: entries must be strings"),
+            ("box", "left", "200.0", r"pixel_coordinates: left must be a number, got '200.0'"),
+            ("box", "top", False, r"pixel_coordinates: top must be a number, got False"),
+            ("box", "right", 10**400, r"pixel_coordinates: right is too large for a float"),
         ],
     )
     def test_loader_rejects_malformed_structure(self, schema, where, key, value, message):
         raw = json.loads(document_to_json(_single_page_doc(schema)))
         page = raw["pages"][0]
         entity = page["elements"]["a"]
-        target = {"document": raw, "page": page, "entity": entity, "value": entity["value"]}[where]
+        target = {
+            "document": raw,
+            "page": page,
+            "entity": entity,
+            "value": entity["value"],
+            "box": entity["pixel_coordinates"],
+        }[where]
         target[key] = value
         with pytest.raises(ValidationError, match=message):
             document_from_json(json.dumps(raw))
@@ -368,7 +379,7 @@ def _documents(draw):
     for number in processed:
         entities = [draw(_entity(f"p{number}-{i}")) for i in range(draw(st.integers(0, 6)))]
         regions = [
-            RawDetection(label.value, draw(st.floats(0, 1)), draw(_boxes()))
+            LayoutDetection(label, draw(st.floats(0, 1)), draw(_boxes()))
             for label in draw(st.lists(st.sampled_from(list(LayoutLabel)), max_size=3))
         ]
         skipped = draw(st.lists(st.sampled_from(["s1", "s2"]), unique=True))
