@@ -64,6 +64,7 @@ from .ingest import (
     normalize_title,
 )
 from .metrics import (
+    DPBenchElement,
     EvalReport,
     TableNode,
     evaluate,

@@ -437,14 +437,14 @@ def _page_height(page: PageResult, explicit: Optional[float]) -> float:
     return max(bottoms) if bottoms else 0.0
 
 
-def _rebuild_page(page: PageResult, updated: Mapping[str, Entity]) -> PageResult:
-    """Re-derive groups and reading order after entities were relabeled.
+def _rebuild_page(page: PageResult, elements: Mapping[str, Entity]) -> PageResult:
+    """Re-derive groups and reading order from the page's relabeled ``elements``,
+    which hold the same ids as ``page.elements``.
 
     Entities relabeled to page_header/page_footer leave their groups (those
     labels never group); shrunken groups get recomputed bounding boxes and
     empty groups disappear.
     """
-    elements = {eid: updated.get(eid, ent) for eid, ent in page.elements.items()}
     groups: list[Group] = []
     for group in page.groups:
         remaining = [
@@ -584,12 +584,9 @@ def _fix_positions_and_rebuild(
             ):
                 elements[eid] = entity.with_type(ElementLabel.PAGE_HEADER, schema)
 
-    result = []
-    for page, elements in zip(pages, current):
-        updated = {
-            eid: entity
-            for eid, entity in elements.items()
-            if entity is not page.elements[eid]
-        }
-        result.append(_rebuild_page(page, updated) if updated else page)
-    return result
+    return [
+        _rebuild_page(page, elements)
+        if any(entity is not page.elements[eid] for eid, entity in elements.items())
+        else page
+        for page, elements in zip(pages, current)
+    ]

@@ -1,7 +1,7 @@
 """Command-line interface: ``parse``, ``export``, and ``eval``.
 
 Exit codes: 0 success, 1 partial failure (at least one document wholly
-failed), 2 invalid usage.
+failed) or an output that cannot be written, 2 invalid usage.
 """
 
 from __future__ import annotations
@@ -9,6 +9,7 @@ from __future__ import annotations
 import logging
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 import click
 
@@ -30,6 +31,11 @@ def _parse_formats(raw: str) -> tuple[str, ...]:
     if unknown:
         raise click.UsageError(f"unknown formats: {', '.join(unknown)}")
     return formats
+
+
+def _cannot_write(path: Path, exc: OSError) -> NoReturn:
+    click.echo(f"{path}: cannot write: {exc}", err=True)
+    sys.exit(1)
 
 
 @click.group()
@@ -139,13 +145,16 @@ def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers
     except ValidationError as exc:
         click.echo(str(exc), err=True)
         sys.exit(1)
-    written = export_document(
-        doc,
-        output_dir,
-        json_path.stem,
-        _parse_formats(formats),
-        skip_headers_footers=skip_headers_footers,
-    )
+    try:
+        written = export_document(
+            doc,
+            output_dir,
+            json_path.stem,
+            _parse_formats(formats),
+            skip_headers_footers=skip_headers_footers,
+        )
+    except OSError as exc:
+        _cannot_write(output_dir, exc)
     for path in written:
         click.echo(str(path))
 
@@ -169,9 +178,12 @@ def eval_command(reference: Path, prediction: Path, mode: str, report_path):
         sys.exit(1)
     click.echo(report.summary_text())
     if report_path is not None:
-        write_atomic(report_path, json_text(report.to_dict()))
         summary_path = report_path.with_suffix(".txt")
-        write_atomic(summary_path, report.summary_text() + "\n")
+        for path, text in ((report_path, json_text(report.to_dict())), (summary_path, report.summary_text() + "\n")):
+            try:
+                write_atomic(path, text)
+            except OSError as exc:
+                _cannot_write(path, exc)
         click.echo(f"report written to {report_path} and {summary_path}")
 
 

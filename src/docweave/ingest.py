@@ -321,17 +321,16 @@ def build_entities(
     return entities
 
 
-def _run_per_entity(targets, call, max_workers: int):
-    """Invoke ``call`` once per entity on up to ``max_workers`` threads; results keyed by id."""
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        futures = {e.id: pool.submit(call, e) for e in targets}
-    results = {}
-    for eid, future in futures.items():
+def _run_per_entity(targets, call, max_workers: int) -> list[tuple[Any, Optional[Exception]]]:
+    """Invoke ``call`` once per target on up to ``max_workers`` threads; one
+    ``(result, None)`` or ``(None, error)`` per target, in target order."""
+    def fail_open(target):
         try:
-            results[eid] = (future.result(), None)
+            return call(target), None
         except Exception as exc:  # client errors fail open
-            results[eid] = (None, exc)
-    return results
+            return None, exc
+    with ThreadPoolExecutor(max_workers=max_workers) as pool:
+        return list(pool.map(fail_open, targets))
 
 
 def gate_images(
@@ -346,11 +345,8 @@ def gate_images(
     result does not depend on call completion order.
     """
     images = sorted((e for e in entities if e.type is ElementLabel.IMAGE), key=lambda e: e.id)
-    results = _run_per_entity(images, classifier.classify, max_workers)
-
     skipped: set[str] = set()
-    for image in images:
-        verdict, error = results[image.id]
+    for image, (verdict, error) in zip(images, _run_per_entity(images, classifier.classify, max_workers)):
         if error is not None:
             logger.warning("usefulness classifier failed for %s, keeping entity: %s", image.id, error)
             continue
@@ -387,11 +383,8 @@ def enrich_entities(
         (e for e in entities if e.type in (ElementLabel.TABLE, ElementLabel.IMAGE)),
         key=lambda e: e.id,
     )
-    results = _run_per_entity(eligible, client.enrich, max_workers)
-
     merged: dict[str, Entity] = {}
-    for entity in eligible:
-        outcome, error = results[entity.id]
+    for entity, (outcome, error) in zip(eligible, _run_per_entity(eligible, client.enrich, max_workers)):
         if error is not None:
             logger.warning("enrichment failed for %s, keeping OCR value: %s", entity.id, error)
             continue

@@ -37,6 +37,10 @@ call takes about 0.016 s at 10x10 with 1-word cells, 0.036 s at 10x10 with
 5-word cells, 0.12 s at 30x10 with 1-word cells and 0.38 s at 30x10 with
 5-word cells (1-word cells repeat, 5-word cells do not); ``teds_s`` takes
 0.004-0.03 s on the same tables. ``evaluate`` sets no size limit.
+
+``evaluate`` reads and checks each DP-Bench file once, into
+:class:`DPBenchElement` records; NID, table matching by ``geometry.iou`` and
+TEDS read only record fields.
 """
 
 from __future__ import annotations
@@ -45,9 +49,10 @@ import logging
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import EvaluationError, TableParseError
+from .geometry import BBox, iou
 from .model import read_json_object
 
 logger = logging.getLogger(__name__)
@@ -163,20 +168,6 @@ def levenshtein(a: str, b: str) -> int:
     if len(a) > len(b):
         a, b = b, a
     return _Lanes((a,)).distances(b)[0]
-
-
-def serialize_for_nid(elements: Sequence[Mapping[str, Any]]) -> str:
-    """Concatenate the text of non-table/figure/chart elements, newline-joined.
-
-    A missing or null text counts as an empty string.
-    """
-    parts = []
-    for element in elements:
-        if element.get("category") in NID_EXCLUDED_CATEGORIES:
-            continue
-        content = element.get("content") or {}
-        parts.append(content.get("text") or "")
-    return "\n".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -643,105 +634,117 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _load_dpbench_file(path: Path) -> list[Mapping[str, Any]]:
+class DPBenchElement(NamedTuple):
+    """One checked element of a DP-Bench file.
+
+    ``box`` spans points 0 and 2 (left-top and right-bottom) of the element's
+    ``coordinates`` polygon, and is ``None`` when the polygon is missing or
+    null. ``text`` is ``""`` and ``html`` is ``None`` when missing or null,
+    and so is a blank ``html``. ``id`` is the element's ``id``; without one
+    it is the element's position among the file's ``Table`` elements.
+    """
+
+    category: Optional[str]
+    page: Any
+    id: Any
+    box: Optional[BBox]
+    text: str
+    html: Optional[str]
+
+
+def serialize_for_nid(elements: Sequence[DPBenchElement]) -> str:
+    """Newline-join the texts of the elements outside ``NID_EXCLUDED_CATEGORIES``."""
+    return "\n".join(e.text for e in elements if e.category not in NID_EXCLUDED_CATEGORIES)
+
+
+def _load_dpbench_file(path: Path) -> list[DPBenchElement]:
+    """Read a DP-Bench file, checking each element once; the first bad field
+    raises an ``EvaluationError`` naming the file, the element and the field."""
     elements = read_json_object(path, EvaluationError).get("elements")
     if not isinstance(elements, list):
         raise EvaluationError(f"{path}: expected an 'elements' array")
+    records = []
+    tables = 0
     for index, element in enumerate(elements):
         context = f"{path}: elements[{index}]"
-        if not isinstance(element, Mapping):
+        if not isinstance(element, dict):
             raise EvaluationError(f"{context} must be an object")
         content = element.get("content", {})
-        if not isinstance(content, Mapping):
+        if not isinstance(content, dict):
             raise EvaluationError(f"{context}.content must be an object")
         for key in ("text", "html"):
             if not isinstance(content.get(key), (str, type(None))):
                 raise EvaluationError(f"{context}.content.{key} must be a string or null")
-        if not isinstance(element.get("category"), (str, type(None))):
+        category = element.get("category")
+        if not isinstance(category, (str, type(None))):
             raise EvaluationError(f"{context}.category must be a string")
-    return elements
+        points = element.get("coordinates")
+        box = None
+        if points is not None:
+            if not isinstance(points, list) or len(points) != 4 or not all(
+                isinstance(p, list) and len(p) == 2 and all(type(v) in (int, float) for v in p) for p in points
+            ):
+                raise EvaluationError(f"{context}.coordinates must be four [x, y] number pairs or null")
+            try:
+                box = BBox(*points[0], *points[2])
+            except ValueError as exc:
+                raise EvaluationError(f"{context}.coordinates: {exc}") from None
+        text, html = content.get("text") or "", content.get("html")
+        html = html if html and html.strip() else None
+        records.append(DPBenchElement(category, element.get("page"), element.get("id", tables), box, text, html))
+        tables += category == "Table"
+    return records
 
 
 def _collect_documents(
     reference_path: Path, prediction_path: Path
-) -> list[tuple[str, list, list]]:
+) -> list[tuple[str, list[DPBenchElement], list[DPBenchElement]]]:
     if reference_path.is_dir() != prediction_path.is_dir():
         raise EvaluationError(
             "reference and prediction must both be files or both be directories"
         )
     if not reference_path.is_dir():
-        return [
-            (
-                reference_path.stem,
-                _load_dpbench_file(reference_path),
-                _load_dpbench_file(prediction_path),
-            )
-        ]
+        pairs = [(reference_path, prediction_path)]
+    else:
+        pairs = [(ref, prediction_path / ref.name) for ref in sorted(reference_path.glob("*.json"))]
+        if not pairs:
+            raise EvaluationError(f"{reference_path}: no reference documents found")
     documents = []
-    for ref_file in sorted(reference_path.glob("*.json")):
-        pred_file = prediction_path / ref_file.name
+    for ref_file, pred_file in pairs:
         if not pred_file.exists():
             raise EvaluationError(f"{pred_file}: missing prediction for {ref_file.name}")
-        documents.append(
-            (ref_file.stem, _load_dpbench_file(ref_file), _load_dpbench_file(pred_file))
-        )
-    if not documents:
-        raise EvaluationError(f"{reference_path}: no reference documents found")
+        documents.append((ref_file.stem, _load_dpbench_file(ref_file), _load_dpbench_file(pred_file)))
     return documents
 
 
-def _element_bbox(element: Mapping[str, Any]) -> Optional[tuple[float, float, float, float]]:
-    coords = element.get("coordinates")
-    if not isinstance(coords, Sequence) or len(coords) != 4:
-        return None
-    try:
-        left, top = float(coords[0][0]), float(coords[0][1])
-        right, bottom = float(coords[2][0]), float(coords[2][1])
-    except (TypeError, ValueError, IndexError):
-        return None
-    return (left, top, right, bottom)
-
-
-def _bbox_iou(a, b) -> float:
-    ileft, itop = max(a[0], b[0]), max(a[1], b[1])
-    iright, ibottom = min(a[2], b[2]), min(a[3], b[3])
-    if ileft >= iright or itop >= ibottom:
-        return 0.0
-    inter = (iright - ileft) * (ibottom - itop)
-    area_a = (a[2] - a[0]) * (a[3] - a[1])
-    area_b = (b[2] - b[0]) * (b[3] - b[1])
-    union = area_a + area_b - inter
-    return inter / union if union > 0 else 0.0
-
-
-def _table_html(element: Mapping[str, Any]) -> Optional[str]:
-    content = element.get("content") or {}
-    html = content.get("html")
-    return html if html and html.strip() else None
-
-
 def _match_tables(
-    ref_tables: list[Mapping[str, Any]], pred_tables: list[Mapping[str, Any]]
-) -> list[Optional[int]]:
+    ref_tables: list[DPBenchElement], pred_tables: list[DPBenchElement]
+) -> list[Optional[DPBenchElement]]:
     """Greedily pair each reference table with the best-IoU prediction on its page."""
     used: set[int] = set()
-    matches: list[Optional[int]] = []
+    matches: list[Optional[DPBenchElement]] = []
     for ref in ref_tables:
-        ref_box = _element_bbox(ref)
         best_index, best_iou = None, 0.0
         for index, pred in enumerate(pred_tables):
-            if index in used or pred.get("page") != ref.get("page"):
+            if index in used or pred.page != ref.page or ref.box is None or pred.box is None:
                 continue
-            pred_box = _element_bbox(pred)
-            if ref_box is None or pred_box is None:
-                continue
-            overlap = _bbox_iou(ref_box, pred_box)
+            overlap = iou(ref.box, pred.box)
             if overlap > best_iou:
                 best_index, best_iou = index, overlap
         if best_index is not None:
             used.add(best_index)
-        matches.append(best_index)
+        matches.append(None if best_index is None else pred_tables[best_index])
     return matches
+
+
+def _table_tree(element: Optional[DPBenchElement]) -> Optional[TableNode]:
+    """The element's table tree; ``None`` for no element, no HTML or no table in it."""
+    if element is None or element.html is None:
+        return None
+    try:
+        return parse_table_html(element.html)
+    except TableParseError:
+        return None
 
 
 def evaluate(
@@ -751,10 +754,13 @@ def evaluate(
 ) -> EvalReport:
     """Score prediction files against reference files.
 
+    Every file is read and checked in full before any scoring, and a bad
+    file raises an ``EvaluationError`` naming it and its first bad field.
     ``layout`` mode computes one NID per document over the serialized reading
     order. ``table`` mode pairs reference tables with predicted tables by page
-    and maximal bbox IoU; an unmatched or unparseable prediction scores 0, and
-    a reference table without parseable HTML is skipped. Documents with no
+    and maximal bbox IoU (``geometry.iou``); a table without ``coordinates``
+    matches nothing. An unmatched or unparseable prediction scores 0, and a
+    reference table without parseable HTML is skipped. Documents with no
     reference tables count as skipped samples in table mode.
     """
     if mode not in ("layout", "table"):
@@ -775,35 +781,21 @@ def evaluate(
 
     samples = []
     skipped = 0
-
     for name, ref_elements, pred_elements in documents:
-        ref_tables = [e for e in ref_elements if e.get("category") == "Table"]
-        pred_tables = [e for e in pred_elements if e.get("category") == "Table"]
+        ref_tables = [e for e in ref_elements if e.category == "Table"]
+        pred_tables = [e for e in pred_elements if e.category == "Table"]
         if not ref_tables:
             skipped += 1
             continue
-        matches = _match_tables(ref_tables, pred_tables)
-        for position, (ref, match) in enumerate(zip(ref_tables, matches)):
-            sample_id = f"{name}#table{ref.get('id', position)}"
-            ref_html = _table_html(ref)
-            if ref_html is None:
+        for ref, match in zip(ref_tables, _match_tables(ref_tables, pred_tables)):
+            ref_tree = _table_tree(ref)
+            if ref_tree is None:
                 skipped += 1
                 continue
-            try:
-                ref_tree = parse_table_html(ref_html)
-            except TableParseError:
-                skipped += 1
-                continue
+            pred_tree = _table_tree(match)
             score_teds, score_teds_s = 0.0, 0.0
-            if match is not None:
-                pred_html = _table_html(pred_tables[match])
-                if pred_html is not None:
-                    try:
-                        pred_tree = parse_table_html(pred_html)
-                    except TableParseError:
-                        pred_tree = None
-                    if pred_tree is not None:
-                        score_teds = teds(ref_tree, pred_tree)
-                        score_teds_s = teds_s(ref_tree, pred_tree)
-            samples.append({"sample_id": sample_id, "teds": score_teds, "teds_s": score_teds_s})
+            if pred_tree is not None:
+                score_teds = teds(ref_tree, pred_tree)
+                score_teds_s = teds_s(ref_tree, pred_tree)
+            samples.append({"sample_id": f"{name}#table{ref.id}", "teds": score_teds, "teds_s": score_teds_s})
     return EvalReport(mode, tuple(samples), skipped)

@@ -165,3 +165,61 @@ def test_eval_null_or_missing_content_scores_as_empty(tmp_path):
     assert evaluate(empty, path, "layout").mean_nid == 1.0
     report = evaluate(path, path, "table")
     assert (report.evaluated, report.skipped) == (0, 1)
+
+
+SHAPE = " must be four [x, y] number pairs or null"
+
+#: DP-Bench ``coordinates`` the eval loader rejects, and how the message each
+#: gives goes on after the field name.
+#: Numbers are never coerced. ``null`` and a missing key are accepted: the
+#: element has no box and matches no table.
+BAD_DPBENCH_COORDINATES = {
+    "xy-objects": ([{"x": 0, "y": 0}, {"x": 10, "y": 0}, {"x": 10, "y": 10}, {"x": 0, "y": 10}], SHAPE),
+    "strings": ([["0", "0"], ["10", "0"], ["10", "10"], ["0", "10"]], SHAPE),
+    "bools": ([[False, False], [True, False], [True, True], [False, True]], SHAPE),
+    "string-in-unused-point": ([[0, 0], ["10", 0], [10, 10], [0, 10]], SHAPE),
+    "three-points": ([[0, 0], [10, 0], [10, 10]], SHAPE),
+    "three-values": ([[0, 0, 0], [10, 0], [10, 10], [0, 10]], SHAPE),
+    "flat-box": ([0, 0, 10, 10], SHAPE),
+    "string": ("abcd", SHAPE),
+    "negative": (
+        [[0, -1], [10, -1], [10, 10], [0, 10]],
+        ": box coordinates must be non-negative, got (0.0, -1.0, 10.0, 10.0)",
+    ),
+    "inverted": (
+        [[10, 10], [0, 10], [0, 0], [10, 0]],
+        ": box must satisfy left <= right and top <= bottom, got (10.0, 10.0, 0.0, 0.0)",
+    ),
+}
+
+
+@pytest.fixture(params=sorted(BAD_DPBENCH_COORDINATES))
+def bad_coordinates(request, tmp_path):
+    coordinates, message = BAD_DPBENCH_COORDINATES[request.param]
+    elements = [
+        {"category": "Paragraph", "coordinates": [[0, 0], [10, 0], [10, 10], [0, 10]], "page": 1,
+         "content": {"text": "abc"}},
+        {"category": "Table", "coordinates": coordinates, "id": 0, "page": 1,
+         "content": {"html": "<table><tr><td>a</td></tr></table>"}},
+    ]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"elements": elements}), encoding="utf-8")
+    return path, f"{path}: elements[1].coordinates{message}"
+
+
+@pytest.mark.parametrize("mode", ["layout", "table"])
+def test_eval_rejects_bad_coordinates(bad_coordinates, mode):
+    path, message = bad_coordinates
+    with pytest.raises(EvaluationError) as excinfo:
+        evaluate(path, path, mode)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("mode", ["layout", "table"])
+def test_cli_eval_rejects_bad_coordinates(bad_coordinates, mode):
+    path, message = bad_coordinates
+    result = CliRunner().invoke(main, ["eval", str(path), str(path), "--mode", mode])
+    assert result.exit_code == 1, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert message in result.output
+    assert "Traceback" not in result.output

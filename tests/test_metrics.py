@@ -5,10 +5,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from docweave.errors import EvaluationError, TableParseError
+from docweave.geometry import BBox
 from docweave.metrics import (
+    DPBenchElement,
     TableNode,
     _Lanes,
     _keyroots,
+    _load_dpbench_file,
     _postorder,
     evaluate,
     indel_distance,
@@ -99,27 +102,23 @@ class TestNid:
         assert 0.0 <= score <= 1.0
 
 
+def _record(category, text):
+    return DPBenchElement(category, page=1, id=0, box=None, text=text, html=None)
+
+
 class TestSerializeForNid:
     def test_tables_figures_excluded(self):
-        elements = [
-            {"category": "Paragraph", "content": {"text": "a"}},
-            {"category": "Table", "content": {"text": "t"}},
-            {"category": "Paragraph", "content": {"text": "b"}},
-        ]
+        elements = [_record("Paragraph", "a"), _record("Table", "t"), _record("Paragraph", "b")]
         assert serialize_for_nid(elements) == "a\nb"
 
     def test_empty(self):
         assert serialize_for_nid([]) == ""
 
     def test_only_figure(self):
-        assert serialize_for_nid([{"category": "Figure", "content": {"text": "f"}}]) == ""
+        assert serialize_for_nid([_record("Figure", "f")]) == ""
 
     def test_chart_excluded(self):
-        elements = [
-            {"category": "Chart", "content": {"text": "c"}},
-            {"category": "Header", "content": {"text": "h"}},
-        ]
-        assert serialize_for_nid(elements) == "h"
+        assert serialize_for_nid([_record("Chart", "c"), _record("Header", "h")]) == "h"
 
 
 class TestParseTableHtml:
@@ -580,6 +579,34 @@ class TestEvaluate:
         report = evaluate(ref_dir, pred_dir, "layout")
         assert report.evaluated == 2
         assert report.mean_nid == pytest.approx(0.5)
+
+    def test_loader_returns_checked_records(self, tmp_path):
+        table = _table_element("  ", (1, 2.5, 30, 40), element_id="t-1", page=3)
+        untitled = {"category": "Table", "content": {"text": None, "html": "<table></table>"}}
+        path = _write_doc(tmp_path / "doc.json", _layout_elements()[:1] + [table, untitled, {}])
+        assert _load_dpbench_file(path) == [
+            DPBenchElement("Paragraph", 1, 0, BBox(0, 0, 10, 10), "hello world", None),
+            DPBenchElement("Table", 3, "t-1", BBox(1, 2.5, 30, 40), "", None),
+            # Without an id, a table is named by its position among the tables.
+            DPBenchElement("Table", None, 1, None, "", "<table></table>"),
+            DPBenchElement(None, None, 2, None, "", None),
+        ]
+
+    @pytest.mark.parametrize("side", ["reference", "prediction", "both"])
+    @pytest.mark.parametrize("coordinates", ["missing", None])
+    def test_table_without_coordinates_is_unmatched(self, tmp_path, side, coordinates):
+        html = "<table><tr><td>a</td></tr></table>"
+        boxless = _table_element(html)
+        if coordinates == "missing":
+            del boxless["coordinates"]
+        else:
+            boxless["coordinates"] = None
+        ref = _write_doc(tmp_path / "ref.json", [boxless if side != "prediction" else _table_element(html)])
+        pred = _write_doc(tmp_path / "pred.json", [boxless if side != "reference" else _table_element(html)])
+        assert _load_dpbench_file(ref if side != "prediction" else pred)[0].box is None
+        report = evaluate(ref, pred, "table")
+        assert report.to_dict()["samples"] == [{"sample_id": "ref#table0", "teds": 0.0, "teds_s": 0.0}]
+        assert report.skipped == 0
 
     def test_table_matching_by_iou(self, tmp_path):
         good = "<table><tr><td>a</td></tr></table>"

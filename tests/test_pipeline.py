@@ -852,6 +852,36 @@ class TestCli:
         assert "TEDS" not in result.output
         assert not report_path.exists()
 
+    @pytest.mark.parametrize("under_file", [False, True])
+    def test_export_unwritable_output_fails_with_message(self, tmp_path, under_file):
+        golden = FIXTURE_DIR / "golden" / "report.json"
+        blocker = tmp_path / "blocker"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out" if under_file else blocker
+        result = CliRunner().invoke(main, ["export", str(golden), "-o", str(out)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{out}: cannot write: " in result.output
+        assert "Traceback" not in result.output
+
+    @pytest.mark.parametrize("blocked", ["parent", "summary"])
+    def test_eval_unwritable_report_fails_with_message(self, tmp_path, blocked):
+        golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
+        if blocked == "parent":
+            (tmp_path / "blocker").write_text("", encoding="utf-8")
+            report_path = failing = tmp_path / "blocker" / "report.json"
+        else:
+            report_path = tmp_path / "report.json"
+            failing = tmp_path / "report.txt"
+            failing.mkdir()
+        result = CliRunner().invoke(
+            main, ["eval", str(golden), str(golden), "--mode", "layout", "--report", str(report_path)]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"{failing}: cannot write: " in result.output
+        assert "Traceback" not in result.output
+
     def test_eval_missing_file(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
         result = CliRunner().invoke(
