@@ -21,6 +21,7 @@ from .pipeline import (
     config_from_mapping,
     export_document,
     run_pipeline,
+    staged_write,
     write_atomic,
 )
 
@@ -179,11 +180,15 @@ def eval_command(reference: Path, prediction: Path, mode: str, report_path):
     click.echo(report.summary_text())
     if report_path is not None:
         summary_path = report_path.with_suffix(".txt")
-        for path, text in ((report_path, json_text(report.to_dict())), (summary_path, report.summary_text() + "\n")):
-            try:
-                write_atomic(path, text)
-            except OSError as exc:
-                _cannot_write(path, exc)
+        # The report is renamed into place only once its summary is written.
+        try:
+            with staged_write(report_path, json_text(report.to_dict())):
+                try:
+                    write_atomic(summary_path, report.summary_text() + "\n")
+                except OSError as exc:
+                    _cannot_write(summary_path, exc)
+        except OSError as exc:
+            _cannot_write(report_path, exc)
         click.echo(f"report written to {report_path} and {summary_path}")
 
 

@@ -1,21 +1,32 @@
 """The four derived exports: Markdown, RAG chunks, knowledge graph, DP-Bench.
 
 All exporters are pure functions of an immutable DocumentResult; the pipeline
-runs them one after another. Chunk, graph and DP-Bench records are plain
-dicts equal to the JSON records that the written files hold. Skipped images
-were removed from ``elements`` during assembly, so nothing here can leak
-their content.
+runs them one after another. The graph and DP-Bench files are written by
+``to_graph_json`` and ``to_dpbench_json``, each record from f-strings filled
+from the entities, and ``to_graph``/``to_dpbench`` read their records back
+from that text. Chunk records are plain dicts equal to the JSON lines
+of the chunks file. Skipped images were removed from ``elements`` during
+assembly, so nothing here can leak their content.
 """
 
 from __future__ import annotations
 
 import html as html_escape
+import json
 import re
 import unicodedata
 from typing import Any, Iterable, Mapping, Optional
 
 from .ingest import BULLET_GLYPHS
-from .model import DocumentResult, ElementLabel, Entity, PageResult
+from .model import (
+    DocumentResult,
+    ElementLabel,
+    Entity,
+    PageResult,
+    _encode_str,
+    _json_value,
+    _write_items,
+)
 
 PAGE_SEPARATOR = "\n\n---\n\n"
 
@@ -201,36 +212,70 @@ def to_chunks(doc: DocumentResult) -> list[dict[str, Any]]:
 # ---------------------------------------------------------------------------
 
 
-def to_graph(doc: DocumentResult) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """Build the document graph: root -> pages -> reading-ordered elements.
+def _node(node_id: str, kind: str, label: str) -> str:
+    return f"""
+    {{
+      "id": {node_id},
+      "kind": "{kind}",
+      "label": {label}
+    }}"""
 
-    Nodes are ``{"id", "kind", "label"}`` records, element nodes also carry
-    their ``"weight"``; edges are ``{"from", "to", "relation"}`` records, as
-    in ``graph.json``. Consecutive elements of equal weight are siblings;
-    otherwise the lower-weight (higher-hierarchy) node is the parent.
+
+def _edge(source: str, target: str, relation: str) -> str:
+    return f"""
+    {{
+      "from": {source},
+      "to": {target},
+      "relation": "{relation}"
+    }}"""
+
+
+def to_graph_json(doc: DocumentResult) -> str:
+    """The ``graph.json`` text: root -> pages -> reading-ordered elements.
+
+    It holds ``{"nodes", "edges"}``. Nodes are ``{"id", "kind", "label"}``
+    records, element nodes also carry their ``"weight"``; edges are
+    ``{"from", "to", "relation"}`` records. Consecutive elements of equal
+    weight are siblings; otherwise the lower-weight (higher-hierarchy) node
+    is the parent. Each record is an f-string laid out at its depth in the file.
     """
-    nodes: list[dict[str, Any]] = [{"id": "root", "kind": "root", "label": doc.filename}]
-    edges: list[dict[str, Any]] = []
+    nodes = [_node('"root"', "root", _json_value(doc.filename, "      "))]
+    edges = []
     for page in doc.pages:
-        page_id = f"page_{page.page_number}"
-        nodes.append({"id": page_id, "kind": "page", "label": page_id})
-        edges.append({"from": "root", "to": page_id, "relation": "contains"})
-        elements = list(page.elements.values())
-        for entity in elements:
-            nodes.append(
-                {"id": entity.id, "kind": "element", "label": entity.type.value, "weight": entity.weight}
-            )
-        if not elements:
-            continue
-        edges.append({"from": page_id, "to": elements[0].id, "relation": "contains"})
-        for previous, current in zip(elements, elements[1:]):
-            if previous.weight == current.weight:
-                edges.append({"from": previous.id, "to": current.id, "relation": "sibling"})
-            elif previous.weight < current.weight:
-                edges.append({"from": previous.id, "to": current.id, "relation": "parent-child"})
+        page_id = _encode_str(f"page_{page.page_number}")
+        nodes.append(_node(page_id, "page", page_id))
+        edges.append(_edge('"root"', page_id, "contains"))
+        previous = previous_id = None
+        for entity in page.elements.values():
+            entity_id = _encode_str(entity.id)
+            nodes.append(f"""
+    {{
+      "id": {entity_id},
+      "kind": "element",
+      "label": {_encode_str(entity.type)},
+      "weight": {_json_value(entity.weight, "      ")}
+    }}""")
+            if previous is None:
+                edges.append(_edge(page_id, entity_id, "contains"))
+            elif previous.weight == entity.weight:
+                edges.append(_edge(previous_id, entity_id, "sibling"))
+            elif previous.weight < entity.weight:
+                edges.append(_edge(previous_id, entity_id, "parent-child"))
             else:
-                edges.append({"from": current.id, "to": previous.id, "relation": "parent-child"})
-    return nodes, edges
+                edges.append(_edge(entity_id, previous_id, "parent-child"))
+            previous, previous_id = entity, entity_id
+    parts = ['{\n  "nodes": ']
+    _write_items(parts, nodes, list.append, "[]", "  ")
+    parts.append(',\n  "edges": ')
+    _write_items(parts, edges, list.append, "[]", "  ")
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def to_graph(doc: DocumentResult) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
+    """The ``(nodes, edges)`` records of ``to_graph_json``, as dicts."""
+    graph = json.loads(to_graph_json(doc))
+    return graph["nodes"], graph["edges"]
 
 
 # ---------------------------------------------------------------------------
@@ -253,30 +298,63 @@ def _table_html_content(rows: Iterable[Mapping[str, str]]) -> str:
     return "".join(parts)
 
 
-def to_dpbench(doc: DocumentResult) -> list[dict[str, Any]]:
-    """Convert to benchmark prediction elements in reading order.
+def _write_dpbench_element(parts: list[str], item: tuple[int, tuple[int, Entity]]) -> None:
+    index, (page_number, entity) = item
+    box = entity.pixel_coordinates
+    left, top, right, bottom = repr(box.left), repr(box.top), repr(box.right), repr(box.bottom)
+    parts.append(f"""
+    {{
+      "category": {_encode_str(DPBENCH_CATEGORY[entity.type])},
+      "coordinates": [
+        [
+          {left},
+          {top}
+        ],
+        [
+          {right},
+          {top}
+        ],
+        [
+          {right},
+          {bottom}
+        ],
+        [
+          {left},
+          {bottom}
+        ]
+      ],""")
+    data = entity.value.data
+    table = ""
+    if entity.type is ElementLabel.TABLE and data:
+        table = f""",
+        "html": {_encode_str(_table_html_content(data))},
+        "markdown": {_encode_str(_markdown_table(data))}"""
+    parts.append(f"""
+      "id": {index},
+      "page": {page_number:d},
+      "content": {{
+        "text": {_encode_str(entity.value.text)}{table}
+      }}
+    }}""")
 
-    Each element is a ``dpbench.json`` record, the shape ``metrics.evaluate``
-    reads. Boxes become four-point polygons [LT, RT, RB, LB]; ids are
-    sequential from 0 across the document. Tables carry an HTML (and
-    Markdown) rendering of their enriched data when available.
+
+def to_dpbench_json(doc: DocumentResult) -> str:
+    """The ``dpbench.json`` text: benchmark prediction elements in reading order.
+
+    It holds ``{"filename", "elements"}``, and each element is the record
+    ``metrics.evaluate`` reads. Boxes become four-point polygons
+    [LT, RT, RB, LB]; ids are sequential from 0 across the document. Tables
+    carry an HTML (and Markdown) rendering of their enriched data when
+    available. Each element is written as f-strings laid out at its depth in
+    the file; the coordinates are finite floats by the ``BBox`` invariant.
     """
-    out: list[dict[str, Any]] = []
-    for page in doc.pages:
-        for entity in page.elements.values():
-            box = entity.pixel_coordinates
-            left, top, right, bottom = box.left, box.top, box.right, box.bottom
-            content = {"text": entity.value.text}
-            if entity.type is ElementLabel.TABLE and entity.value.data:
-                content["html"] = _table_html_content(entity.value.data)
-                content["markdown"] = _markdown_table(entity.value.data)
-            out.append(
-                {
-                    "category": DPBENCH_CATEGORY[entity.type],
-                    "coordinates": [[left, top], [right, top], [right, bottom], [left, bottom]],
-                    "id": len(out),
-                    "page": page.page_number,
-                    "content": content,
-                }
-            )
-    return out
+    elements = list(enumerate((page.page_number, entity) for page in doc.pages for entity in page.elements.values()))
+    parts = [f'{{\n  "filename": {_json_value(doc.filename, "  ")},\n  "elements": ']
+    _write_items(parts, elements, _write_dpbench_element, "[]", "  ")
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def to_dpbench(doc: DocumentResult) -> list[dict[str, Any]]:
+    """The ``elements`` records of ``to_dpbench_json``, as dicts."""
+    return json.loads(to_dpbench_json(doc))["elements"]

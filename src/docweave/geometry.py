@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable
+
+_FLOAT_MAX = sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -20,6 +23,12 @@ class BBox:
     bottom: float
 
     def __post_init__(self):
+        left, top, right, bottom = self.left, self.top, self.right, self.bottom
+        if (
+            type(left) is float and type(top) is float and type(right) is float and type(bottom) is float
+            and 0.0 <= left <= right <= _FLOAT_MAX and 0.0 <= top <= bottom <= _FLOAT_MAX
+        ):
+            return  # already valid floats; anything else is converted or rejected below
         for name in ("left", "top", "right", "bottom"):
             value = getattr(self, name)
             if not isinstance(value, (int, float)) or isinstance(value, bool):

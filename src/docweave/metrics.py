@@ -53,7 +53,7 @@ from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import EvaluationError, TableParseError
 from .geometry import BBox, iou
-from .model import read_json_object
+from .model import _is_int, read_json_object
 
 logger = logging.getLogger(__name__)
 
@@ -640,13 +640,16 @@ class DPBenchElement(NamedTuple):
     ``box`` spans points 0 and 2 (left-top and right-bottom) of the element's
     ``coordinates`` polygon, and is ``None`` when the polygon is missing or
     null. ``text`` is ``""`` and ``html`` is ``None`` when missing or null,
-    and so is a blank ``html``. ``id`` is the element's ``id``; without one
-    it is the element's position among the file's ``Table`` elements.
+    and so is a blank ``html``. ``page`` is a positive int, or ``None`` when
+    missing or null. ``id`` is the element's ``id``, an int or a non-empty
+    str; without one (or with ``null``) it is the element's position among
+    the file's ``Table`` elements. No two tables of a file share an id's
+    text, which names their sample.
     """
 
     category: Optional[str]
-    page: Any
-    id: Any
+    page: Optional[int]
+    id: Union[int, str]
     box: Optional[BBox]
     text: str
     html: Optional[str]
@@ -664,7 +667,7 @@ def _load_dpbench_file(path: Path) -> list[DPBenchElement]:
     if not isinstance(elements, list):
         raise EvaluationError(f"{path}: expected an 'elements' array")
     records = []
-    tables = 0
+    table_ids: dict[str, int] = {}  # sample id suffix -> index of the table element holding it
     for index, element in enumerate(elements):
         context = f"{path}: elements[{index}]"
         if not isinstance(element, dict):
@@ -689,10 +692,23 @@ def _load_dpbench_file(path: Path) -> list[DPBenchElement]:
                 box = BBox(*points[0], *points[2])
             except ValueError as exc:
                 raise EvaluationError(f"{context}.coordinates: {exc}") from None
+        page = element.get("page")
+        if page is not None and (not _is_int(page) or page < 1):
+            raise EvaluationError(f"{context}.page must be a positive integer or null")
+        element_id = element.get("id")
+        if element_id is None:
+            element_id = len(table_ids)
+        elif not (_is_int(element_id) or (isinstance(element_id, str) and element_id)):
+            raise EvaluationError(f"{context}.id must be an integer, a non-empty string or null")
+        if category == "Table":
+            earlier = table_ids.setdefault(str(element_id), index)
+            if earlier != index:
+                raise EvaluationError(
+                    f"{context}.id: the sample id '#table{element_id}' is already that of elements[{earlier}]"
+                )
         text, html = content.get("text") or "", content.get("html")
         html = html if html and html.strip() else None
-        records.append(DPBenchElement(category, element.get("page"), element.get("id", tables), box, text, html))
-        tables += category == "Table"
+        records.append(DPBenchElement(category, page, element_id, box, text, html))
     return records
 
 

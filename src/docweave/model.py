@@ -1,9 +1,12 @@
 """Document data model: labels, schema weights, entities, groups, pages, documents.
 
 All types are immutable after construction and safe to share across threads.
-The JSON shape produced by :func:`document_to_dict` is the contract between
-assembly, export, and evaluation; ``elements`` is serialized as an ordered
-object whose key order is the page reading order.
+The text :func:`document_to_json` writes is the contract between assembly,
+export, and evaluation, and :func:`document_from_json` reads it back;
+``elements`` is serialized as an ordered object whose key order is the page
+reading order. The writer builds each record from f-strings filled straight
+from the model's attributes; :func:`document_to_dict` is ``json.loads`` of
+its text.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence, Union
+from typing import Any, Callable, Collection, Mapping, Optional, Sequence, Union
 
 from .errors import ValidationError
 from .geometry import BBox, union_bbox
@@ -296,73 +299,6 @@ class DocumentResult:
 # ---------------------------------------------------------------------------
 
 
-def _bbox_to_dict(box: BBox) -> dict[str, float]:
-    return {"left": box.left, "top": box.top, "right": box.right, "bottom": box.bottom}
-
-
-def _centers_to_dict(box: BBox) -> dict[str, Any]:
-    x, y = box.x_center, box.y_center
-    return {"mid_point": {"x": x, "y": y}, "x_center": x, "y_center": y}
-
-
-def entity_value_to_dict(value: EntityValue) -> dict[str, Any]:
-    out: dict[str, Any] = {"text": value.text}
-    if value.title is not None:
-        out["title"] = value.title
-    if value.summary is not None:
-        out["summary"] = value.summary
-    if value.data is not None:
-        out["data"] = [dict(row) for row in value.data]
-    return out
-
-
-def entity_to_dict(entity: Entity) -> dict[str, Any]:
-    out: dict[str, Any] = {
-        "id": entity.id,
-        "type": entity.type.value,
-        "confidence": entity.confidence,
-        "value": entity_value_to_dict(entity.value),
-        "pixel_coordinates": _bbox_to_dict(entity.pixel_coordinates),
-        **_centers_to_dict(entity.pixel_coordinates),
-        "weight": entity.weight,
-    }
-    if entity.image_payload is not None:
-        out["image_payload"] = entity.image_payload
-    return out
-
-
-def group_to_dict(group: Group) -> dict[str, Any]:
-    return {
-        "type": group.type.value,
-        "ids": list(group.ids),
-        "pixel_coordinates": _bbox_to_dict(group.pixel_coordinates),
-        **_centers_to_dict(group.pixel_coordinates),
-    }
-
-
-def page_to_dict(page: PageResult) -> dict[str, Any]:
-    return {
-        "page_number": page.page_number,
-        "elements": {eid: entity_to_dict(ent) for eid, ent in page.elements.items()},
-        "groups": [group_to_dict(g) for g in page.groups],
-        "non_groups": list(page.non_groups),
-        "skipped_images": list(page.skipped_images),
-    }
-
-
-def document_to_dict(doc: DocumentResult) -> dict[str, Any]:
-    return {
-        "filename": doc.filename,
-        "total_pages": doc.total_pages,
-        "total_processed_pages": doc.total_processed_pages,
-        "total_failed_pages": doc.total_failed_pages,
-        "total_llm_calls": doc.total_llm_calls,
-        "metadata": dict(doc.metadata),
-        "document_category": doc.document_category,
-        "pages": [page_to_dict(p) for p in doc.pages],
-    }
-
-
 def json_text(value: Any) -> str:
     """``value`` as indented JSON text, the form of every JSON file docweave writes.
 
@@ -373,13 +309,16 @@ def json_text(value: Any) -> str:
     ``json.dumps`` in C, and there it is the writer. Older versions run it in
     the pure-Python encoder, and ``_write_indented`` replaces it: a recursive
     writer over dict, list, tuple, str, int, float, bool and None, with the
-    C string encoder and ``float.__repr__`` for leaves. On one 0.96 MB
-    ``dense`` result (2-core x86-64 VM, median of 15) the indented
-    ``json.dumps`` took 86 ms on CPython 3.11 and 18 ms on 3.13, and
-    ``_write_indented`` 36 and 39 ms. The hand writer also rejects non-str
-    keys with ``TypeError`` and needs a dict, list or tuple at the top level,
-    where ``json.dumps`` writes a key ``1`` as ``"1"`` and accepts a bare
-    scalar.
+    C string encoder and ``float.__repr__`` for leaves. On one 0.96 MB dict
+    tree (the dict form of a ``dense`` result; 2-core x86-64 VM, median of
+    15) the indented ``json.dumps`` took 86 ms on CPython 3.11 and 18 ms on
+    3.13, and ``_write_indented`` 36 and 39 ms. The result, graph and
+    DP-Bench files do not build that tree: their writers build each record
+    from f-strings and pass only open-shaped values (metadata, an enriched
+    entity value) through here; the ``eval --report`` file is written here.
+    The hand writer also rejects non-str keys with ``TypeError`` and needs a
+    dict, list or tuple at the top level, where ``json.dumps`` writes a key
+    ``1`` as ``"1"`` and accepts a bare scalar.
     """
     return _indented_json(value) + "\n"
 
@@ -473,8 +412,163 @@ else:
         return "".join(parts)
 
 
+def _json_value(value: Any, indent: str) -> str:
+    """``value`` as ``json_text`` writes it after a key on a line indented by ``indent``.
+
+    Strings, finite floats and ints are written directly; any other value is
+    written as the item of a one-item list, whose lines are then re-indented.
+    That is exact because the writer puts a literal newline only between
+    tokens (a newline in a string is written as ``\\n``).
+    """
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is float and _isfinite(value):
+        return _float_text(value)
+    if kind is int:
+        return _int_text(value)
+    return _indented_json([value])[4:-2].replace("\n  ", "\n" + indent)
+
+
+def _write_items(
+    parts: list[str], items: Collection[Any], write: Callable[[list[str], Any], None], brackets: str, indent: str
+) -> None:
+    """Append to ``parts`` the JSON array or object ``brackets`` (``"[]"`` or
+    ``"{}"``) holding ``items``; ``write(parts, item)`` appends one item, starting
+    with a newline, and the closing bracket's line is indented by ``indent``."""
+    if not items:
+        parts.append(brackets)
+        return
+    separator = brackets[0]
+    for item in items:
+        parts.append(separator)
+        write(parts, item)
+        separator = ","
+    parts.append("\n" + indent + brackets[1])
+
+
+def _str_array(items: Sequence[str], indent: str) -> str:
+    if not items:
+        return "[]"
+    item_indent = "\n  " + indent
+    return "[" + item_indent + ("," + item_indent).join(map(_encode_str, items)) + "\n" + indent + "]"
+
+
+# The result JSON is a list of fragments joined once; each record is written
+# as f-strings laid out at its fixed depth in the file, and entity and group
+# keys sit 10 spaces deep. Fragments stay short, mostly under pymalloc's
+# 512-byte limit: whole ~750-byte entity records joined per container raised
+# the ``dense`` benchmark's peak RSS by about 2.6 MB, from freed blocks left
+# on the C heap. ``ElementLabel`` and ``GroupType`` are ``str`` enums, so
+# ``_encode_str`` writes their values.
+_RECORD_INDENT = " " * 10
+
+
+def _box_keys(box: BBox) -> str:
+    """The keys that end an entity or group record: its box and the box centres.
+
+    The coordinates are finite floats by the ``BBox`` invariant. A centre
+    overflows to ``inf`` when both coordinates on its axis are near the float
+    maximum, and then raises ``ValueError`` as ``json_text`` does.
+    """
+    x, y = box.x_center, box.y_center
+    if not (_isfinite(x) and _isfinite(y)):
+        _json_value([x, y], "")  # raises, naming the first non-finite centre
+    x, y = _float_text(x), _float_text(y)
+    return f"""\
+"pixel_coordinates": {{
+            "left": {box.left!r},
+            "top": {box.top!r},
+            "right": {box.right!r},
+            "bottom": {box.bottom!r}
+          }},
+          "mid_point": {{
+            "x": {x},
+            "y": {y}
+          }},
+          "x_center": {x},
+          "y_center": {y}"""
+
+
+def _value_dict(value: EntityValue) -> dict[str, Any]:
+    out: dict[str, Any] = {"text": value.text}
+    if value.title is not None:
+        out["title"] = value.title
+    if value.summary is not None:
+        out["summary"] = value.summary
+    if value.data is not None:
+        out["data"] = [dict(row) for row in value.data]
+    return out
+
+
+def _write_entity(parts: list[str], item: tuple[str, Entity]) -> None:
+    key, entity = item
+    confidence = _json_value(entity.confidence, _RECORD_INDENT)
+    value = entity.value
+    if value.title is None and value.summary is None and value.data is None:
+        value_text = f'{{\n            "text": {_encode_str(value.text)}\n          }}'
+    else:
+        value_text = _json_value(_value_dict(value), _RECORD_INDENT)
+    parts.append(f"""
+        {_encode_str(key)}: {{
+          "id": {_encode_str(entity.id)},
+          "type": {_encode_str(entity.type)},
+          "confidence": {confidence},
+          "value": {value_text},
+          """)
+    parts.append(_box_keys(entity.pixel_coordinates))
+    payload = entity.image_payload
+    payload = "" if payload is None else f',\n          "image_payload": {_encode_str(payload)}'
+    parts.append(f""",
+          "weight": {_json_value(entity.weight, _RECORD_INDENT)}{payload}
+        }}""")
+
+
+def _write_group(parts: list[str], group: Group) -> None:
+    parts.append(f"""
+        {{
+          "type": {_encode_str(group.type)},
+          "ids": {_str_array(group.ids, _RECORD_INDENT)},
+          """)
+    parts.append(_box_keys(group.pixel_coordinates))
+    parts.append("\n        }")
+
+
+def _write_page(parts: list[str], page: PageResult) -> None:
+    parts.append(f"""
+    {{
+      "page_number": {page.page_number:d},
+      "elements": """)
+    _write_items(parts, page.elements.items(), _write_entity, "{}", "      ")
+    parts.append(',\n      "groups": ')
+    _write_items(parts, page.groups, _write_group, "[]", "      ")
+    parts.append(f""",
+      "non_groups": {_str_array(page.non_groups, "      ")},
+      "skipped_images": {_str_array(page.skipped_images, "      ")}
+    }}""")
+
+
 def document_to_json(doc: DocumentResult) -> str:
-    return json_text(document_to_dict(doc))
+    """The result JSON file: ``json_text`` of the document's fields in a fixed
+    key order, with ``elements`` keyed by id in reading order, written from
+    the model's attributes without building that dict tree."""
+    parts = [f"""{{
+  "filename": {_json_value(doc.filename, "  ")},
+  "total_pages": {doc.total_pages:d},
+  "total_processed_pages": {doc.total_processed_pages:d},
+  "total_failed_pages": {doc.total_failed_pages:d},
+  "total_llm_calls": {doc.total_llm_calls:d},
+  "metadata": {_json_value(doc.metadata, "  ")},
+  "document_category": {_json_value(doc.document_category, "  ")},
+  "pages": """]
+    _write_items(parts, doc.pages, _write_page, "[]", "  ")
+    parts.append("\n}\n")
+    return "".join(parts)
+
+
+def document_to_dict(doc: DocumentResult) -> dict[str, Any]:
+    """The result JSON file as the dict ``json.loads`` reads from it."""
+    return json.loads(document_to_json(doc))
 
 
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:

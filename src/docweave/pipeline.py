@@ -15,9 +15,10 @@ import logging
 import math
 import os
 import tempfile
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Mapping, Optional, Sequence
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from . import export as export_mod
 from .assembly import AssemblyParams, assemble_page, correct_headers_footers
@@ -48,7 +49,6 @@ from .model import (
     _is_int,
     _is_number,
     document_to_json,
-    json_text,
 )
 
 logger = logging.getLogger(__name__)
@@ -149,13 +149,17 @@ class DocumentOutcome:
         return doc is not None and doc.total_pages > 0 and doc.total_processed_pages == 0
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
+@contextmanager
+def staged_write(path: Path, text: str) -> Iterator[None]:
+    """Write ``text`` to a sibling temp file of ``path`` and rename it onto
+    ``path`` when the block ends; if the block raises, remove the temp file
+    and leave ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
+        yield
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -163,6 +167,12 @@ def write_atomic(path: Path, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Write via a sibling temp file and rename, so readers never see partials."""
+    with staged_write(path, text):
+        pass
 
 
 def _json_lines(values: Sequence[Any]) -> str:
@@ -190,10 +200,9 @@ def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> 
     if fmt == "chunks":
         return _json_lines(export_mod.to_chunks(doc))
     if fmt == "graph":
-        nodes, edges = export_mod.to_graph(doc)
-        return json_text({"nodes": nodes, "edges": edges})
+        return export_mod.to_graph_json(doc)
     if fmt == "dpbench":
-        return json_text({"filename": doc.filename, "elements": export_mod.to_dpbench(doc)})
+        return export_mod.to_dpbench_json(doc)
     raise ValidationError(f"unknown output format {fmt!r}")
 
 

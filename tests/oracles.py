@@ -7,11 +7,13 @@ oracle recomputes reachability from set definitions, the tree edit oracle
 is a memoized recursion over forests instead of the keyroot DP, and the
 header/footer oracle scores every entity against every candidate with the
 LCS-table distance instead of using a candidate index, the dedupe oracle
-tests every pair of entities instead of (type, text) buckets, and the chunk
+tests every pair of entities instead of (type, text) buckets, the chunk
 dedupe oracle compares each chunk with every earlier one instead of keeping a
-set of seen contents.
+set of seen contents, and the record builders build the result, graph and
+DP-Bench files as dicts for ``json.dumps`` instead of filling text templates.
 """
 
+import json
 import unicodedata
 from functools import lru_cache
 
@@ -255,3 +257,132 @@ def tree_edit_oracle(tree_a, tree_b, relabel_cost) -> float:
         return best
 
     return dist((tree_a,), (tree_b,))
+
+
+# --- result, graph and DP-Bench files as dicts -------------------------------
+
+
+def bbox_to_dict(box):
+    return {"left": box.left, "top": box.top, "right": box.right, "bottom": box.bottom}
+
+
+def centers_to_dict(box):
+    x, y = box.x_center, box.y_center
+    return {"mid_point": {"x": x, "y": y}, "x_center": x, "y_center": y}
+
+
+def entity_value_to_dict(value):
+    out = {"text": value.text}
+    if value.title is not None:
+        out["title"] = value.title
+    if value.summary is not None:
+        out["summary"] = value.summary
+    if value.data is not None:
+        out["data"] = [dict(row) for row in value.data]
+    return out
+
+
+def entity_to_dict(entity):
+    out = {
+        "id": entity.id,
+        "type": entity.type.value,
+        "confidence": entity.confidence,
+        "value": entity_value_to_dict(entity.value),
+        "pixel_coordinates": bbox_to_dict(entity.pixel_coordinates),
+        **centers_to_dict(entity.pixel_coordinates),
+        "weight": entity.weight,
+    }
+    if entity.image_payload is not None:
+        out["image_payload"] = entity.image_payload
+    return out
+
+
+def group_to_dict(group):
+    return {
+        "type": group.type.value,
+        "ids": list(group.ids),
+        "pixel_coordinates": bbox_to_dict(group.pixel_coordinates),
+        **centers_to_dict(group.pixel_coordinates),
+    }
+
+
+def page_to_dict(page):
+    return {
+        "page_number": page.page_number,
+        "elements": {eid: entity_to_dict(ent) for eid, ent in page.elements.items()},
+        "groups": [group_to_dict(g) for g in page.groups],
+        "non_groups": list(page.non_groups),
+        "skipped_images": list(page.skipped_images),
+    }
+
+
+def document_to_dict(doc):
+    return {
+        "filename": doc.filename,
+        "total_pages": doc.total_pages,
+        "total_processed_pages": doc.total_processed_pages,
+        "total_failed_pages": doc.total_failed_pages,
+        "total_llm_calls": doc.total_llm_calls,
+        "metadata": dict(doc.metadata),
+        "document_category": doc.document_category,
+        "pages": [page_to_dict(p) for p in doc.pages],
+    }
+
+
+def graph_to_dict(doc):
+    """``{"nodes", "edges"}``: root -> pages -> reading-ordered elements, with
+    each consecutive element pair joined as siblings (equal weight) or as
+    parent (lower weight) and child."""
+    nodes = [{"id": "root", "kind": "root", "label": doc.filename}]
+    edges = []
+    for page in doc.pages:
+        page_id = f"page_{page.page_number}"
+        nodes.append({"id": page_id, "kind": "page", "label": page_id})
+        edges.append({"from": "root", "to": page_id, "relation": "contains"})
+        elements = list(page.elements.values())
+        for entity in elements:
+            nodes.append(
+                {"id": entity.id, "kind": "element", "label": entity.type.value, "weight": entity.weight}
+            )
+        if not elements:
+            continue
+        edges.append({"from": page_id, "to": elements[0].id, "relation": "contains"})
+        for previous, current in zip(elements, elements[1:]):
+            if previous.weight == current.weight:
+                edges.append({"from": previous.id, "to": current.id, "relation": "sibling"})
+            elif previous.weight < current.weight:
+                edges.append({"from": previous.id, "to": current.id, "relation": "parent-child"})
+            else:
+                edges.append({"from": current.id, "to": previous.id, "relation": "parent-child"})
+    return {"nodes": nodes, "edges": edges}
+
+
+def dpbench_to_dict(doc):
+    """``{"filename", "elements"}`` with one element per entity in reading order."""
+    from docweave.export import DPBENCH_CATEGORY, _markdown_table, _table_html_content
+    from docweave.model import ElementLabel
+
+    out = []
+    for page in doc.pages:
+        for entity in page.elements.values():
+            box = entity.pixel_coordinates
+            left, top, right, bottom = box.left, box.top, box.right, box.bottom
+            content = {"text": entity.value.text}
+            if entity.type is ElementLabel.TABLE and entity.value.data:
+                content["html"] = _table_html_content(entity.value.data)
+                content["markdown"] = _markdown_table(entity.value.data)
+            out.append(
+                {
+                    "category": DPBENCH_CATEGORY[entity.type],
+                    "coordinates": [[left, top], [right, top], [right, bottom], [left, bottom]],
+                    "id": len(out),
+                    "page": page.page_number,
+                    "content": content,
+                }
+            )
+    return {"filename": doc.filename, "elements": out}
+
+
+def indented_json(value):
+    """The indented form of every JSON file docweave writes."""
+    return json.dumps(value, indent=2, ensure_ascii=False) + "\n"

@@ -30,12 +30,13 @@ from docweave.metrics import (
     teds_s,
     tree_edit_distance,
 )
-from docweave.model import SchemaWeights, page_to_dict
+from docweave.model import SchemaWeights
 from docweave.pipeline import PipelineConfig, run_pipeline
 from oracles import (
     dbscan_oracle,
     indel_oracle,
     indel_oracle_fast,
+    page_to_dict,
     relabel_cost_oracle,
     tree_edit_oracle,
 )

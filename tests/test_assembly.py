@@ -29,8 +29,8 @@ from docweave.assembly import (
 )
 from docweave.errors import ValidationError
 from docweave.geometry import BBox, iou
-from docweave.model import ElementLabel, GroupType, SchemaWeights, page_to_dict
-from oracles import dbscan_oracle, dedupe_oracle, indel_oracle
+from docweave.model import ElementLabel, GroupType, SchemaWeights
+from oracles import dbscan_oracle, dedupe_oracle, indel_oracle, page_to_dict
 
 PARAMS = AssemblyParams()
 

@@ -80,6 +80,34 @@ class TestBBoxValidation:
         with pytest.raises(ValueError):
             BBox(0, 0, math.nan, 10)
 
+    @pytest.mark.parametrize(
+        "coords, error, message",
+        [
+            ((0.0, 0.0, math.nan, 10.0), ValueError, "box coordinates must be finite, got (0.0, 0.0, nan, 10.0)"),
+            ((0, math.inf, 5, math.inf), ValueError, "box coordinates must be finite, got (0.0, inf, 5.0, inf)"),
+            ((-1.0, 0.0, 5.0, 10.0), ValueError, "box coordinates must be non-negative, got (-1.0, 0.0, 5.0, 10.0)"),
+            ((10.0, 0, 5.0, 10), ValueError,
+             "box must satisfy left <= right and top <= bottom, got (10.0, 0.0, 5.0, 10.0)"),
+            ((0.0, True, 5.0, 10.0), TypeError, "top must be a number, got True"),
+            ((0.0, 0.0, "5", 10.0), TypeError, "right must be a number, got '5'"),
+            ((0.0, 0.0, 5.0, 10**400), ValueError, "bottom is too large for a float"),
+        ],
+    )
+    def test_rejection_messages(self, coords, error, message):
+        with pytest.raises(error) as excinfo:
+            BBox(*coords)
+        assert str(excinfo.value) == message
+
+    def test_accepted_coordinates_become_floats(self):
+        class Coordinate(float):
+            pass
+
+        box = BBox(-0.0, 3, Coordinate(5.5), 1.5e308)
+        assert [type(c) for c in (box.left, box.top, box.right, box.bottom)] == [float] * 4
+        assert (box.top, box.right, box.bottom) == (3.0, 5.5, 1.5e308)
+        # -0.0 equals 0.0, so it is not negative, and it keeps its sign.
+        assert math.copysign(1.0, box.left) == -1.0
+
 
 class TestIoU:
     def test_identical(self):

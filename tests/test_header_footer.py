@@ -15,8 +15,8 @@ from docweave.assembly import (
     correct_headers_footers,
     fuzzy_ratio,
 )
-from docweave.model import ElementLabel, SchemaWeights, page_to_dict
-from oracles import header_footer_oracle
+from docweave.model import ElementLabel, SchemaWeights
+from oracles import header_footer_oracle, page_to_dict
 
 SCHEMA = SchemaWeights()
 PARAMS = AssemblyParams()

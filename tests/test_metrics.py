@@ -558,6 +558,15 @@ class TestEvaluate:
             ({"category": "Paragraph", "content": "hello"}, ".content"),
             ({"category": "Paragraph", "content": None}, ".content"),
             ({"category": ["Table"], "content": {"text": "x"}}, ".category"),
+            # A page is a positive integer and an id an integer or a non-empty string.
+            ({"category": "Table", "page": "1"}, ".page"),
+            ({"category": "Table", "page": True}, ".page"),
+            ({"category": "Table", "page": 0}, ".page"),
+            ({"category": "Table", "page": 1.0}, ".page"),
+            ({"category": "Table", "id": True}, ".id"),
+            ({"category": "Table", "id": ""}, ".id"),
+            ({"category": "Table", "id": 1.5}, ".id"),
+            ({"category": "Paragraph", "id": ["a"]}, ".id"),
         ],
     )
     def test_malformed_element_names_file_and_index(self, tmp_path, mode, element, field):
@@ -591,6 +600,32 @@ class TestEvaluate:
             DPBenchElement("Table", None, 1, None, "", "<table></table>"),
             DPBenchElement(None, None, 2, None, "", None),
         ]
+
+    @pytest.mark.parametrize("first, second", [(1, 1), (1, "1"), (None, 0), ("t", "t")])
+    def test_tables_sharing_a_sample_id_rejected(self, tmp_path, first, second):
+        html = "<table><tr><td>a</td></tr></table>"
+        path = _write_doc(
+            tmp_path / "ref.json",
+            [
+                _table_element(html, element_id=first),
+                {"category": "Paragraph", "id": second, "content": {"text": "a"}},
+                _table_element(html, (0, 20, 10, 30), element_id=second),
+            ],
+        )
+        with pytest.raises(EvaluationError) as excinfo:
+            evaluate(path, path, "table")
+        assert str(excinfo.value) == (
+            f"{path}: elements[2].id: the sample id '#table{second}' is already that of elements[0]"
+        )
+
+    def test_null_id_names_a_table_by_position(self, tmp_path):
+        html = "<table><tr><td>a</td></tr></table>"
+        path = _write_doc(
+            tmp_path / "ref.json",
+            [_table_element(html, element_id=None), _table_element(html, (0, 20, 10, 30), element_id=None)],
+        )
+        report = evaluate(path, path, "table")
+        assert [sample["sample_id"] for sample in report.samples] == ["ref#table0", "ref#table1"]
 
     @pytest.mark.parametrize("side", ["reference", "prediction", "both"])
     @pytest.mark.parametrize("coordinates", ["missing", None])

@@ -13,11 +13,13 @@ from docweave.assembly import (
     correct_headers_footers,
 )
 from docweave.errors import ValidationError
+from docweave.export import to_dpbench_json, to_graph_json
 from docweave.geometry import BBox
 from docweave.ingest import LayoutDetection
 from docweave.model import (
     DocumentResult,
     ElementLabel,
+    Entity,
     EntityValue,
     GroupType,
     LayoutLabel,
@@ -26,12 +28,18 @@ from docweave.model import (
     document_from_json,
     document_to_json,
     entity_from_dict,
-    entity_to_dict,
     group_from_dict,
-    group_to_dict,
     json_text,
     make_entity,
     make_group,
+)
+from oracles import (
+    document_to_dict,
+    dpbench_to_dict,
+    entity_to_dict,
+    graph_to_dict,
+    group_to_dict,
+    indented_json,
 )
 
 
@@ -402,6 +410,89 @@ def test_json_round_trip_property(doc):
     restored = document_from_json(text)
     assert restored == doc
     assert document_to_json(restored) == text
+
+
+def _writer_texts(doc):
+    return document_to_json(doc), to_graph_json(doc), to_dpbench_json(doc)
+
+
+def _oracle_texts(doc):
+    return tuple(indented_json(build(doc)) for build in (document_to_dict, graph_to_dict, dpbench_to_dict))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_documents())
+def test_writers_match_oracle_dicts(doc):
+    assert _writer_texts(doc) == _oracle_texts(doc)
+
+
+#: Quote, backslash, control characters, line and paragraph separators, a BOM,
+#: a non-BMP character and a non-ASCII letter.
+_AWKWARD = 'q"b\\s\x00\x1f\x7f\n\t\u2028\u2029\ufeff\U0001d11e é'
+
+
+def _one_page_doc(entities, groups=(), filename="doc.pdf", metadata=None, skipped=()):
+    page = PageResult(1, {e.id: e for e in entities}, groups, skipped)
+    return DocumentResult(filename, 1, 0, metadata or {}, _AWKWARD, (page,))
+
+
+def _writer_cases():
+    schema = SchemaWeights()
+    plain = make_entity(ElementLabel.TEXT, 0.5, BBox(0, 0, 10, 10), EntityValue("x"), schema, "plain")
+    awkward = make_entity(
+        ElementLabel.TABLE,
+        0.25,
+        BBox(1e-7, 2.5, 3, 1e16),
+        EntityValue(_AWKWARD, _AWKWARD, _AWKWARD, ({_AWKWARD: _AWKWARD, "n": "1"},)),
+        schema,
+        _AWKWARD,
+        image_payload=_AWKWARD,
+    )
+    return {
+        "no pages": DocumentResult("doc.pdf", 0, 0, {}, "uncategorized", ()),
+        "failed pages only": DocumentResult("doc.pdf", 3, 2, {"a": "b"}, "", ()),
+        "page without elements": _one_page_doc([], skipped=("s1",)),
+        # Built directly, not through make_entity, so the confidence stays an int.
+        "int confidence": _one_page_doc([Entity("one", ElementLabel.TEXT, 1, EntityValue(), BBox(0, 0, 1, 1), 6)]),
+        "awkward text": _one_page_doc(
+            [awkward, plain],
+            groups=(make_group(GroupType.ROW, [awkward]),),
+            filename=_AWKWARD,
+            metadata={_AWKWARD: _AWKWARD},
+            skipped=(_AWKWARD + "s",),
+        ),
+    }
+
+
+@pytest.mark.parametrize("name", list(_writer_cases()))
+def test_writers_match_oracle_dicts_on_edge_cases(name):
+    doc = _writer_cases()[name]
+    assert _writer_texts(doc) == _oracle_texts(doc)
+    if name == "int confidence":
+        assert '"confidence": 1,\n' in document_to_json(doc)
+
+
+def test_overflowing_centre_raises_as_json_text_does():
+    with pytest.raises(ValueError) as expected:
+        json_text([math.inf])
+    schema = SchemaWeights()
+    wide, tall = (
+        make_entity(ElementLabel.TEXT, 0.5, box, EntityValue("x"), schema, "huge")
+        for box in (BBox(1e308, 0, 1.5e308, 10), BBox(0, 1e308, 10, 1.5e308))
+    )
+    # Each box's own centre is finite; the centre of the group's union box is not.
+    a, b = (
+        make_entity(ElementLabel.TEXT, 0.5, BBox(x, 0, x, 10), EntityValue("x"), schema, eid)
+        for eid, x in (("a", 1e308), ("b", 1.5e308))
+    )
+    grouped = _one_page_doc([a, b], groups=(make_group(GroupType.GENERIC, [a, b]),))
+    for doc in (_one_page_doc([wide]), _one_page_doc([tall]), grouped):
+        with pytest.raises(ValueError) as excinfo:
+            document_to_json(doc)
+        assert str(excinfo.value) == str(expected.value)
+        # The graph and DP-Bench files hold no centres.
+        assert to_graph_json(doc) == indented_json(graph_to_dict(doc))
+        assert to_dpbench_json(doc) == indented_json(dpbench_to_dict(doc))
 
 
 #: Leaves the writer must encode exactly as ``json.dumps``: escapes, control

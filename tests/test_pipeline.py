@@ -882,6 +882,23 @@ class TestCli:
         assert f"{failing}: cannot write: " in result.output
         assert "Traceback" not in result.output
 
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_eval_unwritable_summary_leaves_report_as_it_was(self, tmp_path, existing):
+        golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
+        report_path = tmp_path / "report.json"
+        if existing:
+            report_path.write_text("earlier report\n", encoding="utf-8")
+        (tmp_path / "report.txt").mkdir()
+        result = CliRunner().invoke(
+            main, ["eval", str(golden), str(golden), "--mode", "layout", "--report", str(report_path)]
+        )
+        assert result.exit_code == 1
+        assert f"{tmp_path / 'report.txt'}: cannot write: " in result.output
+        # Nothing else is left behind, not even a temp file.
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"] * existing + ["report.txt"]
+        if existing:
+            assert report_path.read_text(encoding="utf-8") == "earlier report\n"
+
     def test_eval_missing_file(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
         result = CliRunner().invoke(
