@@ -45,8 +45,8 @@ from .errors import (
 from .export import (
     extract_list_items,
     to_chunks,
-    to_dpbench,
-    to_graph,
+    to_dpbench_json,
+    to_graph_json,
     to_markdown,
 )
 from .geometry import BBox, contains_midpoint, iou, union_bbox
@@ -88,7 +88,6 @@ from .model import (
     PageResult,
     SchemaWeights,
     document_from_json,
-    document_to_dict,
     document_to_json,
     make_entity,
     make_group,

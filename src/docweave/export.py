@@ -3,16 +3,14 @@
 All exporters are pure functions of an immutable DocumentResult; the pipeline
 runs them one after another. The graph and DP-Bench files are written by
 ``to_graph_json`` and ``to_dpbench_json``, each record from f-strings filled
-from the entities, and ``to_graph``/``to_dpbench`` read their records back
-from that text. Chunk records are plain dicts equal to the JSON lines
-of the chunks file. Skipped images were removed from ``elements`` during
+from the entities. Chunk records are plain dicts equal to the JSON lines of
+the chunks file. Skipped images were removed from ``elements`` during
 assembly, so nothing here can leak their content.
 """
 
 from __future__ import annotations
 
 import html as html_escape
-import json
 import re
 import unicodedata
 from typing import Any, Iterable, Mapping, Optional
@@ -272,12 +270,6 @@ def to_graph_json(doc: DocumentResult) -> str:
     return "".join(parts)
 
 
-def to_graph(doc: DocumentResult) -> tuple[list[dict[str, Any]], list[dict[str, Any]]]:
-    """The ``(nodes, edges)`` records of ``to_graph_json``, as dicts."""
-    graph = json.loads(to_graph_json(doc))
-    return graph["nodes"], graph["edges"]
-
-
 # ---------------------------------------------------------------------------
 # DP-Bench predictions
 # ---------------------------------------------------------------------------
@@ -353,8 +345,3 @@ def to_dpbench_json(doc: DocumentResult) -> str:
     _write_items(parts, elements, _write_dpbench_element, "[]", "  ")
     parts.append("\n}\n")
     return "".join(parts)
-
-
-def to_dpbench(doc: DocumentResult) -> list[dict[str, Any]]:
-    """The ``elements`` records of ``to_dpbench_json``, as dicts."""
-    return json.loads(to_dpbench_json(doc))["elements"]

@@ -5,8 +5,7 @@ The text :func:`document_to_json` writes is the contract between assembly,
 export, and evaluation, and :func:`document_from_json` reads it back;
 ``elements`` is serialized as an ordered object whose key order is the page
 reading order. The writer builds each record from f-strings filled straight
-from the model's attributes; :func:`document_to_dict` is ``json.loads`` of
-its text.
+from the model's attributes.
 """
 
 from __future__ import annotations
@@ -14,7 +13,6 @@ from __future__ import annotations
 import json
 import math
 import re
-import sys
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
@@ -300,27 +298,10 @@ class DocumentResult:
 
 
 def json_text(value: Any) -> str:
-    """``value`` as indented JSON text, the form of every JSON file docweave writes.
-
-    The text is ``json.dumps(value, indent=2, ensure_ascii=False)`` plus a
-    newline, byte for byte, and a non-finite float (NaN, Infinity) raises
-    ``ValueError``, as the reader does. The writer is chosen once, at import,
-    from the interpreter version. CPython 3.13 and later run the indented
-    ``json.dumps`` in C, and there it is the writer. Older versions run it in
-    the pure-Python encoder, and ``_write_indented`` replaces it: a recursive
-    writer over dict, list, tuple, str, int, float, bool and None, with the
-    C string encoder and ``float.__repr__`` for leaves. On one 0.96 MB dict
-    tree (the dict form of a ``dense`` result; 2-core x86-64 VM, median of
-    15) the indented ``json.dumps`` took 86 ms on CPython 3.11 and 18 ms on
-    3.13, and ``_write_indented`` 36 and 39 ms. The result, graph and
-    DP-Bench files do not build that tree: their writers build each record
-    from f-strings and pass only open-shaped values (metadata, an enriched
-    entity value) through here; the ``eval --report`` file is written here.
-    The hand writer also rejects non-str keys with ``TypeError`` and needs a
-    dict, list or tuple at the top level, where ``json.dumps`` writes a key
-    ``1`` as ``"1"`` and accepts a bare scalar.
-    """
-    return _indented_json(value) + "\n"
+    """``value`` as indented JSON text, the form of every JSON file docweave writes:
+    ``json.dumps(value, indent=2, ensure_ascii=False)`` plus a newline. A
+    non-finite float (NaN, Infinity) raises ``ValueError``, as the reader does."""
+    return json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
 
 
 _encode_str = json.encoder.encode_basestring  # the C encoder when the _json module is built
@@ -329,96 +310,13 @@ _int_text = int.__repr__
 _isfinite = math.isfinite
 
 
-def _write_indented(value: Any, parts: list[str], indent: str) -> None:
-    """Append the indented JSON of the dict, list or tuple ``value`` to ``parts``.
-
-    ``indent`` is the indentation of the line the value starts on. A scalar
-    item becomes one fragment, separator and key included, which keeps
-    ``parts`` short; the dict and list loops repeat the leaf dispatch because
-    a helper call per leaf costs about 10% of the writer's time.
-    """
-    is_dict = type(value) is dict
-    if not value:
-        parts.append("{}" if is_dict else "[]")
-        return
-    inner = indent + "  "
-    sep, rest = "\n" + inner, ",\n" + inner
-    if is_dict:
-        parts.append("{")
-        for key, item in value.items():
-            if type(key) is not str:
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            kind = type(item)
-            if kind is str:
-                parts.append(sep + _encode_str(key) + ": " + _encode_str(item))
-            elif kind is float:
-                if not _isfinite(item):
-                    raise ValueError(f"Out of range float values are not JSON compliant: {item!r}")
-                parts.append(sep + _encode_str(key) + ": " + _float_text(item))
-            elif kind is int:
-                parts.append(sep + _encode_str(key) + ": " + _int_text(item))
-            elif item is None:
-                parts.append(sep + _encode_str(key) + ": null")
-            elif item is True:
-                parts.append(sep + _encode_str(key) + ": true")
-            elif item is False:
-                parts.append(sep + _encode_str(key) + ": false")
-            elif kind is dict or kind is list or kind is tuple:
-                parts.append(sep + _encode_str(key) + ": ")
-                _write_indented(item, parts, inner)
-            else:
-                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-            sep = rest
-        parts.append("\n" + indent + "}")
-    else:
-        parts.append("[")
-        for item in value:
-            kind = type(item)
-            if kind is str:
-                parts.append(sep + _encode_str(item))
-            elif kind is float:
-                if not _isfinite(item):
-                    raise ValueError(f"Out of range float values are not JSON compliant: {item!r}")
-                parts.append(sep + _float_text(item))
-            elif kind is int:
-                parts.append(sep + _int_text(item))
-            elif item is None:
-                parts.append(sep + "null")
-            elif item is True:
-                parts.append(sep + "true")
-            elif item is False:
-                parts.append(sep + "false")
-            elif kind is dict or kind is list or kind is tuple:
-                parts.append(sep)
-                _write_indented(item, parts, inner)
-            else:
-                raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
-            sep = rest
-        parts.append("\n" + indent + "]")
-
-
-if sys.version_info >= (3, 13):
-
-    def _indented_json(value: Any) -> str:
-        return json.dumps(value, indent=2, ensure_ascii=False, allow_nan=False)
-
-else:
-
-    def _indented_json(value: Any) -> str:
-        if type(value) not in (dict, list, tuple):
-            raise TypeError(f"the top level must be a dict, list or tuple, not {type(value).__name__}")
-        parts: list[str] = []
-        _write_indented(value, parts, "")
-        return "".join(parts)
-
-
 def _json_value(value: Any, indent: str) -> str:
     """``value`` as ``json_text`` writes it after a key on a line indented by ``indent``.
 
     Strings, finite floats and ints are written directly; any other value is
-    written as the item of a one-item list, whose lines are then re-indented.
-    That is exact because the writer puts a literal newline only between
-    tokens (a newline in a string is written as ``\\n``).
+    written by ``json_text`` and its lines re-indented. That is exact because
+    ``json.dumps`` puts a literal newline only between tokens (a newline in a
+    string is written as ``\\n``).
     """
     kind = type(value)
     if kind is str:
@@ -427,7 +325,7 @@ def _json_value(value: Any, indent: str) -> str:
         return _float_text(value)
     if kind is int:
         return _int_text(value)
-    return _indented_json([value])[4:-2].replace("\n  ", "\n" + indent)
+    return json_text(value)[:-1].replace("\n", "\n" + indent)
 
 
 def _write_items(
@@ -564,11 +462,6 @@ def document_to_json(doc: DocumentResult) -> str:
     _write_items(parts, doc.pages, _write_page, "[]", "  ")
     parts.append("\n}\n")
     return "".join(parts)
-
-
-def document_to_dict(doc: DocumentResult) -> dict[str, Any]:
-    """The result JSON file as the dict ``json.loads`` reads from it."""
-    return json.loads(document_to_json(doc))
 
 
 def _require(mapping: Mapping[str, Any], key: str, context: str) -> Any:

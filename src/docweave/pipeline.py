@@ -14,7 +14,6 @@ import json
 import logging
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -155,7 +154,10 @@ def staged_write(path: Path, text: str) -> Iterator[None]:
     ``path`` when the block ends; if the block raises, remove the temp file
     and leave ``path`` as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    # Created with mode 0o666 so the umask sets the file's mode, as ``open``
+    # does; ``tempfile.mkstemp`` creates it 0600, and ``os.replace`` keeps that.
+    tmp_name = path.parent / f".{path.name}.{os.urandom(8).hex()}.tmp"
+    fd = os.open(tmp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

@@ -10,8 +10,8 @@ from docweave.export import (
     extract_list_items,
     fnv1a_64,
     to_chunks,
-    to_dpbench,
-    to_graph,
+    to_dpbench_json,
+    to_graph_json,
     to_markdown,
 )
 from docweave.model import (
@@ -21,6 +21,15 @@ from docweave.model import (
 )
 from docweave.pipeline import render_format
 from oracles import chunk_dedupe_oracle
+
+
+def graph_records(doc):
+    graph = json.loads(to_graph_json(doc))
+    return graph["nodes"], graph["edges"]
+
+
+def dpbench_records(doc):
+    return json.loads(to_dpbench_json(doc))["elements"]
 
 
 def make_doc(entities_per_page, filename="doc.pdf", category="uncategorized", skipped=()):
@@ -264,7 +273,7 @@ class TestToGraph:
             build_entity("a", "title", (0, 0, 10, 10), text="Title", schema=schema),
             build_entity("b", "text", (0, 20, 10, 30), text="Body", schema=schema),
         ]
-        _, edges = to_graph(make_doc([entities]))
+        _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "parent-child"
 
@@ -273,7 +282,7 @@ class TestToGraph:
             build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema),
             build_entity("b", "text", (0, 20, 10, 30), text="two", schema=schema),
         ]
-        _, edges = to_graph(make_doc([entities]))
+        _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "sibling"
 
@@ -283,12 +292,12 @@ class TestToGraph:
             build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema),
             build_entity("b", "table", (0, 20, 10, 30), text="tbl", schema=schema),
         ]
-        _, edges = to_graph(make_doc([entities]))
+        _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("b", "a")] == "parent-child"
 
     def test_empty_page_gets_node_no_element_edges(self, schema):
-        nodes, edges = to_graph(make_doc([[]]))
+        nodes, edges = graph_records(make_doc([[]]))
         assert any(n["id"] == "page_1" for n in nodes)
         assert [(e["from"], e["to"], e["relation"]) for e in edges] == [("root", "page_1", "contains")]
 
@@ -297,12 +306,12 @@ class TestToGraph:
             build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}", schema=schema)
             for i in range(5)
         ]
-        _, edges = to_graph(make_doc([entities]))
+        _, edges = graph_records(make_doc([entities]))
         # 1 root->page + 1 page->first + (n-1) consecutive
         assert len(edges) == 1 + 1 + 4
 
     def test_exactly_one_root(self, schema):
-        nodes, _ = to_graph(make_doc([[], []]))
+        nodes, _ = graph_records(make_doc([[], []]))
         assert sum(1 for n in nodes if n["kind"] == "root") == 1
 
     def test_no_self_edges(self, schema):
@@ -310,7 +319,7 @@ class TestToGraph:
             build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}", schema=schema)
             for i in range(4)
         ]
-        _, edges = to_graph(make_doc([entities]))
+        _, edges = graph_records(make_doc([entities]))
         assert all(e["from"] != e["to"] for e in edges)
 
 
@@ -320,17 +329,17 @@ class TestToDpbench:
 
     def test_toc_maps_to_paragraph(self, schema):
         toc = build_entity("t", "table_of_content", (0, 0, 10, 10), text="toc", schema=schema)
-        (element,) = to_dpbench(make_doc([[toc]]))
+        (element,) = dpbench_records(make_doc([[toc]]))
         assert element["category"] == "Paragraph"
 
     def test_polygon_order(self, schema):
         entity = build_entity("e", "text", (1, 2, 3, 4), text="abc", schema=schema)
-        (element,) = to_dpbench(make_doc([[entity]]))
+        (element,) = dpbench_records(make_doc([[entity]]))
         assert element["coordinates"] == [[1.0, 2.0], [3.0, 2.0], [3.0, 4.0], [1.0, 4.0]]
 
     def test_coordinate_round_trip(self, schema):
         entity = build_entity("e", "text", (15, 25, 300, 401), text="abc", schema=schema)
-        (element,) = to_dpbench(make_doc([[entity]]))
+        (element,) = dpbench_records(make_doc([[entity]]))
         lt, _, rb, _ = element["coordinates"]
         assert (lt[0], lt[1], rb[0], rb[1]) == (15.0, 25.0, 300.0, 401.0)
 
@@ -341,7 +350,7 @@ class TestToDpbench:
                 [build_entity("b", "text", (0, 0, 10, 10), text="two", schema=schema)],
             ]
         )
-        elements = to_dpbench(doc)
+        elements = dpbench_records(doc)
         assert [e["id"] for e in elements] == [0, 1]
         assert [e["page"] for e in elements] == [1, 2]
 
@@ -349,7 +358,7 @@ class TestToDpbench:
         table = build_entity(
             "tbl", "table", (0, 0, 10, 10), text="", schema=schema, data=({"A": "<1>"},)
         )
-        (element,) = to_dpbench(make_doc([[table]]))
+        (element,) = dpbench_records(make_doc([[table]]))
         assert element["content"]["html"] == "<table><tr><td>A</td></tr><tr><td>&lt;1&gt;</td></tr></table>"
 
 
@@ -400,9 +409,8 @@ class TestGoldenFiles:
         doc = document_from_json(read("report.json"))
         lines = read("report.chunks.jsonl").splitlines()
         assert [json.loads(line) for line in lines] == to_chunks(doc)
-        nodes, edges = to_graph(doc)
-        assert json.loads(read("report.graph.json")) == {"nodes": nodes, "edges": edges}
-        assert json.loads(read("report.dpbench.json"))["elements"] == to_dpbench(doc)
+        assert read("report.graph.json") == to_graph_json(doc)
+        assert read("report.dpbench.json") == to_dpbench_json(doc)
 
     @pytest.fixture(scope="class")
     @staticmethod
@@ -439,7 +447,5 @@ class TestGoldenFiles:
         doc = document_from_json((outputs / "report.json").read_text(encoding="utf-8"))
         assert to_markdown(doc) == to_markdown(doc)
         assert to_chunks(doc) == to_chunks(doc)
-        assert to_dpbench(doc) == to_dpbench(doc)
-        nodes_a, edges_a = to_graph(doc)
-        nodes_b, edges_b = to_graph(doc)
-        assert (nodes_a, edges_a) == (nodes_b, edges_b)
+        assert to_dpbench_json(doc) == to_dpbench_json(doc)
+        assert to_graph_json(doc) == to_graph_json(doc)

@@ -1,6 +1,5 @@
 import json
 import math
-import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +24,7 @@ from docweave.model import (
     LayoutLabel,
     PageResult,
     SchemaWeights,
+    _json_value,
     document_from_json,
     document_to_json,
     entity_from_dict,
@@ -538,10 +538,26 @@ def test_json_text_rejects_non_finite_floats(number, wrap):
         json_text(wrap(number))
 
 
-@pytest.mark.skipif(
-    sys.version_info >= (3, 13), reason="json_text is json.dumps there, which writes a key 1 as \"1\""
+@pytest.mark.parametrize(
+    "key, written", [(1, "1"), (1.5, "1.5"), (None, "null"), (True, "true")], ids=["1", "1.5", "None", "True"]
 )
-@pytest.mark.parametrize("key", [1, 1.5, None, True, ("a",)])
-def test_json_text_rejects_non_str_keys(key):
-    with pytest.raises(TypeError, match="keys must be str"):
-        json_text({"a": [{key: 0}]})
+def test_json_text_writes_scalar_keys_as_json_dumps(key, written):
+    assert json_text({key: 0}) == '{\n  "' + written + '": 0\n}\n'
+
+
+def test_json_text_rejects_tuple_keys():
+    with pytest.raises(TypeError):
+        json_text({"a": [{("a",): 0}]})
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_VALUES | _JSON_LEAVES, st.integers(1, 3))
+def test_json_value_is_json_text_after_a_key(value, depth):
+    # ``value`` under a key ``depth`` objects deep, as the writers place it;
+    # at depth 1 this is ``'{\n  "k": ' + _json_value(value, "  ") + "\n}\n"``.
+    nested, head, tail = value, "", "\n"
+    for level in range(depth):
+        nested = {"k": nested}
+        head += "{\n" + "  " * (level + 1) + '"k": '
+        tail = "\n" + "  " * level + "}" + tail
+    assert json_text(nested) == head + _json_value(value, "  " * depth) + tail

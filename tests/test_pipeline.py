@@ -1,6 +1,8 @@
 import json
 import math
+import os
 import re
+import stat
 import threading
 import time
 from pathlib import Path
@@ -835,10 +837,28 @@ class TestCli:
         )
         assert result.exit_code == 0, result.output
         assert "TEDS   1.00" in result.output
-        report = json.loads(report_path.read_text(encoding="utf-8"))
-        assert report["aggregates"]["mean_teds"] == 1.0
-        summary = report_path.with_suffix(".txt").read_text(encoding="utf-8")
-        assert "TEDS   1.00" in summary
+        # The report is the one file written wholly by ``json_text``.
+        for name in ("report.eval.json", "report.eval.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+    def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
+        path = minimal_input(tmp_path)
+        golden = str(FIXTURE_DIR / "golden" / "report.dpbench.json")
+        report_path = tmp_path / "report.eval.json"
+        previous = os.umask(umask)
+        try:
+            parse = CliRunner().invoke(main, ["parse", str(path), "-o", str(tmp_path / "out")])
+            evaluation = CliRunner().invoke(
+                main, ["eval", golden, golden, "--mode", "layout", "--report", str(report_path)]
+            )
+        finally:
+            os.umask(previous)
+        assert parse.exit_code == 0, parse.output
+        assert evaluation.exit_code == 0, evaluation.output
+        written = [*(tmp_path / "out").iterdir(), report_path, report_path.with_suffix(".txt")]
+        assert len(written) == 7
+        assert {stat.S_IMODE(p.stat().st_mode) for p in written} == {mode}
 
     def test_eval_rejects_txt_report_path(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
