@@ -44,7 +44,7 @@ from .errors import (
 )
 from .export import (
     extract_list_items,
-    to_chunks,
+    to_chunks_jsonl,
     to_dpbench_json,
     to_graph_json,
     to_markdown,

@@ -21,8 +21,7 @@ from .pipeline import (
     config_from_mapping,
     export_document,
     run_pipeline,
-    staged_write,
-    write_atomic,
+    write_files,
 )
 
 
@@ -31,6 +30,9 @@ def _parse_formats(raw: str) -> tuple[str, ...]:
     unknown = [f for f in formats if f not in FORMATS]
     if unknown:
         raise click.UsageError(f"unknown formats: {', '.join(unknown)}")
+    repeated = sorted({f for f in formats if formats.count(f) > 1})
+    if repeated:
+        raise click.UsageError(f"repeated formats: {', '.join(repeated)}")
     return formats
 
 
@@ -140,6 +142,7 @@ def parse(
 @click.option("--skip-headers-footers", is_flag=True, default=False)
 def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers_footers: bool):
     """Re-run exporters over an existing document-result JSON file."""
+    selected = _parse_formats(formats)
     try:
         raw = read_json_object(json_path, ValidationError)
         doc = document_from_dict(raw, f"{json_path}: schema error in document")
@@ -151,7 +154,7 @@ def export_command(json_path: Path, output_dir: Path, formats: str, skip_headers
             doc,
             output_dir,
             json_path.stem,
-            _parse_formats(formats),
+            selected,
             skip_headers_footers=skip_headers_footers,
         )
     except OSError as exc:
@@ -180,13 +183,14 @@ def eval_command(reference: Path, prediction: Path, mode: str, report_path):
     click.echo(report.summary_text())
     if report_path is not None:
         summary_path = report_path.with_suffix(".txt")
-        # The report is renamed into place only once its summary is written.
+        # The summary goes first, so a report is renamed into place only beside its summary.
         try:
-            with staged_write(report_path, json_text(report.to_dict())):
-                try:
-                    write_atomic(summary_path, report.summary_text() + "\n")
-                except OSError as exc:
-                    _cannot_write(summary_path, exc)
+            write_files([
+                (summary_path, report.summary_text() + "\n"),
+                (report_path, json_text(report.to_dict())),
+            ])
+        except IsADirectoryError as exc:
+            _cannot_write(Path(exc.filename), exc)
         except OSError as exc:
             _cannot_write(report_path, exc)
         click.echo(f"report written to {report_path} and {summary_path}")

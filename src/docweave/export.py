@@ -1,10 +1,10 @@
 """The four derived exports: Markdown, RAG chunks, knowledge graph, DP-Bench.
 
 All exporters are pure functions of an immutable DocumentResult; the pipeline
-runs them one after another. The graph and DP-Bench files are written by
-``to_graph_json`` and ``to_dpbench_json``, each record from f-strings filled
-from the entities. Chunk records are plain dicts equal to the JSON lines of
-the chunks file. Skipped images were removed from ``elements`` during
+runs them one after another. The chunks, graph and DP-Bench files are
+written by ``to_chunks_jsonl``, ``to_graph_json`` and ``to_dpbench_json``,
+each record from f-strings filled from the entities; this module alone knows
+their formats. Skipped images were removed from ``elements`` during
 assembly, so nothing here can leak their content.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 import html as html_escape
 import re
 import unicodedata
-from typing import Any, Iterable, Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 from .ingest import BULLET_GLYPHS
 from .model import (
@@ -163,46 +163,42 @@ def _page_header_blocks(page: PageResult) -> list[tuple[Entity, str]]:
     return blocks
 
 
-def to_chunks(doc: DocumentResult) -> list[dict[str, Any]]:
-    """Produce page-level, header-block, and per-element retrieval chunks.
+def to_chunks_jsonl(doc: DocumentResult) -> str:
+    """The ``.chunks.jsonl`` text: page-level, header-block, and per-element retrieval chunks.
 
-    Each chunk is the ``{"page_content", "metadata"}`` record that one line of
-    the ``.chunks.jsonl`` file holds. Emission order is page chunks, then
-    header blocks, then element chunks (each in page/reading order); a chunk
-    whose NFKC-normalized content equals an earlier one's is dropped, first
-    occurrence winning.
+    Each line is ``json.dumps(record, ensure_ascii=False)`` of one
+    ``{"page_content", "metadata"}`` record, written from an f-string.
+    Emission order is page chunks, then header blocks, then element chunks
+    (each in page/reading order); a chunk whose NFKC-normalized content equals
+    an earlier one's is dropped, first occurrence winning.
     """
-    chunks: list[dict[str, Any]] = []
+    tail = f', "filename": {_encode_str(doc.filename)}, "document_category": {_encode_str(doc.document_category)}'
+    lines: list[str] = []
     seen: set[str] = set()
 
-    def add(content: str, page_number: int, kind: str, element_type: Optional[str] = None):
+    def add(content: str, page_number: int, kind: str, element_type: Optional[ElementLabel] = None) -> None:
         if not content:
             return
         key = unicodedata.normalize("NFKC", content)
         if key in seen:
             return
         seen.add(key)
-        metadata: dict[str, Any] = {"page_number": page_number}
-        if element_type is not None:
-            metadata["element_type"] = element_type
-        metadata.update(
-            token_count=len(content.split()),
-            filename=doc.filename,
-            document_category=doc.document_category,
-            chunk_kind=kind,
+        label = "" if element_type is None else f', "element_type": {_encode_str(element_type)}'
+        lines.append(
+            f'{{"page_content": {_encode_str(content)}, "metadata": {{"page_number": {page_number:d}{label}, '
+            f'"token_count": {len(content.split()):d}{tail}, "chunk_kind": "{kind}"}}}}\n'
         )
-        chunks.append({"page_content": content, "metadata": metadata})
 
     for page in doc.pages:
         texts = [e.value.text for e in page.elements.values() if e.value.text]
         add("\n".join(texts), page.page_number, "page")
     for page in doc.pages:
         for heading, block in _page_header_blocks(page):
-            add(block, page.page_number, "header_block", heading.type.value)
+            add(block, page.page_number, "header_block", heading.type)
     for page in doc.pages:
         for entity in page.elements.values():
-            add(entity.value.text, page.page_number, "element", entity.type.value)
-    return chunks
+            add(entity.value.text, page.page_number, "element", entity.type)
+    return "".join(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -3,21 +3,23 @@
 Pages are assembled in turn, and a failed page is left out with its cause
 recorded in ``DocumentOutcome.failed_pages``; header/footer
 correction is a whole-document barrier that runs after every page. The only
-concurrency is up to ``workers`` client calls within a page. Output files are
-written atomically (temp file + rename), so an interrupted run never leaves a
-truncated file at a final path.
+concurrency is up to ``workers`` client calls within a page. Each file is
+rendered by ``export`` or ``model`` and written atomically (temp file +
+rename), so an interrupted run never leaves a truncated file at a final
+path; a document's files are checked as a set before the first is written
+(``write_files``).
 """
 
 from __future__ import annotations
 
-import json
+import errno
 import logging
 import math
 import os
-from contextlib import contextmanager
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional, Sequence
 
 from . import export as export_mod
 from .assembly import AssemblyParams, assemble_page, correct_headers_footers
@@ -80,7 +82,8 @@ class PipelineConfig:
     Values are type-checked, never coerced: ``inputs`` and ``formats`` are
     lists or tuples, ``skip_*`` are bools, ``workers`` is an int, thresholds
     are numbers, fixture paths are ``str`` or ``Path`` and ``weight_overrides``
-    maps element labels to positive ints.
+    maps element labels to positive ints. Input stems and formats must be
+    unique, because a document's files are named ``<input stem><suffix>``.
     """
 
     inputs: tuple[Path, ...]
@@ -120,6 +123,13 @@ class PipelineConfig:
         unknown = [f for f in self.formats if not isinstance(f, str) or f not in FORMATS]
         if unknown:
             raise ValidationError(f"unknown output formats: {unknown}")
+        repeated = sorted(f for f, n in Counter(self.formats).items() if n > 1)
+        if repeated:
+            raise ValidationError(f"repeated output formats: {repeated}")
+        stems = Counter(path.stem for path in self.inputs)
+        shared = [str(path) for path in self.inputs if stems[path.stem] > 1]
+        if shared:
+            raise ValidationError(f"inputs share a file stem, so their outputs would overwrite each other: {shared}")
         if not _is_int(self.workers) or not 1 <= self.workers <= MAX_WORKERS:
             raise ValidationError(
                 f"worker count must be an integer in [1, {MAX_WORKERS}], got {self.workers!r}"
@@ -148,11 +158,10 @@ class DocumentOutcome:
         return doc is not None and doc.total_pages > 0 and doc.total_processed_pages == 0
 
 
-@contextmanager
-def staged_write(path: Path, text: str) -> Iterator[None]:
+def write_atomic(path: Path, text: str) -> None:
     """Write ``text`` to a sibling temp file of ``path`` and rename it onto
-    ``path`` when the block ends; if the block raises, remove the temp file
-    and leave ``path`` as it was."""
+    ``path``, so readers never see a partial file; if the write fails, the
+    temp file is removed and ``path`` is left as it was."""
     path.parent.mkdir(parents=True, exist_ok=True)
     # Created with mode 0o666 so the umask sets the file's mode, as ``open``
     # does; ``tempfile.mkstemp`` creates it 0600, and ``os.replace`` keeps that.
@@ -161,7 +170,6 @@ def staged_write(path: Path, text: str) -> Iterator[None]:
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
-        yield
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -171,27 +179,18 @@ def staged_write(path: Path, text: str) -> Iterator[None]:
         raise
 
 
-def write_atomic(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see partials."""
-    with staged_write(path, text):
-        pass
-
-
-def _json_lines(values: Sequence[Any]) -> str:
-    """One ``json.dumps(value, ensure_ascii=False)`` line per value.
-
-    ``JSONEncoder.encode`` builds a new C encoder on every call, so the lines
-    share one, built with the same settings; without the ``_json`` C module
-    each line goes through ``encode``.
+def write_files(pairs: Sequence[tuple[Path, str]]) -> None:
+    """Write each ``(path, text)`` pair in order with ``write_atomic``, once no
+    target is a directory; one that is raises ``IsADirectoryError`` naming it
+    before any file is written. A failure after that check (a full disk, a
+    race) can still leave part of the set. Staging every file before the first
+    rename waits until ``perfbench/tracing.py`` stops wrapping ``write_atomic``.
     """
-    encoder = json.JSONEncoder(ensure_ascii=False)
-    if json.encoder.c_make_encoder is None:
-        return "".join(encoder.encode(value) + "\n" for value in values)
-    encode = json.encoder.c_make_encoder(
-        {}, encoder.default, json.encoder.encode_basestring, None,
-        encoder.key_separator, encoder.item_separator, False, False, True,
-    )
-    return "".join("".join(encode(value, 0)) + "\n" for value in values)
+    for path, _ in pairs:
+        if path.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+    for path, text in pairs:
+        write_atomic(path, text)
 
 
 def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> str:
@@ -200,7 +199,7 @@ def render_format(doc: DocumentResult, fmt: str, skip_headers_footers: bool) -> 
     if fmt == "markdown":
         return export_mod.to_markdown(doc, skip_headers_footers=skip_headers_footers)
     if fmt == "chunks":
-        return _json_lines(export_mod.to_chunks(doc))
+        return export_mod.to_chunks_jsonl(doc)
     if fmt == "graph":
         return export_mod.to_graph_json(doc)
     if fmt == "dpbench":
@@ -215,14 +214,11 @@ def export_document(
     formats: Sequence[str],
     skip_headers_footers: bool = False,
 ) -> list[Path]:
-    """Render and atomically write the selected formats."""
+    """Render the selected formats and write them as one set (``write_files``)."""
     rendered = {fmt: render_format(doc, fmt, skip_headers_footers) for fmt in formats}
-    written = []
-    for fmt in sorted(formats):
-        target = output_dir / f"{stem}{FORMATS[fmt]}"
-        write_atomic(target, rendered[fmt])
-        written.append(target)
-    return written
+    pairs = [(output_dir / f"{stem}{FORMATS[fmt]}", rendered[fmt]) for fmt in sorted(rendered)]
+    write_files(pairs)
+    return [path for path, _ in pairs]
 
 
 @dataclass

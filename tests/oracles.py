@@ -9,8 +9,8 @@ header/footer oracle scores every entity against every candidate with the
 LCS-table distance instead of using a candidate index, the dedupe oracle
 tests every pair of entities instead of (type, text) buckets, the chunk
 dedupe oracle compares each chunk with every earlier one instead of keeping a
-set of seen contents, and the record builders build the result, graph and
-DP-Bench files as dicts for ``json.dumps`` instead of filling text templates.
+set of seen contents, and the record builders build the result, chunks, graph
+and DP-Bench files as dicts for ``json.dumps`` instead of filling text templates.
 """
 
 import json
@@ -205,7 +205,7 @@ def dedupe_oracle(entities):
 
 
 def chunk_dedupe_oracle(candidates):
-    """The ``(content, ...)`` candidates ``to_chunks`` keeps: the non-empty
+    """The ``(content, ...)`` candidates ``to_chunks_jsonl`` keeps: the non-empty
     ones whose NFKC-normalized content equals no earlier candidate's."""
     kept = []
     for i, candidate in enumerate(candidates):
@@ -259,7 +259,7 @@ def tree_edit_oracle(tree_a, tree_b, relabel_cost) -> float:
     return dist((tree_a,), (tree_b,))
 
 
-# --- result, graph and DP-Bench files as dicts -------------------------------
+# --- result, chunks, graph and DP-Bench files as dicts -----------------------
 
 
 def bbox_to_dict(box):
@@ -327,6 +327,42 @@ def document_to_dict(doc):
         "document_category": doc.document_category,
         "pages": [page_to_dict(p) for p in doc.pages],
     }
+
+
+def chunks_to_dicts(doc):
+    """One ``{"page_content", "metadata"}`` dict per line of the chunks file:
+    page chunks, then header blocks, then element chunks, keeping the first
+    of NFKC-equal contents."""
+    from docweave.export import _page_header_blocks
+
+    chunks = []
+    seen = set()
+
+    def add(content, page_number, kind, element_type=None):
+        key = unicodedata.normalize("NFKC", content)
+        if not content or key in seen:
+            return
+        seen.add(key)
+        metadata = {"page_number": page_number}
+        if element_type is not None:
+            metadata["element_type"] = element_type
+        metadata.update(
+            token_count=len(content.split()),
+            filename=doc.filename,
+            document_category=doc.document_category,
+            chunk_kind=kind,
+        )
+        chunks.append({"page_content": content, "metadata": metadata})
+
+    for page in doc.pages:
+        add("\n".join(e.value.text for e in page.elements.values() if e.value.text), page.page_number, "page")
+    for page in doc.pages:
+        for heading, block in _page_header_blocks(page):
+            add(block, page.page_number, "header_block", heading.type.value)
+    for page in doc.pages:
+        for entity in page.elements.values():
+            add(entity.value.text, page.page_number, "element", entity.type.value)
+    return chunks
 
 
 def graph_to_dict(doc):

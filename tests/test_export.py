@@ -9,7 +9,7 @@ from docweave.export import (
     _page_header_blocks,
     extract_list_items,
     fnv1a_64,
-    to_chunks,
+    to_chunks_jsonl,
     to_dpbench_json,
     to_graph_json,
     to_markdown,
@@ -19,8 +19,15 @@ from docweave.model import (
     ElementLabel,
     PageResult,
 )
-from docweave.pipeline import render_format
-from oracles import chunk_dedupe_oracle
+from oracles import chunk_dedupe_oracle, chunks_to_dicts
+
+
+def chunk_records(doc):
+    """The records of the chunks file. It is split on ``"\\n"`` alone:
+    ``str.splitlines`` also splits at U+2028 and U+0085, which JSON leaves raw."""
+    *lines, last = to_chunks_jsonl(doc).split("\n")
+    assert last == ""
+    return [json.loads(line) for line in lines]
 
 
 def graph_records(doc):
@@ -144,7 +151,7 @@ class TestToMarkdown:
 class TestToChunks:
     def test_single_text_dedupes_to_one_chunk(self, schema):
         doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="only text", schema=schema)]])
-        chunks = to_chunks(doc)
+        chunks = chunk_records(doc)
         assert len(chunks) == 1
         assert chunks[0]["metadata"]["chunk_kind"] == "page"
 
@@ -155,7 +162,7 @@ class TestToChunks:
             build_entity("t1", "text", (0, 30, 10, 40), text="first para", schema=schema),
             build_entity("t2", "text", (0, 50, 10, 60), text="second para", schema=schema),
         ]
-        chunks = to_chunks(make_doc([entities]))
+        chunks = chunk_records(make_doc([entities]))
         blocks = [c for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
         assert blocks[0]["page_content"] == "Intro\nfirst para\nsecond para"
 
@@ -166,23 +173,23 @@ class TestToChunks:
             build_entity("s2", "section", (0, 40, 10, 50), text="Two", schema=schema),
             build_entity("t2", "text", (0, 60, 10, 70), text="beta", schema=schema),
         ]
-        chunks = to_chunks(make_doc([entities]))
+        chunks = chunk_records(make_doc([entities]))
         blocks = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
         assert blocks == ["One\nalpha", "Two\nbeta"]
 
     def test_empty_document(self, schema):
-        assert to_chunks(make_doc([[]])) == []
+        assert to_chunks_jsonl(make_doc([[]])) == ""
 
     def test_token_count_is_whitespace_tokens(self, schema):
         doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="three word chunk", schema=schema)]])
-        assert to_chunks(doc)[0]["metadata"]["token_count"] == 3
+        assert chunk_records(doc)[0]["metadata"]["token_count"] == 3
 
     def test_distinct_hashes(self, schema):
         entities = [
             build_entity("a", "text", (0, 0, 10, 10), text="alpha", schema=schema),
             build_entity("b", "text", (0, 20, 10, 30), text="beta", schema=schema),
         ]
-        chunks = to_chunks(make_doc([entities]))
+        chunks = chunk_records(make_doc([entities]))
         hashes = [fnv1a_64(c["page_content"]) for c in chunks]
         assert len(hashes) == len(set(hashes))
 
@@ -192,7 +199,7 @@ class TestToChunks:
             build_entity(f"e{i}", "list_item", (0, 10 * i, 10, 10 * i + 5), text=text, schema=schema)
             for i, text in enumerate(texts)
         ]
-        chunks = to_chunks(make_doc([entities]))
+        chunks = chunk_records(make_doc([entities]))
         elements = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "element"]
         assert elements == ["ﬁne print", "１２３", "a b", "a  b", "a\tb"]
 
@@ -202,7 +209,7 @@ class TestToChunks:
             filename="f.pdf",
             category="financial",
         )
-        record = to_chunks(doc)[0]
+        record = chunk_records(doc)[0]
         assert record["metadata"]["filename"] == "f.pdf"
         assert record["metadata"]["document_category"] == "financial"
         assert record["metadata"]["page_number"] == 1
@@ -245,26 +252,38 @@ def test_chunk_dedupe_matches_oracle(doc):
     ]
     emitted = [
         (c["page_content"], c["metadata"]["page_number"], c["metadata"]["chunk_kind"])
-        for c in to_chunks(doc)
+        for c in chunk_records(doc)
     ]
     assert emitted == chunk_dedupe_oracle(candidates)
 
 
-@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
-def test_chunk_lines_equal_json_dumps(c_encoder, monkeypatch):
-    if not c_encoder:
-        monkeypatch.setattr(json.encoder, "c_make_encoder", None)
-    texts = CHUNK_TEXTS + ['say "hi"', "back\\slash", "nul\x00", "é€𝄞", "line\u2028sep", "tab\there"]
-    doc = make_doc([
-        [build_entity(f"p{page}-{i}", label, (0, 10 * i, 10, 10 * i + 5), text=text)
-         for i, (label, text) in enumerate(zip(CHUNK_LABELS * 4, texts[page::2]))]
-        for page in (0, 1)
-    ])
-    chunks = to_chunks(doc)
-    *lines, last = render_format(doc, "chunks", skip_headers_footers=False).split("\n")
-    assert last == ""
-    assert lines == [json.dumps(chunk, ensure_ascii=False) for chunk in chunks]
-    assert len(lines) > 10
+#: Characters that JSON escapes or that only look like line ends: quotes,
+#: backslashes, control characters, NEL, U+2028/U+2029, and a non-BMP character.
+_AWKWARD_TEXTS = st.text(
+    st.sampled_from('"\\\x00\x1f\x7f\x85\n\t \u2028\u2029ﬁ１é𝄞') | st.characters(blacklist_categories=("Cs",)),
+    max_size=8,
+)
+
+
+@st.composite
+def _awkward_documents(draw):
+    labels = st.sampled_from([label.value for label in ElementLabel])
+    pages = []
+    for number in range(1, draw(st.integers(1, 3)) + 1):
+        labels_texts = draw(st.lists(st.tuples(labels, _AWKWARD_TEXTS), max_size=6))
+        pages.append([
+            build_entity(f"p{number}-{i}", label, (0, 10 * i, 10, 10 * i + 5), text=text)
+            for i, (label, text) in enumerate(labels_texts)
+        ])
+    return make_doc(pages, filename=draw(_AWKWARD_TEXTS.filter(bool)), category=draw(_AWKWARD_TEXTS))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_awkward_documents())
+def test_chunk_lines_equal_json_dumps(doc):
+    expected = [json.dumps(record, ensure_ascii=False) + "\n" for record in chunks_to_dicts(doc)]
+    # json.dumps writes no raw newline, so equal texts have equal lines.
+    assert to_chunks_jsonl(doc) == "".join(expected)
 
 
 class TestToGraph:
@@ -407,8 +426,8 @@ class TestGoldenFiles:
             return (outputs / name).read_text(encoding="utf-8")
 
         doc = document_from_json(read("report.json"))
-        lines = read("report.chunks.jsonl").splitlines()
-        assert [json.loads(line) for line in lines] == to_chunks(doc)
+        assert read("report.chunks.jsonl") == to_chunks_jsonl(doc)
+        assert chunk_records(doc) == chunks_to_dicts(doc)
         assert read("report.graph.json") == to_graph_json(doc)
         assert read("report.dpbench.json") == to_dpbench_json(doc)
 
@@ -446,6 +465,6 @@ class TestGoldenFiles:
 
         doc = document_from_json((outputs / "report.json").read_text(encoding="utf-8"))
         assert to_markdown(doc) == to_markdown(doc)
-        assert to_chunks(doc) == to_chunks(doc)
+        assert to_chunks_jsonl(doc) == to_chunks_jsonl(doc)
         assert to_dpbench_json(doc) == to_dpbench_json(doc)
         assert to_graph_json(doc) == to_graph_json(doc)

@@ -24,6 +24,7 @@ from docweave.pipeline import (
     process_document,
     run_pipeline,
     write_atomic,
+    write_files,
 )
 
 
@@ -459,6 +460,12 @@ class TestAtomicWrites:
             write_atomic(tmp_path / "file.txt", "hello")
         assert list(tmp_path.iterdir()) == []
 
+    def test_write_files_checks_every_target_before_the_first_write(self, tmp_path):
+        (tmp_path / "b.txt").mkdir()
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path / "b.txt"))):
+            write_files([(tmp_path / "a.txt", "a"), (tmp_path / "b.txt", "b")])
+        assert [p.name for p in tmp_path.iterdir()] == ["b.txt"]
+
 
 #: Config-file contents that must be usage errors, with the expected message.
 MALFORMED_CONFIGS = [
@@ -508,6 +515,15 @@ class TestConfig:
     def test_threshold_validation(self, tmp_path):
         with pytest.raises(ValidationError):
             PipelineConfig(inputs=(), output_dir=tmp_path, layout_threshold=1.5)
+
+    def test_repeated_format_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match=r"repeated output formats: \['json'\]"):
+            PipelineConfig(inputs=(), output_dir=tmp_path, formats=("json", "markdown", "json"))
+
+    def test_inputs_sharing_a_stem_rejected(self, tmp_path):
+        with pytest.raises(ValidationError, match="inputs share a file stem"):
+            PipelineConfig(inputs=("a/report.json", "b/report.txt"), output_dir=tmp_path)
+        PipelineConfig(inputs=("a/report.json", "b/report2.json"), output_dir=tmp_path)
 
     def test_formats_non_empty(self, tmp_path):
         with pytest.raises(ValidationError):
@@ -778,6 +794,36 @@ class TestCli:
         assert f"FAILED {bad}: {bad}: invalid JSON: byte 14 is not UTF-8" in result.output
         assert sorted(p.name for p in out.iterdir()) == sorted(f"ok{s}" for s in FORMATS.values())
 
+    def test_parse_inputs_sharing_a_stem_usage_error(self, tmp_path):
+        (tmp_path / "a").mkdir()
+        (tmp_path / "b").mkdir()
+        first = minimal_input(tmp_path / "a", "report.json")
+        second = minimal_input(tmp_path / "b", "report.json")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["parse", str(first), str(second), "-o", str(out)])
+        assert result.exit_code == 2, result.output
+        assert "inputs share a file stem" in result.output
+        assert str(first) in result.output and str(second) in result.output
+        assert not out.exists()
+
+    def test_parse_repeated_format_usage_error(self, tmp_path):
+        path = minimal_input(tmp_path)
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["parse", str(path), "-o", str(out), "--formats", "json,json,markdown"])
+        assert result.exit_code == 2, result.output
+        assert "repeated formats: json" in result.output
+        assert not out.exists()
+
+    def test_parse_directory_in_the_way_writes_no_file(self, tmp_path):
+        path = minimal_input(tmp_path)
+        out = tmp_path / "out"
+        (out / "doc.md").mkdir(parents=True)
+        result = CliRunner().invoke(main, ["parse", str(path), "-o", str(out)])
+        assert result.exit_code == 1, result.output
+        assert [p.name for p in out.iterdir()] == ["doc.md"]
+        assert not any((out / "doc.md").iterdir())
+        assert f"Is a directory: '{out / 'doc.md'}'" in result.output
+
     def test_parse_with_config_file(self, tmp_path):
         path = minimal_input(tmp_path)
         config_file = tmp_path / "config.json"
@@ -805,6 +851,23 @@ class TestCli:
         CliRunner().invoke(main, ["export", str(golden), "-o", str(out)])
         for path in out.iterdir():
             assert "p2-decor" not in path.read_text(encoding="utf-8")
+
+    def test_export_repeated_format_usage_error(self, tmp_path):
+        golden = FIXTURE_DIR / "golden" / "report.json"
+        out = tmp_path / "exported"
+        result = CliRunner().invoke(main, ["export", str(golden), "-o", str(out), "--formats", "markdown,markdown"])
+        assert result.exit_code == 2, result.output
+        assert "repeated formats: markdown" in result.output
+        assert not out.exists()
+
+    def test_export_directory_in_the_way_writes_no_file(self, tmp_path):
+        golden = FIXTURE_DIR / "golden" / "report.json"
+        out = tmp_path / "exported"
+        (out / "report.md").mkdir(parents=True)
+        result = CliRunner().invoke(main, ["export", str(golden), "-o", str(out)])
+        assert result.exit_code == 1, result.output
+        assert [p.name for p in out.iterdir()] == ["report.md"]
+        assert f"{out}: cannot write: [Errno 21] Is a directory: '{out / 'report.md'}'" in result.output
 
     def test_export_malformed_json_fails(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -918,6 +981,17 @@ class TestCli:
         assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"] * existing + ["report.txt"]
         if existing:
             assert report_path.read_text(encoding="utf-8") == "earlier report\n"
+
+    def test_eval_report_directory_in_the_way_writes_no_summary(self, tmp_path):
+        golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
+        report_path = tmp_path / "report.json"
+        report_path.mkdir()
+        result = CliRunner().invoke(
+            main, ["eval", str(golden), str(golden), "--mode", "layout", "--report", str(report_path)]
+        )
+        assert result.exit_code == 1
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+        assert f"{report_path}: cannot write: " in result.output
 
     def test_eval_missing_file(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
