@@ -278,10 +278,16 @@ def _awkward_documents(draw):
     return make_doc(pages, filename=draw(_AWKWARD_TEXTS.filter(bool)), category=draw(_AWKWARD_TEXTS))
 
 
+@pytest.mark.parametrize("c_encoder", [True, False], ids=["c-encoder", "no-c-encoder"])
 @settings(max_examples=200, deadline=None)
-@given(_awkward_documents())
-def test_chunk_lines_equal_json_dumps(doc):
-    expected = [json.dumps(record, ensure_ascii=False) + "\n" for record in chunks_to_dicts(doc)]
+@given(doc=_awkward_documents())
+def test_chunk_lines_equal_json_dumps(c_encoder, doc):
+    # The chunks writer must agree with json.dumps through either of its
+    # encoders: the _json C module's and the pure-Python fallback.
+    with pytest.MonkeyPatch.context() as patch:
+        if not c_encoder:
+            patch.setattr(json.encoder, "c_make_encoder", None)
+        expected = [json.dumps(record, ensure_ascii=False) + "\n" for record in chunks_to_dicts(doc)]
     # json.dumps writes no raw newline, so equal texts have equal lines.
     assert to_chunks_jsonl(doc) == "".join(expected)
 
