@@ -16,8 +16,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
 from .geometry import BBox, contains_midpoint, iou
@@ -462,45 +461,125 @@ def _rebuild_page(page: PageResult, elements: Mapping[str, Entity]) -> PageResul
     )
 
 
-#: Candidate texts of one label: ``(length, {text: source pages})`` by length.
-_Buckets = list[tuple[int, dict[str, set[int]]]]
+#: Candidate texts of one label: ``{length: {text: source pages}}``.
+_Index = dict[int, dict[str, set[int]]]
+
+#: Relabel targets, in order of precedence.
+_TARGETS = (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER)
 
 
 def _candidate_index(
     pages: Sequence[PageResult], current: Sequence[Mapping[str, Entity]]
-) -> dict[ElementLabel, _Buckets]:
-    """Index header and footer texts by label, then length, then text; each
-    label's buckets come sorted by length."""
-    index: dict[ElementLabel, dict[int, dict[str, set[int]]]] = {
-        ElementLabel.PAGE_HEADER: {},
-        ElementLabel.PAGE_FOOTER: {},
-    }
+) -> dict[ElementLabel, _Index]:
+    """Index header and footer texts by label, then length, then text."""
+    index: dict[ElementLabel, _Index] = {target: {} for target in _TARGETS}
     for page, elements in zip(pages, current):
         for entity in elements.values():
             text = entity.value.text
             if entity.type in index and text:
-                by_text = index[entity.type].setdefault(len(text), {})
-                by_text.setdefault(text, set()).add(page.page_number)
-    return {label: sorted(by_length.items()) for label, by_length in index.items()}
+                _add_source(index[entity.type], text, page.page_number)
+    return index
 
 
-def _has_match(buckets: _Buckets, text: str, page_number: int, threshold: int) -> bool:
+def _add_source(index: _Index, text: str, page_number: int) -> bool:
+    """Record that ``text`` comes from ``page_number``; whether that can turn
+    a failed match into a hit: the text is new, or it came from exactly one
+    other page, whose entities could not match it before."""
+    by_text = index.setdefault(len(text), {})
+    sources = by_text.get(text)
+    if sources is None:
+        by_text[text] = {page_number}
+        return True
+    effective = len(sources) == 1 and page_number not in sources
+    sources.add(page_number)
+    return effective
+
+
+def _in_window(n: int, length: int, threshold: int) -> bool:
+    """Whether the length gap alone still allows a ratio above ``threshold``
+    between texts of lengths ``n`` and ``length``."""
+    return _ratio(abs(n - length), n + length) > threshold
+
+
+def _window_holds(lengths: Sequence[int], n: int, threshold: int) -> bool:
+    """Whether any of the sorted ``lengths`` lies in the window of ``n``. The
+    bound of ``_in_window`` only falls as a length moves away from ``n``, so
+    the nearest length on each side decides."""
+    i = bisect_left(lengths, n)
+    return (i < len(lengths) and _in_window(n, lengths[i], threshold)) or (
+        i > 0 and _in_window(n, lengths[i - 1], threshold)
+    )
+
+
+def _deletions(text: str) -> set[str]:
+    """The distinct strings left by deleting one character of ``text``."""
+    return {text[:i] + text[i + 1 :] for i in range(len(text))}
+
+
+class _Candidates:
+    """One label's candidate index as it stands at the start of a pass, with
+    its sorted lengths and, built on first use per length, the map from each
+    candidate's one-deletion variants to the candidate."""
+
+    __slots__ = ("by_length", "lengths", "_variants")
+
+    def __init__(self, by_length: _Index):
+        self.by_length = by_length
+        self.lengths = sorted(by_length)
+        self._variants: dict[int, dict[str, list[str]]] = {}
+
+    def containing(self, text: str) -> Sequence[str]:
+        """Candidates one character longer than ``text`` that delete to it."""
+        length = len(text) + 1
+        variants = self._variants.get(length)
+        if variants is None:
+            variants = self._variants[length] = {}
+            for candidate in self.by_length[length]:
+                for variant in _deletions(candidate):
+                    variants.setdefault(variant, []).append(candidate)
+        return variants.get(text, ())
+
+
+def _has_match(candidates: _Candidates, text: str, page_number: int, threshold: int) -> bool:
     """Whether a candidate from another page matches ``text`` above ``threshold``.
 
     The indel distance is at least the length gap, so ``fuzzy_ratio`` is at
     most the same formula applied to the gap alone, and that bound only falls
-    as the candidate length moves away from ``len(text)``. The scan therefore
-    walks candidate lengths outward from ``len(text)`` and stops each
+    as the candidate length moves away from ``len(text)``. The walk therefore
+    visits candidate lengths outward from ``len(text)`` and stops each
     direction at the first length the bound rules out.
+
+    For a length L with ``len(text) + L = T``, a match needs an indel distance
+    of at most k(T), the largest d with ``_ratio(d, T)`` above the threshold.
+    When k(T) <= 1 the bucket is looked up, not scanned: equal lengths give
+    an even distance, so only ``text`` itself can match; a candidate one
+    character shorter must be one of the one-deletion variants of ``text``;
+    one character longer, ``text`` must be one of its variants. Buckets with
+    k(T) >= 2 are scanned. Every hit on another page is confirmed with
+    ``fuzzy_ratio(text, candidate)``.
     """
     n = len(text)
-    start = bisect_left(buckets, n, key=itemgetter(0))
-    for side in (buckets[start:], reversed(buckets[:start])):
-        for length, by_text in side:
-            if _ratio(abs(n - length), n + length) <= threshold:
+    lengths = candidates.lengths
+    start = bisect_left(lengths, n)
+    for side in (range(start, len(lengths)), range(start - 1, -1, -1)):
+        for i in side:
+            length = lengths[i]
+            if not _in_window(n, length, threshold):
                 break
-            for candidate, sources in by_text.items():
-                if sources != {page_number} and fuzzy_ratio(text, candidate) > threshold:
+            by_text = candidates.by_length[length]
+            if _ratio(2, n + length) > threshold:
+                hits: Iterable[str] = by_text
+            elif length == n:
+                hits = (text,) if text in by_text else ()
+            elif length < n:
+                hits = [variant for variant in _deletions(text) if variant in by_text]
+            else:
+                hits = candidates.containing(text)
+            for candidate in hits:
+                sources = by_text[candidate]
+                if (len(sources) > 1 or page_number not in sources) and fuzzy_ratio(
+                    text, candidate
+                ) > threshold:
                     return True
     return False
 
@@ -517,14 +596,30 @@ def correct_headers_footers(
     page_footer. Any other text-bearing entity whose text fuzzy-matches a
     candidate from a different page (ratio strictly above the threshold) is
     relabeled, header candidates taking precedence. Relabeling repeats until
-    stable so the whole pass is idempotent.
+    stable so the whole pass is idempotent. The result equals comparing
+    every entity with every candidate present at the start of each pass.
 
-    Each relabeling pass indexes the candidates present at its start by
-    label, then text length, then text, keeping the set of pages each text
-    comes from. An entity is compared only with candidates inside its length
-    window, the lengths whose gap to its own length still allows a ratio
-    above the threshold, and only with texts that occur on some other page.
-    The result equals comparing every entity with every candidate.
+    The candidates are indexed by label, then text length, then text, with
+    the set of pages each text comes from. An entity is compared only with
+    candidates inside its length window, the lengths whose gap to its own
+    still allows a ratio above the threshold, and ``_has_match`` answers
+    windows whose distance bound is at most 1 by dict lookups. Each pass
+    first finds, per label, the entity lengths whose window holds any
+    candidate length; other entities cost one set lookup.
+
+    Candidate sets only grow, so an entity that failed to match can match in
+    a later pass only through an effective change of the previous pass: a
+    relabel whose text was new to its label, or whose text had come from
+    exactly one other page. From the second pass on only entities whose
+    window holds the length of such a change are checked again, and the
+    passes stop once a pass makes none. With no candidate text at all there
+    is no pass.
+
+    Bounds: a pass's variant maps hold at most the sum of ``len(c)`` strings
+    over its distinct candidates. Windows whose distance bound is 2 or more
+    (at threshold 95, lengths summing to 45 or more; at low thresholds,
+    nearly all) are still scanned, so many distinct long candidates keep the
+    comparison count quadratic. Two-deletion variants are not indexed.
 
     A position heuristic then swaps entities whose label contradicts their
     placement: a "header" that starts below the top limit and sits in the
@@ -534,24 +629,43 @@ def correct_headers_footers(
     """
     pages = list(pages)
     current: list[dict[str, Entity]] = [dict(p.elements) for p in pages]
+    threshold = params.fuzzy_threshold
+    index = _candidate_index(pages, current)
+    pending = [
+        (page.page_number, elements, eid, entity)
+        for page, elements in zip(pages, current)
+        for eid, entity in elements.items()
+        if entity.type not in RELABEL_EXEMPT_LABELS and entity.value.text
+    ] if any(index.values()) else []
+    changed: Optional[list[int]] = None  # lengths of the last pass's effective changes
 
-    # Fuzzy relabeling to a fixed point; each pass matches against the
-    # candidates present at its start.
-    while True:
-        index = _candidate_index(pages, current)
-        changed = False
-        for page, elements in zip(pages, current):
-            for eid, entity in elements.items():
-                text = entity.value.text
-                if entity.type in RELABEL_EXEMPT_LABELS or not text:
-                    continue
-                for target in (ElementLabel.PAGE_HEADER, ElementLabel.PAGE_FOOTER):
-                    if _has_match(index[target], text, page.page_number, params.fuzzy_threshold):
-                        elements[eid] = entity.with_type(target, schema)
-                        changed = True
-                        break
-        if not changed:
-            break
+    while pending:
+        lengths = {len(entity.value.text) for *_, entity in pending}
+        if changed is not None:
+            lengths = {n for n in lengths if _window_holds(changed, n, threshold)}
+        candidates = {label: _Candidates(by_length) for label, by_length in index.items()}
+        admissible = {
+            label: {n for n in lengths if _window_holds(c.lengths, n, threshold)}
+            for label, c in candidates.items()
+        }
+        relabels = []
+        unmatched = []
+        for item in pending:
+            page_number, elements, eid, entity = item
+            text = entity.value.text
+            for target in _TARGETS:
+                if len(text) in admissible[target] and _has_match(
+                    candidates[target], text, page_number, threshold
+                ):
+                    elements[eid] = entity.with_type(target, schema)
+                    relabels.append((target, text, page_number))
+                    break
+            else:
+                unmatched.append(item)
+        changed = sorted(
+            {len(text) for target, text, number in relabels if _add_source(index[target], text, number)}
+        )
+        pending = unmatched if changed else []
     return _fix_positions_and_rebuild(pages, current, params, schema, page_heights or {})
 
 

@@ -120,43 +120,55 @@ def _array(value: Any, context: str) -> list:
     return value
 
 
-def _parse_detection(raw: Any, context: str, labels: type) -> tuple:
+class _BadField(Exception):
+    """A detection check failed, with args ``(field suffix, message)``; the
+    caller adds where the detection is, so that string is built only for a
+    failure."""
+
+
+#: ``{value: member}`` of each label enum, a dict lookup per detection.
+_LABELS = {
+    labels: {member.value: member for member in labels} for labels in (ElementLabel, LayoutLabel)
+}
+
+
+def _parse_detection(raw: Any, labels: type) -> tuple:
     """Check one detection; returns its label (a ``labels`` member), confidence,
-    bbox, text, id and image_payload, the last two possibly None."""
+    bbox, text, id and image_payload, the last two possibly None. A failed
+    check raises ``_BadField`` naming the field (``""`` for the detection)."""
     if not isinstance(raw, dict):
-        _fail(context, "detection must be an object")
+        raise _BadField("", "detection must be an object")
     label_raw = raw.get("label")
     if not label_raw or not isinstance(label_raw, str):
-        _fail(f"{context}.label", "label must be a non-empty string")
-    try:
-        label = labels(label_raw)
-    except ValueError:
+        raise _BadField(".label", "label must be a non-empty string")
+    label = _LABELS[labels].get(label_raw)
+    if label is None:
         kind = "layout" if labels is LayoutLabel else "element"
-        _fail(f"{context}.label", f"unknown {kind} label {label_raw!r}")
+        raise _BadField(".label", f"unknown {kind} label {label_raw!r}")
     confidence = raw.get("confidence")
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
-        _fail(f"{context}.confidence", "confidence must be a number")
+        raise _BadField(".confidence", "confidence must be a number")
     confidence = float(confidence)
     if not 0.0 <= confidence <= 1.0:
-        _fail(f"{context}.confidence", f"confidence must be in [0,1], got {confidence}")
+        raise _BadField(".confidence", f"confidence must be in [0,1], got {confidence}")
     bbox_raw = raw.get("bbox")
     if not isinstance(bbox_raw, list) or len(bbox_raw) != 4:
-        _fail(f"{context}.bbox", "bbox must be a [left, top, right, bottom] array")
+        raise _BadField(".bbox", "bbox must be a [left, top, right, bottom] array")
     try:
         bbox = BBox(*bbox_raw)
     except (TypeError, ValueError) as exc:
-        _fail(f"{context}.bbox", str(exc))
+        raise _BadField(".bbox", str(exc))
     text = raw.get("text", "")
     if text is None:
         text = ""
     if not isinstance(text, str):
-        _fail(f"{context}.text", "text must be a string")
+        raise _BadField(".text", "text must be a string")
     entity_id = raw.get("id")
     if entity_id is not None and (not isinstance(entity_id, str) or not entity_id):
-        _fail(f"{context}.id", "id must be a non-empty string when present")
+        raise _BadField(".id", "id must be a non-empty string when present")
     payload = raw.get("image_payload")
     if payload is not None and not isinstance(payload, str):
-        _fail(f"{context}.image_payload", "image_payload must be a string when present")
+        raise _BadField(".image_payload", "image_payload must be a string when present")
     return label, confidence, bbox, text, entity_id, payload
 
 
@@ -202,25 +214,30 @@ def load_detections(
         elements = []
         detections = _array(page_raw.get("element_detections", []), f"{context}.element_detections")
         for det_index, det_raw in enumerate(detections):
-            det_context = f"{context}.element_detections[{det_index}]"
-            label, confidence, bbox, text, det_id, payload = _parse_detection(
-                det_raw, det_context, ElementLabel
-            )
+            try:
+                label, confidence, bbox, text, det_id, payload = _parse_detection(
+                    det_raw, ElementLabel
+                )
+            except _BadField as exc:
+                field, message = exc.args
+                _fail(f"{context}.element_detections[{det_index}]{field}", message)
             if confidence < element_threshold:
                 continue
             if det_id is None:
                 key = json.dumps([filename, number, det_index])
                 det_id = str(uuid.uuid5(_ID_NAMESPACE, key))
             if det_id in seen_ids:
-                _fail(f"{det_context}.id", f"duplicate entity id {det_id!r}")
+                _fail(f"{context}.element_detections[{det_index}].id", f"duplicate entity id {det_id!r}")
             seen_ids.add(det_id)
             elements.append(RawDetection(det_id, label, confidence, bbox, text, payload))
         layouts = []
         detections = _array(page_raw.get("layout_detections", []), f"{context}.layout_detections")
         for det_index, det_raw in enumerate(detections):
-            label, confidence, bbox, *_ = _parse_detection(
-                det_raw, f"{context}.layout_detections[{det_index}]", LayoutLabel
-            )
+            try:
+                label, confidence, bbox, *_ = _parse_detection(det_raw, LayoutLabel)
+            except _BadField as exc:
+                field, message = exc.args
+                _fail(f"{context}.layout_detections[{det_index}]{field}", message)
             if confidence >= layout_threshold:
                 layouts.append(LayoutDetection(label, confidence, bbox))
 
@@ -248,13 +265,24 @@ def _is_punct(char: str) -> bool:
     return unicodedata.category(char)[0] in "PS"
 
 
+#: Three identical ASCII punctuation or symbol characters in a row.
+_ASCII_PUNCT_RUN = re.compile(r"([!-/:-@\[-`{-~])\1\1")
+
+
 def normalize_title(s: str) -> str:
     """Clean a title/section string.
 
     Control and format characters are stripped, runs of three or more
     identical punctuation characters collapse to a single one, and the result
-    is trimmed. Idempotent.
+    is trimmed. Idempotent. Printable ASCII without such a run has nothing
+    to strip or collapse, so it is only trimmed.
     """
+    if s.isascii() and s.isprintable() and not _ASCII_PUNCT_RUN.search(s):
+        return s.strip()
+    return _normalize_title(s)
+
+
+def _normalize_title(s: str) -> str:
     kept = [c for c in s if unicodedata.category(c)[0] != "C"]
     out: list[str] = []
     i = 0
@@ -275,8 +303,16 @@ def normalize_body(s: str) -> str:
     """Normalize body text: NFKC, standardized bullets, collapsed spacing.
 
     Bullet glyphs at line starts become ``- ``; runs of spaces/tabs collapse
-    to one space; line structure is preserved. Idempotent.
+    to one space; line structure is preserved. Idempotent. ASCII text with
+    no ``\\r``, tab or double space comes back unchanged: NFKC keeps ASCII,
+    the bullet glyphs are not ASCII and there is no run to collapse.
     """
+    if s.isascii() and "\r" not in s and "\t" not in s and "  " not in s:
+        return s
+    return _normalize_body(s)
+
+
+def _normalize_body(s: str) -> str:
     s = unicodedata.normalize("NFKC", s)
     s = s.replace("\r\n", "\n").replace("\r", "\n")
     lines = []
@@ -323,12 +359,18 @@ def build_entities(
 
 def _run_per_entity(targets, call, max_workers: int) -> list[tuple[Any, Optional[Exception]]]:
     """Invoke ``call`` once per target on up to ``max_workers`` threads; one
-    ``(result, None)`` or ``(None, error)`` per target, in target order."""
+    ``(result, None)`` or ``(None, error)`` per target, in target order.
+
+    With one worker, or fewer than two targets, the calls run inline on the
+    calling thread: a pool would run them one by one on a thread of its own.
+    """
     def fail_open(target):
         try:
             return call(target), None
         except Exception as exc:  # client errors fail open
             return None, exc
+    if max_workers == 1 or len(targets) < 2:
+        return [fail_open(target) for target in targets]
     with ThreadPoolExecutor(max_workers=max_workers) as pool:
         return list(pool.map(fail_open, targets))
 

@@ -83,7 +83,8 @@ class PipelineConfig:
     lists or tuples, ``skip_*`` are bools, ``workers`` is an int, thresholds
     are numbers, fixture paths are ``str`` or ``Path`` and ``weight_overrides``
     maps element labels to positive ints. Input stems and formats must be
-    unique, because a document's files are named ``<input stem><suffix>``.
+    unique, because a document's files are named ``<input stem><suffix>``,
+    and no input may be one of those files.
     """
 
     inputs: tuple[Path, ...]
@@ -130,6 +131,14 @@ class PipelineConfig:
         shared = [str(path) for path in self.inputs if stems[path.stem] > 1]
         if shared:
             raise ValidationError(f"inputs share a file stem, so their outputs would overwrite each other: {shared}")
+        targets = {
+            (self.output_dir / f"{path.stem}{FORMATS[fmt]}").resolve()
+            for path in self.inputs
+            for fmt in self.formats
+        }
+        overwritten = [str(path) for path in self.inputs if path.resolve() in targets]
+        if overwritten:
+            raise ValidationError(f"output files would overwrite inputs: {overwritten}")
         if not _is_int(self.workers) or not 1 <= self.workers <= MAX_WORKERS:
             raise ValidationError(
                 f"worker count must be an integer in [1, {MAX_WORKERS}], got {self.workers!r}"

@@ -2,6 +2,7 @@
 invariants, the edges of its length window, and its comparison count."""
 
 import json
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -195,3 +196,144 @@ def test_comparisons_limited_to_length_window(ratio_calls):
         for page in strays
     )
     assert len(ratio_calls) == 13
+
+
+def _distance_bound(total, threshold=95):
+    """k(T): the largest indel distance whose ratio stays above ``threshold``."""
+    return max((d for d in range(total + 1) if assembly._ratio(d, total) > threshold), default=-1)
+
+
+@pytest.mark.parametrize("total, bound", [(22, 0), (23, 1), (44, 1), (45, 2)])
+def test_distance_bound_steps_at_threshold_95(total, bound):
+    assert _distance_bound(total) == bound
+
+
+def _relabeled(header_text, stray_text):
+    corrected = correct_headers_footers(
+        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95), SCHEMA
+    )
+    return corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
+
+
+ELEVEN = "Annual sums"  # 11 characters
+
+
+@pytest.mark.parametrize(
+    "header_text, stray_text, matches",
+    [
+        (ELEVEN, ELEVEN, True),  # T = 22, distance 0
+        (ELEVEN, "Annual sumz", False),  # T = 22, distance 2 > k = 0
+        (ELEVEN[:-1], ELEVEN, False),  # T = 21, distance 1 > k = 0
+        (ELEVEN, ELEVEN[:6] + "x" + ELEVEN[6:], True),  # T = 23, distance 1 = k
+    ],
+    ids=["T22-identical", "T22-substitution", "T21-deletion", "T23-insertion"],
+)
+def test_distance_bound_boundaries_at_22_and_23(header_text, stray_text, matches):
+    assert _relabeled(header_text, stray_text) is matches
+
+
+@pytest.mark.parametrize(
+    "header_text, stray_text",
+    [
+        (BASE[:11] + "#", BASE[:11] + "#" + BASE[11]),  # candidate one shorter
+        (BASE[:6] + "#" + BASE[6:12], BASE[:12]),  # candidate one longer
+    ],
+    ids=["shorter-candidate", "longer-candidate"],
+)
+def test_one_deletion_lookup_compares_only_the_hit(ratio_calls, header_text, stray_text):
+    # Page 1's decoy headers of the same length come first in the index, and
+    # are never compared.
+    decoys = [
+        build_entity(f"d{i}", "page_header", (0, 30 * i, 100, 30 * i + 20),
+                     text=header_text[:-1] + str(i), schema=SCHEMA)
+        for i in range(5)
+    ]
+    header = build_entity("h1", "page_header", (0, 300, 100, 320), text=header_text, schema=SCHEMA)
+    pages = _header_and_stray(header_text, stray_text)
+    pages[0] = assemble_page(1, [], [header, *decoys], PARAMS)
+    corrected = correct_headers_footers(pages, HeaderFooterParams(fuzzy_threshold=95), SCHEMA)
+    assert corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
+    assert ratio_calls == [(stray_text, header_text)]
+
+
+TWENTY_TWO = BASE + "kl"
+
+
+@pytest.mark.parametrize(
+    "header_text, stray_text, matches",
+    [
+        (TWENTY_TWO, TWENTY_TWO[:-1] + "z", False),  # T = 44, distance 2 > k = 1
+        (TWENTY_TWO + "m", TWENTY_TWO + "z", True),  # T = 46, distance 2 = k
+    ],
+    ids=["T44", "T46"],
+)
+def test_equal_length_substitution_matches_from_45(header_text, stray_text, matches):
+    assert _relabeled(header_text, stray_text) is matches
+
+
+@pytest.mark.parametrize("second_text", ["Alpha reports", "Alpha report"], ids=["new-text", "new-page"])
+def test_match_found_only_by_second_pass(second_text):
+    # Pass 1: page 1's text sees its own footer only; page 2's text matches
+    # page 1's footer. Pass 2: page 1's text matches page 2's new footer, a
+    # new text, or the same text now also from page 2.
+    def page(number, entities):
+        return assemble_page(
+            number,
+            [],
+            [build_entity(eid, label, (0, top, 300, top + 20), text=text, schema=SCHEMA)
+             for eid, label, top, text in entities],
+            PARAMS,
+        )
+
+    pages = [
+        page(1, [("f1", "page_footer", 950, "Alpha report"), ("t1", "text", 900, "Alpha report")]),
+        page(2, [("t2", "text", 900, second_text)]),
+    ]
+    params = HeaderFooterParams(fuzzy_threshold=95)
+    heights = {1: 1000.0, 2: 1000.0}
+    corrected = correct_headers_footers(pages, params, SCHEMA, heights)
+    assert corrected[0].elements["t1"].type is ElementLabel.PAGE_FOOTER
+    assert corrected[1].elements["t2"].type is ElementLabel.PAGE_FOOTER
+    assert _dump(corrected) == _dump(header_footer_oracle(pages, params, SCHEMA, heights))
+
+
+def test_empty_footer_at_top_swapped_without_candidates():
+    footer = build_entity("f1", "page_footer", (0, 10, 300, 30), text="", schema=SCHEMA)
+    body = build_entity("t1", "text", (0, 200, 300, 230), text="Some body text", schema=SCHEMA)
+    pages = [assemble_page(1, [], [footer, body], PARAMS)]
+    corrected = correct_headers_footers(pages, HeaderFooterParams(), SCHEMA, {1: 1000.0})
+    assert corrected[0].elements["f1"].type is ElementLabel.PAGE_HEADER
+    assert list(corrected[0].elements) == ["f1", "t1"]
+
+
+def _report_shaped(page_count):
+    """A running header (a text every third page), "Page p of N" footers and
+    20 texts of 1-4 short words per page."""
+    rng = random.Random(page_count)
+    vocabulary = ["ba", "cedo", "fi", "gamo", "la", "mune", "pori", "sa", "tu", "vize", "zo", "kal"]
+    pages = []
+    for number in range(1, page_count + 1):
+        entities = [
+            build_entity(f"p{number}-h", "text" if number % 3 == 0 else "page_header",
+                         (60, 20, 740, 50), text="ACME Corp Annual Report 2025", schema=SCHEMA),
+            build_entity(f"p{number}-f", "page_footer", (60, 950, 740, 975),
+                         text=f"Page {number} of {page_count}", schema=SCHEMA),
+        ]
+        for i in range(20):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 4)))
+            top = 80 + 40 * i
+            entities.append(build_entity(f"p{number}-e{i}", "text", (60, top, 740, top + 30),
+                                         text=text, schema=SCHEMA))
+        pages.append(assemble_page(number, [], entities, PARAMS))
+    return pages
+
+
+def test_comparisons_grow_linearly_in_pages(ratio_calls):
+    counts = {}
+    for page_count in (25, 50, 100, 200):
+        ratio_calls.clear()
+        correct_headers_footers(_report_shaped(page_count), HeaderFooterParams(), SCHEMA)
+        counts[page_count] = len(ratio_calls)
+    assert counts[25] > 0
+    for page_count in (50, 100, 200):
+        assert counts[page_count] <= 2.3 * counts[page_count // 2], counts

@@ -1,8 +1,9 @@
 import json
 import re
+import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import build_entity, write_detection_file
 from docweave.clients import (
@@ -18,6 +19,9 @@ from docweave.errors import DetectionInputError, ValidationError
 from docweave.geometry import BBox
 from docweave.model import ElementLabel
 from docweave.ingest import (
+    _normalize_body,
+    _normalize_title,
+    _run_per_entity,
     build_entities,
     classify_document,
     enrich_entities,
@@ -296,6 +300,56 @@ class TestNormalizeBody:
     def test_idempotent(self, s):
         once = normalize_body(s)
         assert normalize_body(once) == once
+
+
+#: Pieces that steer the normalizers' fast paths on and off: ASCII words and
+#: punctuation runs, tabs, line ends, double spaces, bullets, control and
+#: format characters, and non-ASCII letters NFKC changes or keeps.
+_PIECES = st.sampled_from(
+    ["Title", "a b", " ", "  ", "\t", "\r\n", "\r", "\n", "!!", "!!!", "...", "--", "$$$", "~~~~",
+     "\u2022 ", "\u25cf", "\x00", "\x07", "\x7f", "\u200b", "\u00e9", "\ufb01", "\uff41", "\u00a0"]
+)
+_MIXED_TEXT = st.lists(_PIECES | st.text(max_size=3), max_size=12).map("".join)
+
+
+class TestNormalizerFastPaths:
+    @settings(max_examples=400)
+    @given(_MIXED_TEXT)
+    def test_body_fast_path_equals_full_rules(self, s):
+        assert normalize_body(s) == _normalize_body(s)
+
+    @settings(max_examples=400)
+    @given(_MIXED_TEXT)
+    def test_title_fast_path_equals_full_rules(self, s):
+        assert normalize_title(s) == _normalize_title(s)
+
+    @pytest.mark.parametrize("s", ["  Annual report  ", "Q1 -- 2025!!", "a\tb", "x\r\ny", "a  b", "caf\u00e9"])
+    def test_examples_agree(self, s):
+        assert normalize_body(s) == _normalize_body(s)
+        assert normalize_title(s) == _normalize_title(s)
+
+
+class TestRunPerEntity:
+    @pytest.mark.parametrize("workers, targets", [(1, [1, 2, 3]), (4, [1])])
+    def test_runs_inline_without_a_pool(self, workers, targets):
+        threads = []
+
+        def call(target):
+            threads.append(threading.current_thread())
+            if target == 2:
+                raise RuntimeError("boom")
+            return target * 10
+
+        results = _run_per_entity(targets, call, workers)
+        assert [r for r, _ in results] == [t * 10 if t != 2 else None for t in targets]
+        assert [type(e).__name__ if e else None for _, e in results] == [
+            "RuntimeError" if t == 2 else None for t in targets
+        ]
+        assert threads == [threading.current_thread()] * len(targets)
+
+    def test_pool_keeps_target_order(self):
+        results = _run_per_entity(list(range(8)), lambda t: -t, 4)
+        assert results == [(-t, None) for t in range(8)]
 
 
 def raw(label, text, box=(0, 0, 10, 10), entity_id="e", **kwargs):

@@ -138,6 +138,47 @@ class TestRunPipeline:
             results[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
         assert results[1] == results[8]
 
+    def test_worker_counts_agree_on_a_single_image(self, tmp_path):
+        # One image per page: fewer than two client calls, so every worker
+        # count calls the clients inline.
+        pages = [
+            {
+                "page_number": 1,
+                "element_detections": [
+                    {"id": "img", "label": "image", "confidence": 0.9,
+                     "bbox": [0, 100, 200, 300], "image_payload": "png:img"},
+                    {"id": "t1", "label": "text", "confidence": 0.9,
+                     "bbox": [0, 400, 200, 450], "text": "caption below"},
+                ],
+                "layout_detections": [],
+            }
+        ]
+        path = minimal_input(tmp_path, "image.json", pages=pages)
+        usefulness = tmp_path / "usefulness.json"
+        usefulness.write_text(json.dumps({"verdicts": {"img": "useful"}}), encoding="utf-8")
+        enrichment = tmp_path / "enrichment.json"
+        enrichment.write_text(
+            json.dumps({"responses": {"img": {"title": "Chart", "text": "a bar chart"}}}),
+            encoding="utf-8",
+        )
+        results = {}
+        for workers in (1, 4):
+            out = tmp_path / f"w{workers}"
+            config = PipelineConfig(
+                inputs=(path,),
+                output_dir=out,
+                skip_insights=False,
+                usefulness_fixture=usefulness,
+                enrichment_fixture=enrichment,
+                workers=workers,
+            )
+            (outcome,) = run_pipeline(config)
+            assert outcome.result.total_llm_calls == 1
+            results[workers] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+        assert len(results[1]) == len(FORMATS)
+        assert b"a bar chart" in results[1]["image.json"]
+        assert results[1] == results[4]
+
     def test_missing_ids_give_identical_outputs(self, tmp_path):
         payload = json.loads((FIXTURE_DIR / "report.json").read_text(encoding="utf-8"))
         for page in payload["pages"]:
@@ -525,6 +566,17 @@ class TestConfig:
             PipelineConfig(inputs=("a/report.json", "b/report.txt"), output_dir=tmp_path)
         PipelineConfig(inputs=("a/report.json", "b/report2.json"), output_dir=tmp_path)
 
+    def test_input_among_output_targets_rejected(self, tmp_path):
+        report = tmp_path / "report.json"
+        with pytest.raises(ValidationError, match="output files would overwrite inputs"):
+            PipelineConfig(inputs=(report,), output_dir=tmp_path)
+        # Another input's graph file, and a path that resolves to the target.
+        graph = tmp_path / "report.graph.json"
+        with pytest.raises(ValidationError, match=re.escape(str(graph))):
+            PipelineConfig(inputs=(report.with_name("other.json"), graph), output_dir=tmp_path / "x" / "..")
+        PipelineConfig(inputs=(report,), output_dir=tmp_path, formats=("markdown",))
+        PipelineConfig(inputs=(report,), output_dir=tmp_path / "out")
+
     def test_formats_non_empty(self, tmp_path):
         with pytest.raises(ValidationError):
             PipelineConfig(inputs=(), output_dir=tmp_path, formats=())
@@ -547,7 +599,7 @@ class TestConfig:
         config = config_from_mapping(
             {"layout_threshold": 0.5, "workers": 4, "assembly": {"cluster": {"eps": 0.2}}},
             inputs=(tmp_path / "x.json",),
-            output_dir=tmp_path,
+            output_dir=tmp_path / "out",
             workers=2,
         )
         assert config.layout_threshold == 0.5
@@ -805,6 +857,16 @@ class TestCli:
         assert "inputs share a file stem" in result.output
         assert str(first) in result.output and str(second) in result.output
         assert not out.exists()
+
+    def test_parse_into_the_input_directory_keeps_the_input(self, tmp_path):
+        path = minimal_input(tmp_path, "report.json")
+        before = path.read_bytes()
+        result = CliRunner().invoke(main, ["parse", str(path), "-o", str(tmp_path)])
+        assert result.exit_code == 2, result.output
+        assert "output files would overwrite inputs" in result.output
+        assert str(path) in result.output
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
     def test_parse_repeated_format_usage_error(self, tmp_path):
         path = minimal_input(tmp_path)
