@@ -86,10 +86,8 @@ from .model import (
     GroupType,
     LayoutLabel,
     PageResult,
-    SchemaWeights,
     document_from_json,
     document_to_json,
-    make_entity,
     make_group,
 )
 from .pipeline import PipelineConfig, export_document, process_document, run_pipeline

@@ -15,7 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -29,7 +29,6 @@ from .model import (
     GroupType,
     LayoutLabel,
     PageResult,
-    SchemaWeights,
     _is_int,
     _is_number,
     make_group,
@@ -587,7 +586,6 @@ def _has_match(candidates: _Candidates, text: str, page_number: int, threshold: 
 def correct_headers_footers(
     pages: Sequence[PageResult],
     params: HeaderFooterParams,
-    schema: SchemaWeights,
     page_heights: Optional[Mapping[int, float]] = None,
 ) -> list[PageResult]:
     """Propagate header/footer labels across pages and fix swapped positions.
@@ -657,7 +655,7 @@ def correct_headers_footers(
                 if len(text) in admissible[target] and _has_match(
                     candidates[target], text, page_number, threshold
                 ):
-                    elements[eid] = entity.with_type(target, schema)
+                    elements[eid] = replace(entity, type=target)
                     relabels.append((target, text, page_number))
                     break
             else:
@@ -666,14 +664,13 @@ def correct_headers_footers(
             {len(text) for target, text, number in relabels if _add_source(index[target], text, number)}
         )
         pending = unmatched if changed else []
-    return _fix_positions_and_rebuild(pages, current, params, schema, page_heights or {})
+    return _fix_positions_and_rebuild(pages, current, params, page_heights or {})
 
 
 def _fix_positions_and_rebuild(
     pages: Sequence[PageResult],
     current: Sequence[dict[str, Entity]],
     params: HeaderFooterParams,
-    schema: SchemaWeights,
     page_heights: Mapping[int, float],
 ) -> list[PageResult]:
     """Swap headers/footers the detector placed on the wrong end of the page,
@@ -690,13 +687,13 @@ def _fix_positions_and_rebuild(
                 and top > params.header_top_limit
                 and entity.pixel_coordinates.y_center >= bottom_band
             ):
-                elements[eid] = entity.with_type(ElementLabel.PAGE_FOOTER, schema)
+                elements[eid] = replace(entity, type=ElementLabel.PAGE_FOOTER)
             elif (
                 entity.type is ElementLabel.PAGE_FOOTER
                 and top <= params.header_top_limit
                 and entity.pixel_coordinates.y_center < bottom_band
             ):
-                elements[eid] = entity.with_type(ElementLabel.PAGE_HEADER, schema)
+                elements[eid] = replace(entity, type=ElementLabel.PAGE_HEADER)
 
     return [
         _rebuild_page(page, elements)

@@ -27,6 +27,8 @@ from .pipeline import (
 
 def _parse_formats(raw: str) -> tuple[str, ...]:
     formats = tuple(f.strip() for f in raw.split(",") if f.strip())
+    if not formats:
+        raise click.UsageError("at least one output format is required")
     unknown = [f for f in formats if f not in FORMATS]
     if unknown:
         raise click.UsageError(f"unknown formats: {', '.join(unknown)}")

@@ -239,25 +239,26 @@ def to_graph_json(doc: DocumentResult) -> str:
         page_id = _encode_str(f"page_{page.page_number}")
         nodes.append(_node(page_id, "page", page_id))
         edges.append(_edge('"root"', page_id, "contains"))
-        previous = previous_id = None
+        previous_weight = previous_id = None
         for entity in page.elements.values():
             entity_id = _encode_str(entity.id)
+            weight = entity.weight
             nodes.append(f"""
     {{
       "id": {entity_id},
       "kind": "element",
       "label": {_encode_str(entity.type)},
-      "weight": {_json_value(entity.weight, "      ")}
+      "weight": {weight:d}
     }}""")
-            if previous is None:
+            if previous_weight is None:
                 edges.append(_edge(page_id, entity_id, "contains"))
-            elif previous.weight == entity.weight:
+            elif previous_weight == weight:
                 edges.append(_edge(previous_id, entity_id, "sibling"))
-            elif previous.weight < entity.weight:
+            elif previous_weight < weight:
                 edges.append(_edge(previous_id, entity_id, "parent-child"))
             else:
                 edges.append(_edge(entity_id, previous_id, "parent-child"))
-            previous, previous_id = entity, entity_id
+            previous_weight, previous_id = weight, entity_id
     parts = ['{\n  "nodes": ']
     _write_items(parts, nodes, list.append, "[]", "  ")
     parts.append(',\n  "edges": ')

@@ -36,7 +36,7 @@ import re
 import unicodedata
 import uuid
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -55,7 +55,6 @@ from .model import (
     Entity,
     EntityValue,
     LayoutLabel,
-    SchemaWeights,
     read_json_object,
 )
 
@@ -114,7 +113,11 @@ def _fail(context: str, message: str) -> None:
     raise DetectionInputError(f"{context}: {message}")
 
 
-def _array(value: Any, context: str) -> list:
+def _array(raw: dict, key: str, context: str) -> list:
+    """``raw[key]``, a required array; ``context`` names it in errors."""
+    if key not in raw:
+        _fail(context, "missing required array")
+    value = raw[key]
     if not isinstance(value, list):
         _fail(context, f"must be an array, got {type(value).__name__}")
     return value
@@ -195,7 +198,7 @@ def load_detections(
         isinstance(k, str) and isinstance(v, str) for k, v in metadata_raw.items()
     ):
         _fail(f"{path}: metadata", "must be a string-to-string map")
-    pages_raw = _array(raw.get("pages", []), f"{path}: pages")
+    pages_raw = _array(raw, "pages", f"{path}: pages")
 
     pages: list[PageDetections] = []
     seen_numbers: set[int] = set()
@@ -212,7 +215,7 @@ def load_detections(
         seen_numbers.add(number)
 
         elements = []
-        detections = _array(page_raw.get("element_detections", []), f"{context}.element_detections")
+        detections = _array(page_raw, "element_detections", f"{context}.element_detections")
         for det_index, det_raw in enumerate(detections):
             try:
                 label, confidence, bbox, text, det_id, payload = _parse_detection(
@@ -231,7 +234,7 @@ def load_detections(
             seen_ids.add(det_id)
             elements.append(RawDetection(det_id, label, confidence, bbox, text, payload))
         layouts = []
-        detections = _array(page_raw.get("layout_detections", []), f"{context}.layout_detections")
+        detections = _array(page_raw, "layout_detections", f"{context}.layout_detections")
         for det_index, det_raw in enumerate(detections):
             try:
                 label, confidence, bbox, *_ = _parse_detection(det_raw, LayoutLabel)
@@ -328,9 +331,7 @@ def _normalize_body(s: str) -> str:
 # ---------------------------------------------------------------------------
 
 
-def build_entities(
-    detections: Sequence[RawDetection], schema: SchemaWeights
-) -> list[Entity]:
+def build_entities(detections: Sequence[RawDetection]) -> list[Entity]:
     """Turn element detections into entities with normalized text.
 
     An entity whose normalized text is shorter than ``MIN_TEXT_LENGTH`` is
@@ -350,7 +351,6 @@ def build_entities(
                 confidence=det.confidence,
                 value=EntityValue(text=text),
                 pixel_coordinates=det.bbox,
-                weight=schema.weights[label],
                 image_payload=det.image_payload,
             )
         )
@@ -400,8 +400,9 @@ def gate_images(
 
 def _merge_enrichment(entity: Entity, result: EnrichmentResult) -> Entity:
     value = entity.value
-    return entity.with_value(
-        EntityValue(
+    return replace(
+        entity,
+        value=EntityValue(
             text=result.text or value.text,
             title=value.title if result.title is None else result.title,
             summary=value.summary if result.summary is None else result.summary,

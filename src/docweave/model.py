@@ -1,4 +1,4 @@
-"""Document data model: labels, schema weights, entities, groups, pages, documents.
+"""Document data model: labels, label weights, entities, groups, pages, documents.
 
 All types are immutable after construction and safe to share across threads.
 The text :func:`document_to_json` writes is the contract between assembly,
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import Any, Callable, Collection, Mapping, Optional, Sequence, Union
@@ -65,10 +65,10 @@ class GroupType(str, Enum):
     GENERIC = "group"
 
 
-#: Default per-label weights. Lower weight = higher in the document hierarchy.
-#: Weights drive ordering semantics and knowledge-graph edge kinds; labels
-#: without a canonical value are configurable via SchemaWeights.with_overrides.
-DEFAULT_WEIGHTS: dict[ElementLabel, int] = {
+#: Per-label weights: lower is higher in the document hierarchy. An entity's
+#: weight is derived from its label; the knowledge graph reads it for its edge
+#: kinds, and the result JSON writes it as the ``weight`` key.
+WEIGHTS: dict[ElementLabel, int] = {
     ElementLabel.TITLE: 1,
     ElementLabel.HEADER: 2,
     ElementLabel.SECTION: 2,
@@ -82,43 +82,6 @@ DEFAULT_WEIGHTS: dict[ElementLabel, int] = {
     ElementLabel.LIST_ITEM: 6,
     ElementLabel.PAGE_FOOTER: 7,
 }
-
-
-@dataclass(frozen=True)
-class SchemaWeights:
-    """Total mapping from element label to a positive integer weight."""
-
-    weights: Mapping[ElementLabel, int] = field(
-        default_factory=lambda: dict(DEFAULT_WEIGHTS)
-    )
-
-    def __post_init__(self):
-        normalized: dict[ElementLabel, int] = {}
-        for label, weight in self.weights.items():
-            label = ElementLabel(label)
-            if not _is_int(weight) or weight < 1:
-                raise ValidationError(
-                    f"weight for {label.value!r} must be a positive integer, got {weight!r}"
-                )
-            normalized[label] = weight
-        missing = [label.value for label in ElementLabel if label not in normalized]
-        if missing:
-            raise ValidationError(f"schema weights missing labels: {missing}")
-        object.__setattr__(self, "weights", normalized)
-
-    def weight_of(self, label: ElementLabel) -> int:
-        return self.weights[ElementLabel(label)]
-
-    @classmethod
-    def with_overrides(cls, overrides: Mapping[str, int]) -> "SchemaWeights":
-        merged = dict(DEFAULT_WEIGHTS)
-        for name, weight in overrides.items():
-            try:
-                label = ElementLabel(name)
-            except ValueError:
-                raise ValidationError(f"unknown element label in weight overrides: {name!r}")
-            merged[label] = weight
-        return cls(merged)
 
 
 @dataclass(frozen=True)
@@ -144,54 +107,19 @@ class EntityValue:
 
 @dataclass(frozen=True)
 class Entity:
-    """One detected semantic element with its schema weight.
-
-    ``weight`` is a pure function of ``type``; use :func:`make_entity` so it
-    stays consistent. Centres are read from ``pixel_coordinates``.
-    """
+    """One detected semantic element. ``weight`` is derived from ``type`` and
+    centres are read from ``pixel_coordinates``."""
 
     id: str
     type: ElementLabel
     confidence: float
     value: EntityValue
     pixel_coordinates: BBox
-    weight: int
     image_payload: Optional[str] = None
 
-    def with_value(self, value: EntityValue) -> "Entity":
-        return replace(self, value=value)
-
-    def with_type(self, label: ElementLabel, schema: SchemaWeights) -> "Entity":
-        """Relabel, recomputing the schema weight."""
-        return replace(self, type=label, weight=schema.weight_of(label))
-
-
-def make_entity(
-    label: ElementLabel,
-    confidence: float,
-    bbox: BBox,
-    value: EntityValue,
-    schema: SchemaWeights,
-    entity_id: str,
-    image_payload: Optional[str] = None,
-) -> Entity:
-    """Build an entity with a checked label and confidence, deriving its weight
-    from the schema."""
-    label = ElementLabel(label)
-    confidence = float(confidence)
-    if not 0.0 <= confidence <= 1.0:
-        raise ValidationError(f"confidence must be in [0,1], got {confidence}")
-    if not entity_id:
-        raise ValidationError("entity id must be a non-empty string")
-    return Entity(
-        id=entity_id,
-        type=label,
-        confidence=confidence,
-        value=value,
-        pixel_coordinates=bbox,
-        weight=schema.weight_of(label),
-        image_payload=image_payload,
-    )
+    @property
+    def weight(self) -> int:
+        return WEIGHTS[self.type]
 
 
 @dataclass(frozen=True)
@@ -418,7 +346,7 @@ def _write_entity(parts: list[str], item: tuple[str, Entity]) -> None:
     payload = entity.image_payload
     payload = "" if payload is None else f',\n          "image_payload": {_encode_str(payload)}'
     parts.append(f""",
-          "weight": {_json_value(entity.weight, _RECORD_INDENT)}{payload}
+          "weight": {entity.weight:d}{payload}
         }}""")
 
 
@@ -546,21 +474,26 @@ def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
     except ValueError as exc:
         raise ValidationError(f"{context}: unknown element label {raw.get('type')!r}") from exc
     weight = _require(raw, "weight", context)
-    if not _is_int(weight) or weight < 1:
-        raise ValidationError(f"{context}: weight must be a positive integer, got {weight!r}")
+    if not _is_int(weight) or weight != WEIGHTS[label]:
+        raise ValidationError(
+            f"{context}: weight must be a positive integer, {WEIGHTS[label]} for type "
+            f"{label.value!r}, got {weight!r}"
+        )
     confidence = float(_require_number(raw, "confidence", context))
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"{context}: confidence must be in [0,1], got {confidence}")
 
     _check_centers(raw, bbox, context)
     payload = _require_str(raw, "image_payload", context) if "image_payload" in raw else None
+    entity_id = _require_str(raw, "id", context)
+    if not entity_id:
+        raise ValidationError(f"{context}: id must be a non-empty string")
     return Entity(
-        id=_require_str(raw, "id", context),
+        id=entity_id,
         type=label,
         confidence=confidence,
         value=value,
         pixel_coordinates=bbox,
-        weight=weight,
         image_payload=payload,
     )
 

@@ -46,7 +46,6 @@ from .ingest import (
 from .model import (
     DocumentResult,
     PageResult,
-    SchemaWeights,
     _is_int,
     _is_number,
     document_to_json,
@@ -81,10 +80,9 @@ class PipelineConfig:
 
     Values are type-checked, never coerced: ``inputs`` and ``formats`` are
     lists or tuples, ``skip_*`` are bools, ``workers`` is an int, thresholds
-    are numbers, fixture paths are ``str`` or ``Path`` and ``weight_overrides``
-    maps element labels to positive ints. Input stems and formats must be
-    unique, because a document's files are named ``<input stem><suffix>``,
-    and no input may be one of those files.
+    are numbers and fixture paths are ``str`` or ``Path``. Input stems and
+    formats must be unique, because a document's files are named
+    ``<input stem><suffix>``, and no input may be one of those files.
     """
 
     inputs: tuple[Path, ...]
@@ -96,7 +94,6 @@ class PipelineConfig:
     skip_headers_footers: bool = False
     formats: tuple[str, ...] = tuple(FORMATS)
     assembly: AssemblyParams = field(default_factory=AssemblyParams)
-    weight_overrides: Mapping[str, int] = field(default_factory=dict)
     usefulness_fixture: Optional[Path] = None
     enrichment_fixture: Optional[Path] = None
     category_fixture: Optional[Path] = None
@@ -143,11 +140,6 @@ class PipelineConfig:
             raise ValidationError(
                 f"worker count must be an integer in [1, {MAX_WORKERS}], got {self.workers!r}"
             )
-        if not isinstance(self.weight_overrides, Mapping):
-            raise ValidationError(
-                f"weight_overrides must be an object, got {self.weight_overrides!r}"
-            )
-        SchemaWeights.with_overrides(self.weight_overrides)  # raises on a bad label or weight
 
 
 @dataclass
@@ -253,15 +245,10 @@ class _Clients:
         )
 
 
-def _process_page(
-    page: PageDetections,
-    schema: SchemaWeights,
-    config: PipelineConfig,
-    clients: _Clients,
-) -> _PageOutcome:
+def _process_page(page: PageDetections, config: PipelineConfig, clients: _Clients) -> _PageOutcome:
     outcome = _PageOutcome(page_number=page.page_number)
     try:
-        entities = build_entities(page.element_detections, schema)
+        entities = build_entities(page.element_detections)
         skipped_ids: list[str] = []
         if config.skip_images:
             entities, skipped_ids = gate_images(
@@ -330,16 +317,12 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
         logger.error("%s", exc)
         return outcome
 
-    schema = SchemaWeights.with_overrides(config.weight_overrides)
-    page_outcomes = [_process_page(p, schema, config, clients) for p in detections.pages]
+    page_outcomes = [_process_page(p, config, clients) for p in detections.pages]
     outcome.failed_pages = {o.page_number: o.error for o in page_outcomes if o.error is not None}
 
     assembled = [o.result for o in page_outcomes if o.result is not None]
     corrected = correct_headers_footers(
-        assembled,
-        config.assembly.header_footer,
-        schema,
-        page_heights=_page_heights(detections),
+        assembled, config.assembly.header_footer, page_heights=_page_heights(detections)
     )
     category = classify_document(_document_text(detections, corrected), clients.category)
     outcome.result = DocumentResult(

@@ -2,18 +2,11 @@ import json
 import random
 from pathlib import Path
 
-import pytest
-
 from docweave.geometry import BBox
 from docweave.ingest import LayoutDetection
-from docweave.model import ElementLabel, EntityValue, LayoutLabel, SchemaWeights, make_entity
+from docweave.model import ElementLabel, Entity, EntityValue, LayoutLabel
 
 FIXTURE_DIR = Path(__file__).parent / "fixtures"
-
-
-@pytest.fixture(scope="session")
-def schema():
-    return SchemaWeights()
 
 
 def build_entity(
@@ -22,20 +15,18 @@ def build_entity(
     box,
     text="",
     confidence=0.9,
-    schema=None,
     title=None,
     summary=None,
     data=None,
     image_payload=None,
 ):
     """Shorthand entity constructor for tests; box is an (l, t, r, b) tuple."""
-    return make_entity(
-        label=ElementLabel(label),
+    return Entity(
+        id=entity_id,
+        type=ElementLabel(label),
         confidence=confidence,
-        bbox=BBox(*box),
         value=EntityValue(text=text, title=title, summary=summary, data=data),
-        schema=schema or SchemaWeights(),
-        entity_id=entity_id,
+        pixel_coordinates=BBox(*box),
         image_payload=image_payload,
     )
 

@@ -15,6 +15,7 @@ and DP-Bench files as dicts for ``json.dumps`` instead of filling text templates
 
 import json
 import unicodedata
+from dataclasses import replace
 from functools import lru_cache
 
 
@@ -81,7 +82,7 @@ def relabel_cost_oracle(a, b) -> float:
 # --- brute-force header/footer relabeling ---------------------------------
 
 
-def header_footer_oracle(pages, params, schema, page_heights=None):
+def header_footer_oracle(pages, params, page_heights=None):
     """``correct_headers_footers`` with its relabeling done the brute-force
     way: each pass scores every entity against every candidate tuple taken
     at the start of the pass. The position heuristic and page rebuild are
@@ -116,10 +117,10 @@ def header_footer_oracle(pages, params, schema, page_heights=None):
                         and ratio(entity.value.text, text) > params.fuzzy_threshold
                         for source, kind, text in candidates
                     ):
-                        elements[eid] = entity.with_type(target, schema)
+                        elements[eid] = replace(entity, type=target)
                         changed = True
                         break
-    return _fix_positions_and_rebuild(pages, current, params, schema, page_heights or {})
+    return _fix_positions_and_rebuild(pages, current, params, page_heights or {})
 
 
 # --- naive DBSCAN ----------------------------------------------------------

@@ -30,7 +30,6 @@ from docweave.metrics import (
     teds_s,
     tree_edit_distance,
 )
-from docweave.model import SchemaWeights
 from docweave.pipeline import PipelineConfig, run_pipeline
 from oracles import (
     dbscan_oracle,
@@ -42,7 +41,6 @@ from oracles import (
 )
 
 PARAMS = AssemblyParams()
-SCHEMA = SchemaWeights()
 
 
 def criterion(name, budget_seconds=None):
@@ -178,7 +176,6 @@ def _random_page(rng):
                 (left, top, left + rng.randint(10, 150), top + rng.randint(10, 60)),
                 text=f"entity text {i}",
                 confidence=round(rng.uniform(0.3, 1.0), 3),
-                schema=SCHEMA,
             )
         )
     regions = []
@@ -214,12 +211,12 @@ def test_reading_order_determinism():
 @criterion("two-column fixture column-major order")
 def test_two_column_reading_order():
     entities = [
-        build_entity("l1", "text", (60, 100, 380, 160), text="left one", schema=SCHEMA),
-        build_entity("l2", "text", (60, 200, 380, 260), text="left two", schema=SCHEMA),
-        build_entity("l3", "text", (60, 300, 380, 360), text="left three", schema=SCHEMA),
-        build_entity("r1", "text", (420, 100, 740, 160), text="right one", schema=SCHEMA),
-        build_entity("r2", "text", (420, 200, 740, 260), text="right two", schema=SCHEMA),
-        build_entity("r3", "text", (420, 300, 740, 360), text="right three", schema=SCHEMA),
+        build_entity("l1", "text", (60, 100, 380, 160), text="left one"),
+        build_entity("l2", "text", (60, 200, 380, 260), text="left two"),
+        build_entity("l3", "text", (60, 300, 380, 360), text="left three"),
+        build_entity("r1", "text", (420, 100, 740, 160), text="right one"),
+        build_entity("r2", "text", (420, 200, 740, 260), text="right two"),
+        build_entity("r3", "text", (420, 300, 740, 360), text="right three"),
     ]
     region = layout_detection("multi_column", (50, 90, 750, 400))
     page = assemble_page(1, [region], entities, PARAMS)
@@ -239,10 +236,10 @@ def test_header_footer_correction():
             _page_with(
                 [
                     build_entity(
-                        f"h{n}", "page_header", (200, 20, 600, 50), text=header_text, schema=SCHEMA
+                        f"h{n}", "page_header", (200, 20, 600, 50), text=header_text
                     ),
                     build_entity(
-                        f"b{n}", "text", (0, 200, 400, 260), text=f"body of page {n}", schema=SCHEMA
+                        f"b{n}", "text", (0, 200, 400, 260), text=f"body of page {n}"
                     ),
                 ],
                 n,
@@ -251,13 +248,13 @@ def test_header_footer_correction():
     pages.append(
         _page_with(
             [
-                build_entity("h3", "text", (200, 20, 600, 50), text=header_text, schema=SCHEMA),
-                build_entity("b3", "text", (0, 200, 400, 260), text="body of page 3", schema=SCHEMA),
+                build_entity("h3", "text", (200, 20, 600, 50), text=header_text),
+                build_entity("b3", "text", (0, 200, 400, 260), text="body of page 3"),
             ],
             3,
         )
     )
-    corrected = correct_headers_footers(pages, HeaderFooterParams(), SCHEMA)
+    corrected = correct_headers_footers(pages, HeaderFooterParams())
     assert fuzzy_ratio(header_text, header_text) == 100
     assert corrected[2].elements["h3"].type.value == "page_header"
 
@@ -266,21 +263,21 @@ def test_header_footer_correction():
     assert fuzzy_ratio(base, near) == 95
     near_pages = [
         _page_with(
-            [build_entity("nh1", "page_header", (0, 0, 100, 20), text=base, schema=SCHEMA)], 1
+            [build_entity("nh1", "page_header", (0, 0, 100, 20), text=base)], 1
         ),
-        _page_with([build_entity("nt2", "text", (0, 0, 100, 20), text=near, schema=SCHEMA)], 2),
+        _page_with([build_entity("nt2", "text", (0, 0, 100, 20), text=near)], 2),
     ]
-    near_corrected = correct_headers_footers(near_pages, HeaderFooterParams(), SCHEMA)
+    near_corrected = correct_headers_footers(near_pages, HeaderFooterParams())
     assert near_corrected[1].elements["nt2"].type.value == "text"
 
 
 @criterion("dedup keeps the higher-confidence duplicate")
 def test_dedup_higher_confidence():
     strong = build_entity(
-        "a", "title", (100, 10, 500, 60), text="Grand Title", confidence=0.8, schema=SCHEMA
+        "a", "title", (100, 10, 500, 60), text="Grand Title", confidence=0.8
     )
     weak = build_entity(
-        "b", "title", (105, 12, 505, 62), text="Grand Title", confidence=0.6, schema=SCHEMA
+        "b", "title", (105, 12, 505, 62), text="Grand Title", confidence=0.6
     )
     from docweave.geometry import iou
 

@@ -84,24 +84,24 @@ class TestExtractListItems:
 
 
 class TestToMarkdown:
-    def test_title_heading(self, schema):
-        doc = make_doc([[build_entity("t", "title", (0, 0, 10, 10), text="Results", schema=schema)]])
+    def test_title_heading(self):
+        doc = make_doc([[build_entity("t", "title", (0, 0, 10, 10), text="Results")]])
         assert "## Results" in to_markdown(doc)
 
-    def test_section_heading(self, schema):
-        doc = make_doc([[build_entity("s", "section", (0, 0, 10, 10), text="Intro", schema=schema)]])
+    def test_section_heading(self):
+        doc = make_doc([[build_entity("s", "section", (0, 0, 10, 10), text="Intro")]])
         assert "### Intro" in to_markdown(doc)
 
-    def test_skip_flag_removes_headers_footers(self, schema):
+    def test_skip_flag_removes_headers_footers(self):
         doc = make_doc(
-            [[build_entity("f", "page_footer", (0, 90, 10, 100), text="footer", schema=schema)]]
+            [[build_entity("f", "page_footer", (0, 90, 10, 100), text="footer")]]
         )
         assert to_markdown(doc, skip_headers_footers=True).strip() == ""
         assert "> [page_footer] footer" in to_markdown(doc)
 
-    def test_table_with_data_renders_pipe_table(self, schema):
+    def test_table_with_data_renders_pipe_table(self):
         table = build_entity(
-            "tbl", "table", (0, 0, 10, 10), text="raw", schema=schema,
+            "tbl", "table", (0, 0, 10, 10), text="raw",
             data=({"A": "1", "B": "2"},),
         )
         md = to_markdown(make_doc([[table]]))
@@ -109,36 +109,36 @@ class TestToMarkdown:
         assert "| 1 | 2 |" in md
         assert "raw" not in md  # data supersedes the OCR text
 
-    def test_table_without_data_falls_back_to_text(self, schema):
-        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw cells", schema=schema)
+    def test_table_without_data_falls_back_to_text(self):
+        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw cells")
         assert "raw cells" in to_markdown(make_doc([[table]]))
 
-    def test_image_line_and_summary(self, schema):
+    def test_image_line_and_summary(self):
         image = build_entity(
-            "img", "image", (0, 0, 10, 10), schema=schema, title="Chart", summary="Up and right."
+            "img", "image", (0, 0, 10, 10), title="Chart", summary="Up and right."
         )
         md = to_markdown(make_doc([[image]]))
         assert "![Chart](img)" in md
         assert "*Up and right.*" in md
 
-    def test_pipe_characters_escaped(self, schema):
+    def test_pipe_characters_escaped(self):
         table = build_entity(
-            "tbl", "table", (0, 0, 10, 10), schema=schema, data=({"A": "x|y"},)
+            "tbl", "table", (0, 0, 10, 10), data=({"A": "x|y"},)
         )
         assert "x\\|y" in to_markdown(make_doc([[table]]))
 
-    def test_pages_separated_by_rule(self, schema):
+    def test_pages_separated_by_rule(self):
         doc = make_doc(
             [
-                [build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema)],
-                [build_entity("b", "text", (0, 0, 10, 10), text="two", schema=schema)],
+                [build_entity("a", "text", (0, 0, 10, 10), text="one")],
+                [build_entity("b", "text", (0, 0, 10, 10), text="two")],
             ]
         )
         assert "\n\n---\n\n" in to_markdown(doc)
 
-    def test_every_textual_element_appears(self, schema):
+    def test_every_textual_element_appears(self):
         entities = [
-            build_entity(f"e{i}", label, (0, i * 20, 10, i * 20 + 10), text=f"content {i}", schema=schema)
+            build_entity(f"e{i}", label, (0, i * 20, 10, i * 20 + 10), text=f"content {i}")
             for i, label in enumerate(
                 ["title", "section", "text", "list_item", "table_caption", "table_of_content"]
             )
@@ -149,63 +149,63 @@ class TestToMarkdown:
 
 
 class TestToChunks:
-    def test_single_text_dedupes_to_one_chunk(self, schema):
-        doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="only text", schema=schema)]])
+    def test_single_text_dedupes_to_one_chunk(self):
+        doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="only text")]])
         chunks = chunk_records(doc)
         assert len(chunks) == 1
         assert chunks[0]["metadata"]["chunk_kind"] == "page"
 
-    def test_header_block_gathers_following_text(self, schema):
+    def test_header_block_gathers_following_text(self):
         entities = [
-            build_entity("h", "page_header", (0, 0, 10, 5), text="Running head", schema=schema),
-            build_entity("s", "section", (0, 10, 10, 20), text="Intro", schema=schema),
-            build_entity("t1", "text", (0, 30, 10, 40), text="first para", schema=schema),
-            build_entity("t2", "text", (0, 50, 10, 60), text="second para", schema=schema),
+            build_entity("h", "page_header", (0, 0, 10, 5), text="Running head"),
+            build_entity("s", "section", (0, 10, 10, 20), text="Intro"),
+            build_entity("t1", "text", (0, 30, 10, 40), text="first para"),
+            build_entity("t2", "text", (0, 50, 10, 60), text="second para"),
         ]
         chunks = chunk_records(make_doc([entities]))
         blocks = [c for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
         assert blocks[0]["page_content"] == "Intro\nfirst para\nsecond para"
 
-    def test_header_block_stops_at_next_heading(self, schema):
+    def test_header_block_stops_at_next_heading(self):
         entities = [
-            build_entity("s1", "section", (0, 0, 10, 10), text="One", schema=schema),
-            build_entity("t1", "text", (0, 20, 10, 30), text="alpha", schema=schema),
-            build_entity("s2", "section", (0, 40, 10, 50), text="Two", schema=schema),
-            build_entity("t2", "text", (0, 60, 10, 70), text="beta", schema=schema),
+            build_entity("s1", "section", (0, 0, 10, 10), text="One"),
+            build_entity("t1", "text", (0, 20, 10, 30), text="alpha"),
+            build_entity("s2", "section", (0, 40, 10, 50), text="Two"),
+            build_entity("t2", "text", (0, 60, 10, 70), text="beta"),
         ]
         chunks = chunk_records(make_doc([entities]))
         blocks = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "header_block"]
         assert blocks == ["One\nalpha", "Two\nbeta"]
 
-    def test_empty_document(self, schema):
+    def test_empty_document(self):
         assert to_chunks_jsonl(make_doc([[]])) == ""
 
-    def test_token_count_is_whitespace_tokens(self, schema):
-        doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="three word chunk", schema=schema)]])
+    def test_token_count_is_whitespace_tokens(self):
+        doc = make_doc([[build_entity("t", "text", (0, 0, 10, 10), text="three word chunk")]])
         assert chunk_records(doc)[0]["metadata"]["token_count"] == 3
 
-    def test_distinct_hashes(self, schema):
+    def test_distinct_hashes(self):
         entities = [
-            build_entity("a", "text", (0, 0, 10, 10), text="alpha", schema=schema),
-            build_entity("b", "text", (0, 20, 10, 30), text="beta", schema=schema),
+            build_entity("a", "text", (0, 0, 10, 10), text="alpha"),
+            build_entity("b", "text", (0, 20, 10, 30), text="beta"),
         ]
         chunks = chunk_records(make_doc([entities]))
         hashes = [fnv1a_64(c["page_content"]) for c in chunks]
         assert len(hashes) == len(set(hashes))
 
-    def test_nfkc_equal_contents_dedupe_and_whitespace_variants_stay(self, schema):
+    def test_nfkc_equal_contents_dedupe_and_whitespace_variants_stay(self):
         texts = ["ﬁne print", "fine print", "１２３", "123", "a b", "a  b", "a\tb", "a\u00a0b"]
         entities = [
-            build_entity(f"e{i}", "list_item", (0, 10 * i, 10, 10 * i + 5), text=text, schema=schema)
+            build_entity(f"e{i}", "list_item", (0, 10 * i, 10, 10 * i + 5), text=text)
             for i, text in enumerate(texts)
         ]
         chunks = chunk_records(make_doc([entities]))
         elements = [c["page_content"] for c in chunks if c["metadata"]["chunk_kind"] == "element"]
         assert elements == ["ﬁne print", "１２３", "a b", "a  b", "a\tb"]
 
-    def test_metadata_fields(self, schema):
+    def test_metadata_fields(self):
         doc = make_doc(
-            [[build_entity("t", "text", (0, 0, 10, 10), text="body here", schema=schema)]],
+            [[build_entity("t", "text", (0, 0, 10, 10), text="body here")]],
             filename="f.pdf",
             category="financial",
         )
@@ -293,55 +293,55 @@ def test_chunk_lines_equal_json_dumps(c_encoder, doc):
 
 
 class TestToGraph:
-    def test_title_then_text_parent_child(self, schema):
+    def test_title_then_text_parent_child(self):
         entities = [
-            build_entity("a", "title", (0, 0, 10, 10), text="Title", schema=schema),
-            build_entity("b", "text", (0, 20, 10, 30), text="Body", schema=schema),
+            build_entity("a", "title", (0, 0, 10, 10), text="Title"),
+            build_entity("b", "text", (0, 20, 10, 30), text="Body"),
         ]
         _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "parent-child"
 
-    def test_equal_weight_sibling(self, schema):
+    def test_equal_weight_sibling(self):
         entities = [
-            build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema),
-            build_entity("b", "text", (0, 20, 10, 30), text="two", schema=schema),
+            build_entity("a", "text", (0, 0, 10, 10), text="one"),
+            build_entity("b", "text", (0, 20, 10, 30), text="two"),
         ]
         _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("a", "b")] == "sibling"
 
-    def test_parent_child_direction_lower_weight_wins(self, schema):
+    def test_parent_child_direction_lower_weight_wins(self):
         # text (6) followed by table (3): edge must run table -> text
         entities = [
-            build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema),
-            build_entity("b", "table", (0, 20, 10, 30), text="tbl", schema=schema),
+            build_entity("a", "text", (0, 0, 10, 10), text="one"),
+            build_entity("b", "table", (0, 20, 10, 30), text="tbl"),
         ]
         _, edges = graph_records(make_doc([entities]))
         relations = {(e["from"], e["to"]): e["relation"] for e in edges}
         assert relations[("b", "a")] == "parent-child"
 
-    def test_empty_page_gets_node_no_element_edges(self, schema):
+    def test_empty_page_gets_node_no_element_edges(self):
         nodes, edges = graph_records(make_doc([[]]))
         assert any(n["id"] == "page_1" for n in nodes)
         assert [(e["from"], e["to"], e["relation"]) for e in edges] == [("root", "page_1", "contains")]
 
-    def test_edge_count_invariant(self, schema):
+    def test_edge_count_invariant(self):
         entities = [
-            build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}", schema=schema)
+            build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}")
             for i in range(5)
         ]
         _, edges = graph_records(make_doc([entities]))
         # 1 root->page + 1 page->first + (n-1) consecutive
         assert len(edges) == 1 + 1 + 4
 
-    def test_exactly_one_root(self, schema):
+    def test_exactly_one_root(self):
         nodes, _ = graph_records(make_doc([[], []]))
         assert sum(1 for n in nodes if n["kind"] == "root") == 1
 
-    def test_no_self_edges(self, schema):
+    def test_no_self_edges(self):
         entities = [
-            build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}", schema=schema)
+            build_entity(f"e{i}", "text", (0, i * 20, 10, i * 20 + 10), text=f"t{i}")
             for i in range(4)
         ]
         _, edges = graph_records(make_doc([entities]))
@@ -352,36 +352,36 @@ class TestToDpbench:
     def test_category_mapping_complete(self):
         assert set(DPBENCH_CATEGORY) == set(ElementLabel)
 
-    def test_toc_maps_to_paragraph(self, schema):
-        toc = build_entity("t", "table_of_content", (0, 0, 10, 10), text="toc", schema=schema)
+    def test_toc_maps_to_paragraph(self):
+        toc = build_entity("t", "table_of_content", (0, 0, 10, 10), text="toc")
         (element,) = dpbench_records(make_doc([[toc]]))
         assert element["category"] == "Paragraph"
 
-    def test_polygon_order(self, schema):
-        entity = build_entity("e", "text", (1, 2, 3, 4), text="abc", schema=schema)
+    def test_polygon_order(self):
+        entity = build_entity("e", "text", (1, 2, 3, 4), text="abc")
         (element,) = dpbench_records(make_doc([[entity]]))
         assert element["coordinates"] == [[1.0, 2.0], [3.0, 2.0], [3.0, 4.0], [1.0, 4.0]]
 
-    def test_coordinate_round_trip(self, schema):
-        entity = build_entity("e", "text", (15, 25, 300, 401), text="abc", schema=schema)
+    def test_coordinate_round_trip(self):
+        entity = build_entity("e", "text", (15, 25, 300, 401), text="abc")
         (element,) = dpbench_records(make_doc([[entity]]))
         lt, _, rb, _ = element["coordinates"]
         assert (lt[0], lt[1], rb[0], rb[1]) == (15.0, 25.0, 300.0, 401.0)
 
-    def test_sequential_ids_across_pages(self, schema):
+    def test_sequential_ids_across_pages(self):
         doc = make_doc(
             [
-                [build_entity("a", "text", (0, 0, 10, 10), text="one", schema=schema)],
-                [build_entity("b", "text", (0, 0, 10, 10), text="two", schema=schema)],
+                [build_entity("a", "text", (0, 0, 10, 10), text="one")],
+                [build_entity("b", "text", (0, 0, 10, 10), text="two")],
             ]
         )
         elements = dpbench_records(doc)
         assert [e["id"] for e in elements] == [0, 1]
         assert [e["page"] for e in elements] == [1, 2]
 
-    def test_table_html_from_data(self, schema):
+    def test_table_html_from_data(self):
         table = build_entity(
-            "tbl", "table", (0, 0, 10, 10), text="", schema=schema, data=({"A": "<1>"},)
+            "tbl", "table", (0, 0, 10, 10), text="", data=({"A": "<1>"},)
         )
         (element,) = dpbench_records(make_doc([[table]]))
         assert element["content"]["html"] == "<table><tr><td>A</td></tr><tr><td>&lt;1&gt;</td></tr></table>"

@@ -16,10 +16,9 @@ from docweave.assembly import (
     correct_headers_footers,
     fuzzy_ratio,
 )
-from docweave.model import ElementLabel, SchemaWeights
+from docweave.model import ElementLabel
 from oracles import header_footer_oracle, page_to_dict
 
-SCHEMA = SchemaWeights()
 PARAMS = AssemblyParams()
 ALPHABET = "ab "
 LABELS = ("text", "title", "list_item", "section", "page_header", "page_footer", "table")
@@ -58,7 +57,6 @@ def documents(draw):
                     draw(st.sampled_from(LABELS)),
                     (40.0 * i, top, 40.0 * i + 100, top + 30),
                     text=draw(st.just("") | one_edit(bases)),
-                    schema=SCHEMA,
                 )
             )
         regions = [layout_detection("group", (0, 100, 1000, 900))] if draw(st.booleans()) else []
@@ -76,8 +74,8 @@ def _dump(pages) -> str:
 def test_matches_brute_force_oracle(document, threshold):
     pages, heights = document
     params = HeaderFooterParams(fuzzy_threshold=threshold)
-    expected = header_footer_oracle(pages, params, SCHEMA, heights)
-    assert _dump(correct_headers_footers(pages, params, SCHEMA, heights)) == _dump(expected)
+    expected = header_footer_oracle(pages, params, heights)
+    assert _dump(correct_headers_footers(pages, params, heights)) == _dump(expected)
 
 
 @settings(max_examples=150, deadline=None)
@@ -85,8 +83,8 @@ def test_matches_brute_force_oracle(document, threshold):
 def test_idempotent(document, threshold):
     pages, heights = document
     params = HeaderFooterParams(fuzzy_threshold=threshold)
-    once = correct_headers_footers(pages, params, SCHEMA, heights)
-    assert _dump(correct_headers_footers(once, params, SCHEMA, heights)) == _dump(once)
+    once = correct_headers_footers(pages, params, heights)
+    assert _dump(correct_headers_footers(once, params, heights)) == _dump(once)
 
 
 @settings(max_examples=150, deadline=None)
@@ -94,7 +92,7 @@ def test_idempotent(document, threshold):
 def test_partition(document, threshold):
     pages, heights = document
     corrected = correct_headers_footers(
-        pages, HeaderFooterParams(fuzzy_threshold=threshold), SCHEMA, heights
+        pages, HeaderFooterParams(fuzzy_threshold=threshold), heights
     )
     for before, page in zip(pages, corrected):
         grouped = [eid for group in page.groups for eid in group.ids]
@@ -121,8 +119,8 @@ def ratio_calls(monkeypatch):
 
 
 def _header_and_stray(header_text, stray_text):
-    header = build_entity("h1", "page_header", (0, 0, 100, 20), text=header_text, schema=SCHEMA)
-    stray = build_entity("t2", "text", (0, 0, 100, 20), text=stray_text, schema=SCHEMA)
+    header = build_entity("h1", "page_header", (0, 0, 100, 20), text=header_text)
+    stray = build_entity("t2", "text", (0, 0, 100, 20), text=stray_text)
     return [assemble_page(1, [], [header], PARAMS), assemble_page(2, [], [stray], PARAMS)]
 
 
@@ -139,7 +137,7 @@ def test_one_length_step_inside_window_relabels(ratio_calls, header_text, stray_
     assert assembly._ratio(1, 41) == 98
     assert fuzzy_ratio(header_text, stray_text) == 98
     corrected = correct_headers_footers(
-        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95), SCHEMA
+        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95)
     )
     assert corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
     assert ratio_calls == [(stray_text, header_text)]
@@ -156,7 +154,7 @@ def test_first_excluded_length_is_skipped(ratio_calls, header_text, stray_text):
     assert assembly._ratio(2, 42) == 95
     assert fuzzy_ratio(header_text, stray_text) == 95
     corrected = correct_headers_footers(
-        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95), SCHEMA
+        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95)
     )
     assert corrected[1].elements["t2"].type is ElementLabel.TEXT
     assert ratio_calls == []
@@ -172,11 +170,10 @@ def test_comparisons_limited_to_length_window(ratio_calls):
                 "text" if number % 3 == 0 else "page_header",
                 (60, 20, 740, 50),
                 text=header_text,
-                schema=SCHEMA,
             ),
             build_entity(
                 f"p{number}-footer", "page_footer", (60, 950, 740, 975),
-                text=f"Page {number} of 40", schema=SCHEMA,
+                text=f"Page {number} of 40",
             ),
         ]
         for i in range(10):
@@ -184,11 +181,11 @@ def test_comparisons_limited_to_length_window(ratio_calls):
             text = f"Body paragraph {i} of page {number} in the annual report"
             assert len(text) >= 40
             entities.append(
-                build_entity(f"p{number}-b{i}", "text", (60, top, 740, top + 40), text=text, schema=SCHEMA)
+                build_entity(f"p{number}-b{i}", "text", (60, top, 740, top + 40), text=text)
             )
         pages.append(assemble_page(number, [], entities, PARAMS))
 
-    corrected = correct_headers_footers(pages, HeaderFooterParams(), SCHEMA)
+    corrected = correct_headers_footers(pages, HeaderFooterParams())
     strays = [page for page in corrected if page.page_number % 3 == 0]
     assert len(strays) == 13
     assert all(
@@ -210,7 +207,7 @@ def test_distance_bound_steps_at_threshold_95(total, bound):
 
 def _relabeled(header_text, stray_text):
     corrected = correct_headers_footers(
-        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95), SCHEMA
+        _header_and_stray(header_text, stray_text), HeaderFooterParams(fuzzy_threshold=95)
     )
     return corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
 
@@ -245,13 +242,13 @@ def test_one_deletion_lookup_compares_only_the_hit(ratio_calls, header_text, str
     # are never compared.
     decoys = [
         build_entity(f"d{i}", "page_header", (0, 30 * i, 100, 30 * i + 20),
-                     text=header_text[:-1] + str(i), schema=SCHEMA)
+                     text=header_text[:-1] + str(i))
         for i in range(5)
     ]
-    header = build_entity("h1", "page_header", (0, 300, 100, 320), text=header_text, schema=SCHEMA)
+    header = build_entity("h1", "page_header", (0, 300, 100, 320), text=header_text)
     pages = _header_and_stray(header_text, stray_text)
     pages[0] = assemble_page(1, [], [header, *decoys], PARAMS)
-    corrected = correct_headers_footers(pages, HeaderFooterParams(fuzzy_threshold=95), SCHEMA)
+    corrected = correct_headers_footers(pages, HeaderFooterParams(fuzzy_threshold=95))
     assert corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
     assert ratio_calls == [(stray_text, header_text)]
 
@@ -280,7 +277,7 @@ def test_match_found_only_by_second_pass(second_text):
         return assemble_page(
             number,
             [],
-            [build_entity(eid, label, (0, top, 300, top + 20), text=text, schema=SCHEMA)
+            [build_entity(eid, label, (0, top, 300, top + 20), text=text)
              for eid, label, top, text in entities],
             PARAMS,
         )
@@ -291,17 +288,17 @@ def test_match_found_only_by_second_pass(second_text):
     ]
     params = HeaderFooterParams(fuzzy_threshold=95)
     heights = {1: 1000.0, 2: 1000.0}
-    corrected = correct_headers_footers(pages, params, SCHEMA, heights)
+    corrected = correct_headers_footers(pages, params, heights)
     assert corrected[0].elements["t1"].type is ElementLabel.PAGE_FOOTER
     assert corrected[1].elements["t2"].type is ElementLabel.PAGE_FOOTER
-    assert _dump(corrected) == _dump(header_footer_oracle(pages, params, SCHEMA, heights))
+    assert _dump(corrected) == _dump(header_footer_oracle(pages, params, heights))
 
 
 def test_empty_footer_at_top_swapped_without_candidates():
-    footer = build_entity("f1", "page_footer", (0, 10, 300, 30), text="", schema=SCHEMA)
-    body = build_entity("t1", "text", (0, 200, 300, 230), text="Some body text", schema=SCHEMA)
+    footer = build_entity("f1", "page_footer", (0, 10, 300, 30), text="")
+    body = build_entity("t1", "text", (0, 200, 300, 230), text="Some body text")
     pages = [assemble_page(1, [], [footer, body], PARAMS)]
-    corrected = correct_headers_footers(pages, HeaderFooterParams(), SCHEMA, {1: 1000.0})
+    corrected = correct_headers_footers(pages, HeaderFooterParams(), {1: 1000.0})
     assert corrected[0].elements["f1"].type is ElementLabel.PAGE_HEADER
     assert list(corrected[0].elements) == ["f1", "t1"]
 
@@ -315,15 +312,15 @@ def _report_shaped(page_count):
     for number in range(1, page_count + 1):
         entities = [
             build_entity(f"p{number}-h", "text" if number % 3 == 0 else "page_header",
-                         (60, 20, 740, 50), text="ACME Corp Annual Report 2025", schema=SCHEMA),
+                         (60, 20, 740, 50), text="ACME Corp Annual Report 2025"),
             build_entity(f"p{number}-f", "page_footer", (60, 950, 740, 975),
-                         text=f"Page {number} of {page_count}", schema=SCHEMA),
+                         text=f"Page {number} of {page_count}"),
         ]
         for i in range(20):
             text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(1, 4)))
             top = 80 + 40 * i
             entities.append(build_entity(f"p{number}-e{i}", "text", (60, top, 740, top + 30),
-                                         text=text, schema=SCHEMA))
+                                         text=text))
         pages.append(assemble_page(number, [], entities, PARAMS))
     return pages
 
@@ -332,7 +329,7 @@ def test_comparisons_grow_linearly_in_pages(ratio_calls):
     counts = {}
     for page_count in (25, 50, 100, 200):
         ratio_calls.clear()
-        correct_headers_footers(_report_shaped(page_count), HeaderFooterParams(), SCHEMA)
+        correct_headers_footers(_report_shaped(page_count), HeaderFooterParams())
         counts[page_count] = len(ratio_calls)
     assert counts[25] > 0
     for page_count in (50, 100, 200):

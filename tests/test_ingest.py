@@ -88,6 +88,15 @@ def bad_fields(label, kind):
 
 
 class TestLoadDetections:
+    @pytest.mark.parametrize("key", ["pages", "element_detections", "layout_detections"])
+    def test_missing_array_rejected(self, tmp_path, key):
+        payload = input_payload()
+        del (payload if key == "pages" else payload["pages"][0])[key]
+        path = write_detection_file(tmp_path / "in.json", payload)
+        where = "pages" if key == "pages" else f"pages\\[0\\]\\.{key}"
+        with pytest.raises(DetectionInputError, match=rf"in\.json: {where}: missing required array"):
+            load_detections(path)
+
     def test_layout_below_threshold_dropped(self, tmp_path):
         path = write_detection_file(
             tmp_path / "in.json",
@@ -357,45 +366,45 @@ def raw(label, text, box=(0, 0, 10, 10), entity_id="e", **kwargs):
 
 
 class TestBuildEntities:
-    def test_geometry_and_weight(self, schema):
-        (entity,) = build_entities([raw("text", "hello")], schema)
+    def test_geometry_and_weight(self):
+        (entity,) = build_entities([raw("text", "hello")])
         assert entity.pixel_coordinates.x_center == 5 and entity.pixel_coordinates.y_center == 5
         assert entity.weight == 6
 
-    def test_title_normalized(self, schema):
-        (entity,) = build_entities([raw("title", "Intro\u0000duction!!")], schema)
+    def test_title_normalized(self):
+        (entity,) = build_entities([raw("title", "Intro\u0000duction!!")])
         assert entity.value.text == "Introduction!!"
 
-    def test_table_with_empty_text_retained(self, schema):
-        assert len(build_entities([raw("table", "")], schema)) == 1
+    def test_table_with_empty_text_retained(self):
+        assert len(build_entities([raw("table", "")])) == 1
 
-    def test_supplied_id_preserved(self, schema):
-        (entity,) = build_entities([raw("text", "hello", entity_id="keep-me")], schema)
+    def test_supplied_id_preserved(self):
+        (entity,) = build_entities([raw("text", "hello", entity_id="keep-me")])
         assert entity.id == "keep-me"
 
-    def test_equals_checked_constructor(self, schema):
+    def test_equals_checked_constructor(self):
         det = raw("image", "", image_payload="map.png")
-        expected = build_entity("e", "image", (0, 0, 10, 10), schema=schema, image_payload="map.png")
-        assert build_entities([det], schema) == [expected]
+        expected = build_entity("e", "image", (0, 0, 10, 10), image_payload="map.png")
+        assert build_entities([det]) == [expected]
 
 
 class TestFilterSmallText:
     """``build_entities`` drops entities whose normalized text is under 3 characters."""
 
-    def test_two_chars_removed(self, schema):
-        assert build_entities([raw("text", "ab")], schema) == []
+    def test_two_chars_removed(self):
+        assert build_entities([raw("text", "ab")]) == []
 
-    def test_empty_image_kept(self, schema):
-        assert len(build_entities([raw("image", "")], schema)) == 1
+    def test_empty_image_kept(self):
+        assert len(build_entities([raw("image", "")])) == 1
 
-    def test_three_chars_kept(self, schema):
-        assert len(build_entities([raw("text", "abc")], schema)) == 1
+    def test_three_chars_kept(self):
+        assert len(build_entities([raw("text", "abc")])) == 1
 
-    def test_empty_caption_removed(self, schema):
-        assert build_entities([raw("image_caption", "")], schema) == []
+    def test_empty_caption_removed(self):
+        assert build_entities([raw("image_caption", "")]) == []
 
-    def test_length_counted_after_normalizing(self, schema):
-        assert build_entities([raw("title", "a\u0007b  ")], schema) == []
+    def test_length_counted_after_normalizing(self):
+        assert build_entities([raw("title", "a\u0007b  ")]) == []
 
 
 class _FailingClassifier:
@@ -409,13 +418,13 @@ class _FailingEnricher:
 
 
 class TestGateImages:
-    def test_useless_image_skipped(self, schema):
-        image = build_entity("img", "image", (0, 0, 10, 10), schema=schema)
+    def test_useless_image_skipped(self):
+        image = build_entity("img", "image", (0, 0, 10, 10))
         classifier = UsefulnessTable({"img": UsefulnessVerdict.USELESS})
         kept, skipped = gate_images([image], classifier)
         assert kept == [] and skipped == ["img"]
 
-    def test_table_never_classified(self, schema):
+    def test_table_never_classified(self):
         calls = []
 
         class Recorder:
@@ -423,23 +432,23 @@ class TestGateImages:
                 calls.append(entity.id)
                 return UsefulnessVerdict.USEFUL
 
-        table = build_entity("tbl", "table", (0, 0, 10, 10), text="data", schema=schema)
+        table = build_entity("tbl", "table", (0, 0, 10, 10), text="data")
         kept, skipped = gate_images([table], Recorder())
         assert kept == [table] and skipped == [] and calls == []
 
-    def test_no_images_vacuous(self, schema):
-        text = build_entity("t", "text", (0, 0, 10, 10), text="abc", schema=schema)
+    def test_no_images_vacuous(self):
+        text = build_entity("t", "text", (0, 0, 10, 10), text="abc")
         kept, skipped = gate_images([text], UsefulnessTable())
         assert kept == [text] and skipped == []
 
-    def test_fail_open(self, schema):
-        image = build_entity("img", "image", (0, 0, 10, 10), schema=schema)
+    def test_fail_open(self):
+        image = build_entity("img", "image", (0, 0, 10, 10))
         kept, skipped = gate_images([image], _FailingClassifier())
         assert kept == [image] and skipped == []
 
-    def test_partition_property(self, schema):
+    def test_partition_property(self):
         images = [
-            build_entity(f"img{i}", "image", (i, 0, i + 5, 5), schema=schema) for i in range(6)
+            build_entity(f"img{i}", "image", (i, 0, i + 5, 5)) for i in range(6)
         ]
         overrides = {"img1": UsefulnessVerdict.USELESS, "img4": UsefulnessVerdict.USELESS}
         kept, skipped = gate_images(images, UsefulnessTable(overrides))
@@ -447,9 +456,9 @@ class TestGateImages:
         assert kept_ids | set(skipped) == {e.id for e in images}
         assert kept_ids & set(skipped) == set()
 
-    def test_parallel_matches_serial(self, schema):
+    def test_parallel_matches_serial(self):
         images = [
-            build_entity(f"img{i}", "image", (i, 0, i + 5, 5), schema=schema) for i in range(8)
+            build_entity(f"img{i}", "image", (i, 0, i + 5, 5)) for i in range(8)
         ]
         classifier = UsefulnessTable(
             {"img2": UsefulnessVerdict.USELESS, "img7": UsefulnessVerdict.USELESS}
@@ -460,7 +469,7 @@ class TestGateImages:
 
 
 class TestEnrichEntities:
-    def test_table_enriched_from_fixture(self, schema, tmp_path):
+    def test_table_enriched_from_fixture(self, tmp_path):
         fixture = tmp_path / "enrich.json"
         fixture.write_text(
             json.dumps(
@@ -475,39 +484,39 @@ class TestEnrichEntities:
             ),
             encoding="utf-8",
         )
-        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw", schema=schema)
+        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw")
         enriched, calls = enrich_entities([table], FixtureEnrichmentClient(fixture))
         assert calls == 1
         assert enriched[0].value.title == "T"
         assert enriched[0].value.data == ({"a": "1", "b": "2"},)
         assert enriched[0].value.text == "raw"
 
-    def test_failure_keeps_ocr_value_but_counts(self, schema):
-        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw", schema=schema)
+    def test_failure_keeps_ocr_value_but_counts(self):
+        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw")
         enriched, calls = enrich_entities([table], _FailingEnricher())
         assert calls == 1
         assert enriched[0].value.text == "raw"
 
-    def test_geometry_never_mutated(self, schema):
-        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw", schema=schema)
+    def test_geometry_never_mutated(self):
+        table = build_entity("tbl", "table", (0, 0, 10, 10), text="raw")
         enriched, _ = enrich_entities([table], StubEnrichmentClient())
         assert enriched[0].pixel_coordinates == table.pixel_coordinates
         assert enriched[0].weight == table.weight
         box, table_box = enriched[0].pixel_coordinates, table.pixel_coordinates
         assert (box.x_center, box.y_center) == (table_box.x_center, table_box.y_center)
 
-    def test_text_entities_not_called(self, schema):
-        text = build_entity("t", "text", (0, 0, 10, 10), text="abc", schema=schema)
+    def test_text_entities_not_called(self):
+        text = build_entity("t", "text", (0, 0, 10, 10), text="abc")
         enriched, calls = enrich_entities([text], _FailingEnricher())
         assert calls == 0 and enriched == [text]
 
-    def test_image_text_replaced(self, schema, tmp_path):
+    def test_image_text_replaced(self, tmp_path):
         fixture = tmp_path / "enrich.json"
         fixture.write_text(
             json.dumps({"responses": {"img": {"summary": "a chart", "text": "values rise"}}}),
             encoding="utf-8",
         )
-        image = build_entity("img", "image", (0, 0, 10, 10), text="", schema=schema)
+        image = build_entity("img", "image", (0, 0, 10, 10), text="")
         enriched, calls = enrich_entities([image], FixtureEnrichmentClient(fixture))
         assert enriched[0].value.text == "values rise"
         assert enriched[0].value.summary == "a chart"
@@ -516,7 +525,7 @@ class TestEnrichEntities:
         with pytest.raises(ValidationError):
             EnrichmentResult()
 
-    def test_skipped_image_never_enriched(self, schema):
+    def test_skipped_image_never_enriched(self):
         calls = []
 
         class Recorder:
@@ -524,8 +533,8 @@ class TestEnrichEntities:
                 calls.append(entity.id)
                 return EnrichmentResult(text=entity.value.text or "x")
 
-        useful = build_entity("img-useful", "image", (0, 0, 10, 10), schema=schema)
-        useless = build_entity("img-useless", "image", (20, 0, 30, 10), schema=schema)
+        useful = build_entity("img-useful", "image", (0, 0, 10, 10))
+        useless = build_entity("img-useless", "image", (20, 0, 30, 10))
         classifier = UsefulnessTable(
             {"img-useless": UsefulnessVerdict.USELESS}
         )
@@ -535,7 +544,7 @@ class TestEnrichEntities:
         assert calls == ["img-useful"]
         assert count == 1
 
-    def test_parallel_matches_serial(self, schema, tmp_path):
+    def test_parallel_matches_serial(self, tmp_path):
         fixture = tmp_path / "enrich.json"
         fixture.write_text(
             json.dumps(
@@ -548,7 +557,7 @@ class TestEnrichEntities:
             encoding="utf-8",
         )
         tables = [
-            build_entity(f"tbl{i}", "table", (0, 20 * i, 10, 20 * i + 10), text=f"t{i}", schema=schema)
+            build_entity(f"tbl{i}", "table", (0, 20 * i, 10, 20 * i + 10), text=f"t{i}")
             for i in range(8)  # tbl6/tbl7 missing from the fixture: fail-open path
         ]
         client = FixtureEnrichmentClient(fixture)
@@ -613,14 +622,14 @@ class TestEnrichmentClientResolution:
 
 
 class TestFixtureUsefulness:
-    def test_fixture_verdicts(self, schema, tmp_path):
+    def test_fixture_verdicts(self, tmp_path):
         fixture = tmp_path / "gate.json"
         fixture.write_text(
             json.dumps({"verdicts": {"img": "useless"}, "default": "useful"}),
             encoding="utf-8",
         )
         classifier = UsefulnessTable.from_fixture(fixture)
-        image = build_entity("img", "image", (0, 0, 10, 10), schema=schema)
-        other = build_entity("img2", "image", (0, 0, 10, 10), schema=schema)
+        image = build_entity("img", "image", (0, 0, 10, 10))
+        other = build_entity("img2", "image", (0, 0, 10, 10))
         assert classifier.classify(image) is UsefulnessVerdict.USELESS
         assert classifier.classify(other) is UsefulnessVerdict.USEFUL

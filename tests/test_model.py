@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,14 +24,13 @@ from docweave.model import (
     GroupType,
     LayoutLabel,
     PageResult,
-    SchemaWeights,
+    WEIGHTS,
     _json_value,
     document_from_json,
     document_to_json,
     entity_from_dict,
     group_from_dict,
     json_text,
-    make_entity,
     make_group,
 )
 from oracles import (
@@ -44,71 +44,84 @@ from oracles import (
 
 
 class TestSchemaWeights:
-    def test_default_weights(self, schema):
-        assert schema.weight_of(ElementLabel.TITLE) == 1
-        assert schema.weight_of(ElementLabel.SECTION) == 2
-        assert schema.weight_of(ElementLabel.TABLE) == 3
-        assert schema.weight_of(ElementLabel.TEXT) == 6
-        assert schema.weight_of(ElementLabel.PAGE_FOOTER) == 7
+    """An entity's weight is its label's place in the hierarchy, ``WEIGHTS[type]``."""
 
-    def test_total_mapping(self, schema):
+    def test_default_weights(self):
+        for label, weight in (("title", 1), ("section", 2), ("table", 3), ("text", 6), ("page_footer", 7)):
+            assert build_entity("e1", label, (0, 0, 10, 10)).weight == weight
+
+    def test_total_mapping(self):
+        assert set(WEIGHTS) == set(ElementLabel)
         for label in ElementLabel:
-            assert schema.weight_of(label) >= 1
+            assert build_entity("e1", label, (0, 0, 10, 10)).weight == WEIGHTS[label] >= 1
 
     def test_overrides(self):
-        schema = SchemaWeights.with_overrides({"image": 9})
-        assert schema.weight_of(ElementLabel.IMAGE) == 9
-        assert schema.weight_of(ElementLabel.TITLE) == 1
+        # The weight is no field, so no entity can carry one its label does not give.
+        entity = build_entity("e1", "image", (0, 0, 10, 10))
+        assert "weight" not in {f.name for f in fields(Entity)}
+        with pytest.raises(TypeError, match="weight"):
+            replace(entity, weight=9)
 
     def test_unknown_override_rejected(self):
-        with pytest.raises(ValidationError, match="unknown element label"):
-            SchemaWeights.with_overrides({"figure": 3})
+        raw = json.loads(document_to_json(_single_page_doc()))
+        raw["pages"][0]["elements"]["b"]["weight"] = 7
+        message = r"pages\[0\]\.elements\['b'\]: weight must be a positive integer, 6 for type 'text', got 7"
+        with pytest.raises(ValidationError, match=message):
+            document_from_json(json.dumps(raw))
 
     def test_non_positive_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            SchemaWeights.with_overrides({"text": 0})
+        raw = entity_to_dict(build_entity("a", "title", (0, 0, 10, 10), text="T"))
+        for weight in (0, -1, 1.0):
+            raw["weight"] = weight
+            with pytest.raises(ValidationError, match="weight must be a positive integer, 1 for type 'title'"):
+                entity_from_dict(raw)
 
 
 class TestEntity:
-    def test_derived_fields(self, schema):
-        entity = build_entity("e1", "text", (0, 0, 10, 10), text="hello", schema=schema)
+    def test_derived_fields(self):
+        entity = build_entity("e1", "text", (0, 0, 10, 10), text="hello")
         assert entity.pixel_coordinates.x_center == 5
         assert entity.pixel_coordinates.y_center == 5
         assert entity.weight == 6
 
-    def test_confidence_bounds(self, schema):
-        with pytest.raises(ValidationError):
-            build_entity("e1", "text", (0, 0, 1, 1), confidence=1.5, schema=schema)
+    def test_confidence_bounds(self):
+        raw = entity_to_dict(build_entity("e1", "text", (0, 0, 1, 1)))
+        for confidence in (1.5, -0.1):
+            raw["confidence"] = confidence
+            with pytest.raises(ValidationError, match=r"confidence must be in \[0,1\]"):
+                entity_from_dict(raw)
 
-    def test_id_is_required(self, schema):
-        args = (ElementLabel.TEXT, 0.5, BBox(0, 0, 1, 1), EntityValue(text="abc"), schema)
-        with pytest.raises(TypeError, match="entity_id"):
-            make_entity(*args)
-        with pytest.raises(ValidationError, match="entity id must be a non-empty string"):
-            make_entity(*args, entity_id="")
-        assert make_entity(*args, entity_id="e1").id == "e1"
+    def test_id_is_required(self):
+        raw = entity_to_dict(build_entity("e1", "text", (0, 0, 1, 1), text="abc"))
+        assert entity_from_dict(raw).id == "e1"
+        raw["id"] = ""
+        with pytest.raises(ValidationError, match="id must be a non-empty string"):
+            entity_from_dict(raw)
+        del raw["id"]
+        with pytest.raises(ValidationError, match="missing required field 'id'"):
+            entity_from_dict(raw)
 
     def test_data_rows_must_share_keys(self):
         with pytest.raises(ValidationError, match="key set"):
             EntityValue(text="", data=({"a": "1"}, {"b": "2"}))
 
-    def test_relabel_recomputes_weight(self, schema):
-        entity = build_entity("e1", "text", (0, 0, 10, 10), text="x", schema=schema)
-        relabeled = entity.with_type(ElementLabel.PAGE_HEADER, schema)
+    def test_relabel_recomputes_weight(self):
+        entity = build_entity("e1", "text", (0, 0, 10, 10), text="x")
+        relabeled = replace(entity, type=ElementLabel.PAGE_HEADER)
         assert relabeled.weight == 5
         assert relabeled.pixel_coordinates == entity.pixel_coordinates
 
 
 class TestGroup:
-    def test_union_bbox(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
-        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb", schema=schema)
+    def test_union_bbox(self):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
+        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb")
         group = make_group(GroupType.GENERIC, [a, b])
         assert group.pixel_coordinates == BBox(0, 0, 30, 40)
         assert group.ids == ("a", "b")
 
-    def test_duplicate_ids_rejected(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_duplicate_ids_rejected(self):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         with pytest.raises(ValidationError, match="duplicates"):
             make_group(GroupType.GENERIC, [a, a])
 
@@ -117,9 +130,9 @@ class TestGroup:
             make_group(GroupType.GENERIC, [])
 
 
-def _single_page_doc(schema):
-    a = build_entity("a", "title", (0, 0, 10, 10), text="Title here", schema=schema)
-    b = build_entity("b", "text", (0, 20, 10, 30), text="Body text", schema=schema)
+def _single_page_doc():
+    a = build_entity("a", "title", (0, 0, 10, 10), text="Title here")
+    b = build_entity("b", "text", (0, 20, 10, 30), text="Body text")
     page = PageResult(
         page_number=1,
         elements={"a": a, "b": b},
@@ -137,71 +150,71 @@ def _single_page_doc(schema):
 
 
 class TestPageResult:
-    def test_partition_enforced(self, schema):
+    def test_partition_enforced(self):
         # non_groups is derived; the loader rejects a stored list that differs
         for stored in (["a"], ["a", "b", "c"], ["b", "a"]):
-            raw = json.loads(document_to_json(_single_page_doc(schema)))
+            raw = json.loads(document_to_json(_single_page_doc()))
             raw["pages"][0]["non_groups"] = stored
             with pytest.raises(ValidationError, match="non_groups: must list the ungrouped"):
                 document_from_json(json.dumps(raw))
 
-    def test_non_groups_are_ungrouped_ids_in_reading_order(self, schema):
+    def test_non_groups_are_ungrouped_ids_in_reading_order(self):
         a, b, c = (
-            build_entity(eid, "text", (0, top, 10, top + 5), text=eid * 3, schema=schema)
+            build_entity(eid, "text", (0, top, 10, top + 5), text=eid * 3)
             for eid, top in (("a", 0), ("b", 10), ("c", 20))
         )
         page = PageResult(1, {"c": c, "b": b, "a": a}, (make_group(GroupType.GENERIC, [b]),), ())
         assert page.non_groups == ("c", "a")
 
-    def test_duplicate_placement_rejected(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_duplicate_placement_rejected(self):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         group = make_group(GroupType.GENERIC, [a])
         with pytest.raises(ValidationError, match="more than one group"):
             PageResult(1, {"a": a}, (group, group), ())
 
-    def test_group_ids_must_be_elements(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_group_ids_must_be_elements(self):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         with pytest.raises(ValidationError, match="group ids must be page elements"):
             PageResult(1, {}, (make_group(GroupType.GENERIC, [a]),), ())
 
-    def test_skipped_disjoint_from_elements(self, schema):
-        a = build_entity("a", "image", (0, 0, 10, 10), schema=schema)
+    def test_skipped_disjoint_from_elements(self):
+        a = build_entity("a", "image", (0, 0, 10, 10))
         with pytest.raises(ValidationError, match="skipped"):
             PageResult(1, {"a": a}, (), ("a",))
 
 
 class TestDocumentResult:
-    def test_counter_consistency(self, schema):
-        page = _single_page_doc(schema).pages[0]
+    def test_counter_consistency(self):
+        page = _single_page_doc().pages[0]
         with pytest.raises(ValidationError, match="1 listed pages exceed total_pages 0"):
             DocumentResult("f", 0, 0, {}, "uncategorized", (page,))
 
-    def test_counters_derived_from_pages(self, schema):
-        page = _single_page_doc(schema).pages[0]
+    def test_counters_derived_from_pages(self):
+        page = _single_page_doc().pages[0]
         doc = DocumentResult("f", 3, 0, {}, "uncategorized", (page,))
         assert (doc.total_processed_pages, doc.total_failed_pages) == (1, 2)
 
-    def test_pages_sorted_unique(self, schema):
-        doc = _single_page_doc(schema)
+    def test_pages_sorted_unique(self):
+        doc = _single_page_doc()
         page = doc.pages[0]
         with pytest.raises(ValidationError, match="sorted"):
             DocumentResult("f", 2, 0, {}, "uncategorized", (page, page))
 
 
 class TestSerialization:
-    def test_round_trip(self, schema):
-        doc = _single_page_doc(schema)
+    def test_round_trip(self):
+        doc = _single_page_doc()
         restored = document_from_json(document_to_json(doc))
         assert restored == doc
         assert document_to_json(restored) == document_to_json(doc)
 
-    def test_elements_key_order_is_reading_order(self, schema):
-        doc = _single_page_doc(schema)
+    def test_elements_key_order_is_reading_order(self):
+        doc = _single_page_doc()
         raw = json.loads(document_to_json(doc))
         assert list(raw["pages"][0]["elements"].keys()) == ["a", "b"]
 
-    def test_derived_fields_recomputed_on_load(self, schema):
-        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_derived_fields_recomputed_on_load(self):
+        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         raw = entity_to_dict(entity)
         raw["x_center"] = 99.0
         with pytest.raises(ValidationError, match="midpoint"):
@@ -210,9 +223,9 @@ class TestSerialization:
     @pytest.mark.parametrize("key, field", [
         ("mid_point", "x"), ("mid_point", "y"), ("x_center", None), ("y_center", None),
     ])
-    def test_stored_centers_must_match_bbox(self, schema, key, field):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
-        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb", schema=schema)
+    def test_stored_centers_must_match_bbox(self, key, field):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
+        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb")
         entity_raw = entity_to_dict(a)
         group_raw = group_to_dict(make_group(GroupType.GENERIC, [a, b]))
         for raw in (entity_raw, group_raw):
@@ -225,9 +238,9 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="do not match geometry"):
             group_from_dict(group_raw, {"a": a, "b": b}, "group")
 
-    def test_group_bbox_must_be_union_of_members(self, schema):
-        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
-        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb", schema=schema)
+    def test_group_bbox_must_be_union_of_members(self):
+        a = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
+        b = build_entity("b", "text", (20, 5, 30, 40), text="bbb")
         raw = group_to_dict(make_group(GroupType.GENERIC, [a, b]))
         elements = {"a": a, "b": b}
         assert group_from_dict(raw, elements, "group") == make_group(GroupType.GENERIC, [a, b])
@@ -235,14 +248,14 @@ class TestSerialization:
         with pytest.raises(ValidationError, match="not the union"):
             group_from_dict(raw, elements, "group")
 
-    def test_optional_fields_omitted(self, schema):
-        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_optional_fields_omitted(self):
+        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         raw = entity_to_dict(entity)
         assert "image_payload" not in raw
         assert "title" not in raw["value"]
 
-    def test_unknown_label_rejected(self, schema):
-        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa", schema=schema)
+    def test_unknown_label_rejected(self):
+        entity = build_entity("a", "text", (0, 0, 10, 10), text="aaa")
         raw = entity_to_dict(entity)
         raw["type"] = "paragraph"
         with pytest.raises(ValidationError, match="unknown element label"):
@@ -258,8 +271,8 @@ class TestSerialization:
             ({"total_pages": 2, "total_processed_pages": 2}, "1 listed pages"),
         ],
     )
-    def test_loader_rejects_counters_the_writer_never_produces(self, schema, changes, message):
-        raw = json.loads(document_to_json(_single_page_doc(schema)))
+    def test_loader_rejects_counters_the_writer_never_produces(self, changes, message):
+        raw = json.loads(document_to_json(_single_page_doc()))
         raw.update(changes)
         with pytest.raises(ValidationError, match=message):
             document_from_json(json.dumps(raw))
@@ -273,15 +286,15 @@ class TestSerialization:
             ({"total_processed_pages": 1.0}, "total_processed_pages must be 1"),
         ],
     )
-    def test_loader_rejects_counters_that_disagree_with_pages(self, schema, changes, message):
-        raw = json.loads(document_to_json(_single_page_doc(schema)))
+    def test_loader_rejects_counters_that_disagree_with_pages(self, changes, message):
+        raw = json.loads(document_to_json(_single_page_doc()))
         raw.update(changes)
         with pytest.raises(ValidationError, match=message):
             document_from_json(json.dumps(raw))
 
     @pytest.mark.parametrize("field", ["page_number", "weight"])
-    def test_loader_rejects_bool_for_integer(self, schema, field):
-        raw = json.loads(document_to_json(_single_page_doc(schema)))
+    def test_loader_rejects_bool_for_integer(self, field):
+        raw = json.loads(document_to_json(_single_page_doc()))
         page = raw["pages"][0]
         (page if field == "page_number" else page["elements"]["a"])[field] = True
         with pytest.raises(ValidationError, match=f"{field} must be a positive integer"):
@@ -316,8 +329,8 @@ class TestSerialization:
             ("box", "right", 10**400, r"pixel_coordinates: right is too large for a float"),
         ],
     )
-    def test_loader_rejects_malformed_structure(self, schema, where, key, value, message):
-        raw = json.loads(document_to_json(_single_page_doc(schema)))
+    def test_loader_rejects_malformed_structure(self, where, key, value, message):
+        raw = json.loads(document_to_json(_single_page_doc()))
         page = raw["pages"][0]
         entity = page["elements"]["a"]
         target = {
@@ -336,9 +349,9 @@ class TestSerialization:
             document_from_json("{not json")
 
     @pytest.mark.parametrize("where", ["key", "value"])
-    def test_raw_surrogate_in_text_rejected(self, schema, where):
+    def test_raw_surrogate_in_text_rejected(self, where):
         # A str argument, unlike a strictly decoded file, can hold a raw surrogate.
-        raw = json.loads(document_to_json(_single_page_doc(schema)))
+        raw = json.loads(document_to_json(_single_page_doc()))
         if where == "key":
             raw["metadata"] = {"bad \ud800": "x"}
         else:
@@ -367,13 +380,12 @@ def _entity(draw, entity_id):
     value = EntityValue(
         draw(TEXTS), draw(st.none() | TEXTS), draw(st.none() | TEXTS), draw(st.none() | rows)
     )
-    return make_entity(
+    return Entity(
+        entity_id,
         draw(st.sampled_from(list(ElementLabel))),
         draw(st.floats(0, 1)),
-        draw(_boxes()),
         value,
-        SchemaWeights(),
-        entity_id=entity_id,
+        draw(_boxes()),
         image_payload=draw(st.none() | TEXTS),
     )
 
@@ -399,7 +411,7 @@ def _documents(draw):
         total_llm_calls=draw(st.integers(0, 50)),
         metadata=draw(st.dictionaries(TEXTS, TEXTS, max_size=2)),
         document_category=draw(TEXTS),
-        pages=tuple(correct_headers_footers(pages, HeaderFooterParams(), SchemaWeights(), heights)),
+        pages=tuple(correct_headers_footers(pages, HeaderFooterParams(), heights)),
     )
 
 
@@ -437,23 +449,20 @@ def _one_page_doc(entities, groups=(), filename="doc.pdf", metadata=None, skippe
 
 
 def _writer_cases():
-    schema = SchemaWeights()
-    plain = make_entity(ElementLabel.TEXT, 0.5, BBox(0, 0, 10, 10), EntityValue("x"), schema, "plain")
-    awkward = make_entity(
+    plain = Entity("plain", ElementLabel.TEXT, 0.5, EntityValue("x"), BBox(0, 0, 10, 10))
+    awkward = Entity(
+        _AWKWARD,
         ElementLabel.TABLE,
         0.25,
-        BBox(1e-7, 2.5, 3, 1e16),
         EntityValue(_AWKWARD, _AWKWARD, _AWKWARD, ({_AWKWARD: _AWKWARD, "n": "1"},)),
-        schema,
-        _AWKWARD,
+        BBox(1e-7, 2.5, 3, 1e16),
         image_payload=_AWKWARD,
     )
     return {
         "no pages": DocumentResult("doc.pdf", 0, 0, {}, "uncategorized", ()),
         "failed pages only": DocumentResult("doc.pdf", 3, 2, {"a": "b"}, "", ()),
         "page without elements": _one_page_doc([], skipped=("s1",)),
-        # Built directly, not through make_entity, so the confidence stays an int.
-        "int confidence": _one_page_doc([Entity("one", ElementLabel.TEXT, 1, EntityValue(), BBox(0, 0, 1, 1), 6)]),
+        "int confidence": _one_page_doc([Entity("one", ElementLabel.TEXT, 1, EntityValue(), BBox(0, 0, 1, 1))]),
         "awkward text": _one_page_doc(
             [awkward, plain],
             groups=(make_group(GroupType.ROW, [awkward]),),
@@ -475,14 +484,13 @@ def test_writers_match_oracle_dicts_on_edge_cases(name):
 def test_overflowing_centre_raises_as_json_text_does():
     with pytest.raises(ValueError) as expected:
         json_text([math.inf])
-    schema = SchemaWeights()
     wide, tall = (
-        make_entity(ElementLabel.TEXT, 0.5, box, EntityValue("x"), schema, "huge")
+        Entity("huge", ElementLabel.TEXT, 0.5, EntityValue("x"), box)
         for box in (BBox(1e308, 0, 1.5e308, 10), BBox(0, 1e308, 10, 1.5e308))
     )
     # Each box's own centre is finite; the centre of the group's union box is not.
     a, b = (
-        make_entity(ElementLabel.TEXT, 0.5, BBox(x, 0, x, 10), EntityValue("x"), schema, eid)
+        Entity(eid, ElementLabel.TEXT, 0.5, EntityValue("x"), BBox(x, 0, x, 10))
         for eid, x in (("a", 1e308), ("b", 1.5e308))
     )
     grouped = _one_page_doc([a, b], groups=(make_group(GroupType.GENERIC, [a, b]),))

@@ -533,9 +533,11 @@ MISTYPED_CONFIGS = [
     ({"assembly": {"row": {"angle_threshold_degrees": "50"}}}, "angle_threshold_degrees must be a number"),
     ({"assembly": {"header_footer": {"fuzzy_threshold": 94.5}}}, "fuzzy_threshold must be an integer, got 94.5"),
     ({"assembly": {"header_footer": {"header_top_limit": "100"}}}, "header_top_limit must be a number"),
-    ({"weight_overrides": [1]}, r"weight_overrides must be an object, got \[1\]"),
-    ({"weight_overrides": {"txt": 2}}, "unknown element label in weight overrides: 'txt'"),
-    ({"weight_overrides": {"text": 1.5}}, "weight for 'text' must be a positive integer, got 1.5"),
+    # Weights come from the labels: a weight_overrides key is unknown whatever its
+    # value, even a well-formed or empty map (three rows, so later ids stay put).
+    ({"weight_overrides": [1]}, r"unknown config keys: \['weight_overrides'\]"),
+    ({"weight_overrides": {"text": 2}}, r"unknown config keys: \['weight_overrides'\]"),
+    ({"weight_overrides": {}}, r"unknown config keys: \['weight_overrides'\]"),
 ]
 
 
@@ -946,6 +948,35 @@ class TestCli:
         result = CliRunner().invoke(main, ["export", str(bad), "-o", str(tmp_path / "out")])
         assert result.exit_code == 1
         assert "schema error" in result.output and "pages: expected an array" in result.output
+
+    def test_export_rejects_edited_weight(self, tmp_path):
+        raw = json.loads((FIXTURE_DIR / "golden" / "report.json").read_text(encoding="utf-8"))
+        entity = next(iter(raw["pages"][0]["elements"].values()))
+        entity["weight"] += 1
+        edited = tmp_path / "edited.json"
+        edited.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["export", str(edited), "-o", str(out)])
+        assert result.exit_code == 1, result.output
+        expected = f"weight must be a positive integer, {entity['weight'] - 1} for type {entity['type']!r}"
+        assert f"elements[{entity['id']!r}]: {expected}, got {entity['weight']}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["parse", "export"])
+    def test_empty_format_list_is_usage_error(self, tmp_path, command):
+        source = minimal_input(tmp_path) if command == "parse" else FIXTURE_DIR / "golden" / "report.json"
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, [command, str(source), "-o", str(out), "--formats", " , "])
+        assert result.exit_code == 2, result.output
+        assert "at least one output format is required" in result.output
+        assert not out.exists()
+
+    def test_parse_rejects_a_result_json(self, tmp_path):
+        out = tmp_path / "out"
+        result = CliRunner().invoke(main, ["parse", str(FIXTURE_DIR / "golden" / "report.json"), "-o", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "pages[0].element_detections: missing required array" in result.output
+        assert not out.exists()
 
     def test_eval_self_consistency(self, tmp_path):
         golden = FIXTURE_DIR / "golden" / "report.dpbench.json"
