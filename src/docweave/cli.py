@@ -127,7 +127,7 @@ def parse(
             click.echo(f"{outcome.input_path}: page {number} failed: {cause}", err=True)
         if outcome.failed:
             failed += 1
-            click.echo(f"FAILED {outcome.input_path}: {outcome.error or 'no page assembled'}", err=True)
+            click.echo(f"FAILED {outcome.error or f'{outcome.input_path}: no page assembled'}", err=True)
         else:
             doc = outcome.result
             click.echo(

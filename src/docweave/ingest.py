@@ -113,6 +113,20 @@ def _fail(context: str, message: str) -> None:
     raise DetectionInputError(f"{context}: {message}")
 
 
+#: The keys a detection-input file and each of its pages may hold.
+_INPUT_KEYS = frozenset({"filename", "metadata", "pages"})
+_PAGE_KEYS = frozenset({"page_number", "element_detections", "layout_detections", "full_page_text"})
+
+
+def _known_keys(raw: dict, allowed: frozenset, context: str) -> None:
+    """Reject the keys of ``raw`` outside ``allowed``. Callers check this
+    after the known keys, so a file of another format that lacks a required
+    key is named by that key."""
+    unknown = sorted(set(raw) - allowed)
+    if unknown:
+        _fail(context, f"unknown keys {unknown}")
+
+
 def _array(raw: dict, key: str, context: str) -> list:
     """``raw[key]``, a required array; ``context`` names it in errors."""
     if key not in raw:
@@ -247,6 +261,7 @@ def load_detections(
         full_text = page_raw.get("full_page_text")
         if full_text is not None and not isinstance(full_text, str):
             _fail(f"{context}.full_page_text", "must be a string when present")
+        _known_keys(page_raw, _PAGE_KEYS, context)
         pages.append(
             PageDetections(
                 page_number=number,
@@ -255,6 +270,7 @@ def load_detections(
                 full_page_text=full_text,
             )
         )
+    _known_keys(raw, _INPUT_KEYS, str(path))
     pages.sort(key=lambda page: page.page_number)
     return DetectionInput(filename=filename, metadata=dict(metadata_raw), pages=tuple(pages))
 

@@ -4,39 +4,74 @@ NID scores serialized reading order with a character-level insert/delete
 distance, computed exactly from a bit-parallel longest common subsequence
 (a few big-int operations per character of one string). TEDS and TEDS-S
 score tables as ordered labeled trees under a tree edit distance computed
-with the Zhang-Shasha keyroot decomposition; the cost model (Zhong et al.
-2020) charges 1 for insert/delete, 1 for tag or span mismatches, and a
-normalized character edit distance between cell texts for matching ``td``
-nodes. TEDS-S runs the same comparison with cell texts blanked.
+from Zhang-Shasha forest-distance tables (Zhang & Shasha 1989), filled on
+demand; the cost model (Zhong et al. 2020) charges 1 for insert/delete, 1
+for tag or span mismatches, and a normalized character edit distance between
+cell texts for matching ``td`` nodes. TEDS-S runs the same comparison with
+cell texts blanked.
 
 Each node of a table tree gets a shape id: equal ids mean equal labelled
 subtrees (tag, spans, cell text and children's shapes, in order). The
-keyroot loop's ``treedist`` table and the relabel costs are indexed by (A
-shape, B shape), and a keyroot whose shape appeared at an earlier keyroot is
-skipped on either side, so repeated rows and repeated cell texts are
-compared once. This is exact: an entry's float comes from the two labelled
-subtrees alone, by the same additions in the same order. With cell texts
-blanked, the rows of a regular table share one shape, so TEDS-S runs a
-handful of keyroot pairs instead of one per pair of cells.
+``treedist`` table of subtree distances and the relabel costs are indexed by
+(A shape, B shape), so repeated rows and repeated cell texts are compared
+once. This is exact: an entry's float comes from the two labelled subtrees
+alone, by the same additions in the same order. With cell texts blanked, the
+rows of a regular table share one shape, and the entries recorded along the
+root table's leftmost path serve every row, so TEDS-S fills one table.
 
-Before the keyroot loop, ``tree_edit_distance`` builds the relabel cost of
-every (A shape, B shape) pair as one matrix. The cell edit distances come
-from a multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro
-2005): the non-empty B cell texts of one span are packed as lanes of a
+Only the tables a result needs are filled, the idea of Pawlik & Augsten
+(Information Systems 56, 2016), here without changing one floating-point
+addition. ``ted(i, j)`` runs the Zhang-Shasha recurrence over subtree(i) x
+subtree(j): the same three candidates, the same additions and the same
+strict ``<``. It records ``treedist`` wherever a row and a column both share
+the table's leftmost leaf, as the keyroot loop does. A cell that needs an
+entry no table has recorded first adds the two subtrees' size difference to
+the forest distance before them, and calls ``ted`` for the pair only if that
+sum is below the cell's best candidate so far. The floats are those of the
+full keyroot decomposition. The table of (i, j) is the corner of the
+keyroot table above them, built by the same additions. Every forest distance
+is at least its integer size difference, since each of its candidate sums
+holds that many unit costs, integers add exactly and rounding is monotone.
+So a skipped candidate could never have been strictly below the best, and
+the best keeps its bits.
+
+On a pair of ``perfbench``'s ``eval`` inputs (a 10x10 table of 1-word cells
+against a copy with one row deleted and a fifth of its cells reworded), that
+is 24,498 table cells instead of the keyroot loop's 76,242: one 111x100 root
+table, 89 row-by-row tables of 11x11 and about 240 cell-by-row tables of 11
+cells. A table against itself fills 13,410 instead of 85,264. The keyroot
+loop's count does not bound this one, since a table filled for a pair can be
+filled again, larger, for a pair above it. Over 400 random parsed tables and
+their blanked copies, the on-demand count was 0.49 of the keyroot loop's in
+the median, 0.74 at the 90th percentile and 1.43 at most; on random
+mixed-tag trees of depth 7 it reached 2.95 times. Calls of ``ted`` nest at
+most depth(A) + depth(B) deep, 8 for parsed tables (table, section, row,
+cell).
+
+Before any table, ``tree_edit_distance`` builds the relabel cost of every
+(A shape, B shape) pair as one matrix. The cell edit distances come from a
+multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro 2005): the
+non-empty B cell texts of one span are packed as byte-aligned lanes of a
 single int, and Myers' recurrence (Myers 1999, in Hyyrö 2003's form for
 global distance) runs once per A cell, a few big-int operations per
-character, to give its distance to every B cell at once. The matrix and
+character, to give its distance to every B cell at once; one byte-wise
+popcount and one running sum read every lane out. The matrix and
 ``treedist`` each hold at most one entry per (A shape, B shape) pair, never
 more than one per (A node, B node) pair; A shapes with equal tags, spans and
 texts share one row of the matrix.
 
 TEDS is quadratic in table size. Measured on one core of a 2-core x86 host
-under CPython 3.11, for a table of words from a 30-word vocabulary against a
-copy with one row deleted and a fifth of its cells reworded, one ``teds``
-call takes about 0.016 s at 10x10 with 1-word cells, 0.036 s at 10x10 with
-5-word cells, 0.12 s at 30x10 with 1-word cells and 0.38 s at 30x10 with
-5-word cells (1-word cells repeat, 5-word cells do not); ``teds_s`` takes
-0.004-0.03 s on the same tables. ``evaluate`` sets no size limit.
+under CPython 3.11 (median of 30 calls at 10x10, 7 at 30x10 and 3 at 60x10,
+interleaved with the keyroot loop this replaced), for a table of words from
+a 30-word vocabulary against a copy with one row deleted and a fifth of its
+cells reworded, one ``teds`` call takes about 0.005 s at 10x10 with 1-word
+cells (0.008 s before), 0.013 s at 10x10 with 5-word cells (0.021 s), 0.037 s
+at 30x10 with 1-word cells (0.067 s), 0.14 s at 30x10 with 5-word cells
+(0.23 s) and 0.15 s at 60x10 with 1-word cells (0.24 s). ``teds_s`` takes
+0.002-0.06 s on the same tables, 0.82-0.99 of its time before. The host's
+speed swings by up to about 1.6x between phases, so read the ratios. One
+60x10 ``teds`` call peaks at about 14 MB of ``tracemalloc``, nearly all the
+root table of floats. ``evaluate`` sets no size limit.
 
 ``evaluate`` reads and checks each DP-Bench file once, into
 :class:`DPBenchElement` records; NID, table matching by ``geometry.iou`` and
@@ -48,6 +83,9 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
+from itertools import accumulate
+from math import inf
+from operator import sub
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -102,39 +140,46 @@ def nid(reference: str, prediction: str) -> float:
     return 1.0 - indel_distance(reference, prediction) / total
 
 
+#: Bits set in each byte value, as a ``bytes.translate`` table.
+_POPCOUNT = bytes(bin(value).count("1") for value in range(256))
+
+
 class _Lanes:
     """Edit distances from one text to many, all in one bit-parallel pass.
 
-    Each text is packed as one lane of a single int: lane k holds bits
-    ``[offset_k, offset_k + len(text_k))`` plus a zero guard bit above them,
-    which absorbs the carry of the addition and the top bit of each shift,
-    so no lane reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
+    Each text is packed as one lane of a single int: lane k starts on a byte
+    boundary, holds bits ``[offset_k, offset_k + len(text_k))`` and is
+    followed by zero guard bits up to the next byte boundary (at least one),
+    which absorb the carry of the addition and the top bit of each shift, so
+    no lane reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
     ``distances(a)`` then runs Myers' recurrence (Myers 1999, in Hyyrö 2003's
     form for global distance) once over the characters of ``a``: bit i of
     lane k in ``pv``/``mv`` is set where the DP column of ``text_k`` steps
     by +1/-1 from row i to row i + 1. Each character of ``a`` costs a few
-    big-int operations, whatever the number and length of the texts.
+    big-int operations, whatever the number and length of the texts, and
+    the lanes are read out together: one byte-wise popcount per vector and
+    one running sum over the bytes.
     """
 
-    __slots__ = ("peq", "lanes", "low", "width", "slices")
+    __slots__ = ("peq", "lanes", "low", "size", "bounds")
 
     def __init__(self, texts: Sequence[str]):
         self.peq: dict[str, int] = {}
         self.lanes = self.low = 0
-        bounds = []
-        offset = 0
+        # Each lane's first byte and the byte after its guard bits.
+        self.bounds: list[tuple[int, int]] = []
+        start = 0
         for text in texts:
+            offset = 8 * start
             for i, ch in enumerate(text, offset):
                 self.peq[ch] = self.peq.get(ch, 0) | (1 << i)
             if text:
                 self.low |= 1 << offset
-            end = offset + len(text)
-            self.lanes |= (1 << end) - (1 << offset)
-            bounds.append((offset, end))
-            offset = end + 1
-        self.width = offset
-        # Each lane's slice of a ``width``-digit binary string, most significant bit first.
-        self.slices = [(offset - end, offset - start) for start, end in bounds]
+            self.lanes |= (1 << (offset + len(text))) - (1 << offset)
+            end = start + len(text) // 8 + 1
+            self.bounds.append((start, end))
+            start = end
+        self.size = start
 
     def distances(self, a: str) -> list[int]:
         """Edit distance from ``a`` to each packed text, in packing order."""
@@ -153,12 +198,13 @@ class _Lanes:
             mh = (mh << 1) & lanes
             pv = mh | ((xv | ph) ^ lanes)
             mv = ph & xv
-        # A lane's distance is row 0's len(a) plus the lane's vertical deltas.
-        spec = f"0{self.width}b"
-        plus = format(pv, spec).count
-        minus = format(mv, spec).count
+        # A lane's distance is row 0's len(a) plus the lane's vertical deltas:
+        # ``sums[k]`` totals the +1 minus the -1 steps of bytes 0 to k - 1.
+        plus = pv.to_bytes(self.size, "little").translate(_POPCOUNT)
+        minus = mv.to_bytes(self.size, "little").translate(_POPCOUNT)
+        sums = list(accumulate(map(sub, plus, minus), initial=0))
         n = len(a)
-        return [n + plus("1", start, end) - minus("1", start, end) for start, end in self.slices]
+        return [n + sums[end] - sums[start] for start, end in self.bounds]
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -423,138 +469,94 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
         return lmds[index]
 
     visit(root)
+    del visit  # visit's closure holds visit; without this the cycle outlives the call
     return lmds, shapes, firsts
-
-
-def _keyroots(lmds: list[int], shapes: list[int]) -> list[int]:
-    """Keyroots in postorder, keeping only the first keyroot of each shape."""
-    # Highest postorder index per distinct leftmost-leaf value.
-    latest: dict[int, int] = {}
-    for index, lmd in enumerate(lmds):
-        latest[lmd] = index
-    first: dict[int, int] = {}
-    for index in sorted(latest.values()):
-        first.setdefault(shapes[index], index)
-    return list(first.values())
 
 
 def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     """Ordered tree edit distance under the TEDS cost model.
 
-    ``treedist`` and the relabel costs are indexed by (A shape, B shape), and
-    a keyroot whose shape appeared at an earlier keyroot is skipped on either
-    side. This is exact: the float in ``treedist[s][t]`` is built from the
-    labelled subtrees of shapes ``s`` and ``t`` alone, by the same additions
-    in the same order wherever they occur, and the inner keyroots of a
-    keyroot come before it in postorder, so the first keyroot of each inner
-    shape has already filled its entries.
+    ``ted(i, j)`` fills the forest-distance table of subtree(i) x subtree(j)
+    and records ``treedist`` wherever its row and column both share the
+    table's leftmost leaf. A cell that needs an entry no table has recorded
+    calls ``ted`` for that pair only if the forest distance before the two
+    subtrees plus their size difference, a lower bound, is below the cell's
+    best candidate so far (see the module docstring for why this is exact).
+    ``treedist`` and the relabel costs are indexed by (A shape, B shape): an
+    entry's float comes from the two labelled subtrees alone.
     """
     a_lmds, a_shapes, a_firsts = _postorder(tree_a)
     b_lmds, b_shapes, b_firsts = _postorder(tree_b)
     costs = _relabel_costs(a_firsts, b_firsts)
-    treedist = [[0.0] * len(b_firsts) for _ in a_firsts]
-    # Per keyroot of either tree, one entry per node of its subtree: the node's
-    # shape, the forest-distance row or column just before its own subtree,
-    # and whether it shares the keyroot's leftmost leaf.
-    b_columns = {
-        j: [(b_shapes[y], b_lmds[y] - b_lmds[j], b_lmds[y] == b_lmds[j]) for y in range(b_lmds[j], j + 1)]
-        for j in _keyroots(b_lmds, b_shapes)
-    }
+    # None until a table records it. Two leaves cost min(2, 2, relabel), and a
+    # relabel costs at most 1.
+    b_leaves = [not node.children for node in b_firsts]
+    treedist = [
+        [None] * len(b_firsts) if node.children else [c if leaf else None for c, leaf in zip(row, b_leaves)]
+        for node, row in zip(a_firsts, costs)
+    ]
 
-    for i in _keyroots(a_lmds, a_shapes):
-        li = a_lmds[i]
-        rows = [(a_shapes[x], a_lmds[x] - li, a_lmds[x] == li) for x in range(li, i + 1)]
-        for j, columns in b_columns.items():
-            if b_lmds[j] == j:
-                sj = b_shapes[j]
-                if li == i:
-                    # Two leaves: the forest distance is min(2, 2, relabel)
-                    # and a relabel costs at most 1.
-                    treedist[a_shapes[i]][sj] = costs[a_shapes[i]][sj]
-                    continue
-                # A leaf j: the forest table has one column besides column 0,
-                # and column 0 holds r in row r, so one running value is kept.
-                # The additions are those of the general loop below.
-                up = 1.0
-                for r, (x, p, leftmost) in enumerate(rows):
+    def ted(i: int, j: int) -> float:
+        li, lj = a_lmds[i], b_lmds[j]
+        # Per node y of subtree(j): y, its shape, and q, the forest-distance
+        # column just before its own subtree; size(y) is y - lj - q + 1.
+        columns = [(y, b_shapes[y], b_lmds[y] - lj) for y in range(lj, j + 1)]
+        # One row per node of subtree(i); row 0 is the empty forest.
+        above = [float(k) for k in range(len(columns) + 1)]
+        fd = [above]
+        for x in range(li, i + 1):
+            p = a_lmds[x] - li
+            before = fd[p]
+            span = x - li - p  # size(x) - 1
+            tree_row = treedist[a_shapes[x]]
+            left = above[0] + 1.0
+            row = [left]
+            # An unknown entry is computed only if its bound can beat best;
+            # a skipped candidate is infinite, so it never does.
+            if p == 0:
+                cost_row = costs[a_shapes[x]]
+                for up, diagonal, (y, t, q) in zip(above[1:], above, columns):
                     best = up + 1.0
-                    step = r + 2.0
-                    if step < best:
-                        best = step
-                    if leftmost:
-                        step = r + costs[x][sj]
-                        if step < best:
-                            best = step
-                        treedist[x][sj] = best
-                    else:
-                        step = p + treedist[x][sj]
-                        if step < best:
-                            best = step
-                    up = best
-                continue
-            if li == i:
-                # A leaf i: one row besides row 0, and row 0 holds k in column k.
-                cost_row = costs[a_shapes[i]]
-                tree_row = treedist[a_shapes[i]]
-                left = 1.0
-                for k, (y, q, same_leaf) in enumerate(columns):
-                    best = k + 2.0
                     step = left + 1.0
                     if step < best:
                         best = step
-                    if same_leaf:
-                        step = k + cost_row[y]
+                    if q == 0:
+                        step = diagonal + cost_row[t]
                         if step < best:
                             best = step
-                        tree_row[y] = best
+                        tree_row[t] = best
                     else:
-                        step = q + tree_row[y]
+                        d = tree_row[t]
+                        if d is None:
+                            d = ted(x, y) if before[q] + abs(span - (y - lj - q)) < best else inf
+                        step = before[q] + d
                         if step < best:
                             best = step
+                    row.append(best)
                     left = best
-                continue
-            # Forest distance over the subtrees rooted at keyroots i and j,
-            # one row per node of i's subtree; row 0 is the empty forest.
-            first = [float(y) for y in range(len(columns) + 1)]
-            fd = [first]
-            above = first
-            for x, p, leftmost in rows:
-                left = above[0] + 1.0
-                row = [left]
-                tree_row = treedist[x]
-                if leftmost:
-                    cost_row = costs[x]
-                    for up, diagonal, (y, q, same_leaf) in zip(above[1:], above, columns):
-                        best = up + 1.0
-                        step = left + 1.0
-                        if step < best:
-                            best = step
-                        if same_leaf:
-                            step = diagonal + cost_row[y]
-                            if step < best:
-                                best = step
-                            tree_row[y] = best
-                        else:
-                            step = first[q] + tree_row[y]
-                            if step < best:
-                                best = step
-                        row.append(best)
-                        left = best
-                else:
-                    before = fd[p]
-                    for up, (y, q, _) in zip(above[1:], columns):
-                        best = up + 1.0
-                        step = left + 1.0
-                        if step < best:
-                            best = step
-                        step = before[q] + tree_row[y]
-                        if step < best:
-                            best = step
-                        row.append(best)
-                        left = best
-                fd.append(row)
-                above = row
-    return treedist[a_shapes[-1]][b_shapes[-1]]
+            else:
+                for up, (y, t, q) in zip(above[1:], columns):
+                    best = up + 1.0
+                    step = left + 1.0
+                    if step < best:
+                        best = step
+                    d = tree_row[t]
+                    if d is None:
+                        d = ted(x, y) if before[q] + abs(span - (y - lj - q)) < best else inf
+                    step = before[q] + d
+                    if step < best:
+                        best = step
+                    row.append(best)
+                    left = best
+            fd.append(row)
+            above = row
+        return above[-1]
+
+    distance = ted(len(a_lmds) - 1, len(b_lmds) - 1)
+    # ted's closure holds ted: empty that cell, or the cycle keeps ``treedist``
+    # and ``costs`` alive until the next cyclic collection.
+    del ted
+    return distance
 
 
 def teds(tree_a: TableNode, tree_b: TableNode) -> float:

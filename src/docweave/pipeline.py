@@ -147,7 +147,7 @@ class DocumentOutcome:
     input_path: Path
     result: Optional[DocumentResult] = None
     written: list[Path] = field(default_factory=list)
-    error: Optional[str] = None
+    error: Optional[str] = None  # why the document wholly failed, naming input_path
     failed_pages: dict[int, str] = field(default_factory=dict)  # page number -> cause
 
     @property
@@ -314,7 +314,6 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
         )
     except DocweaveError as exc:
         outcome.error = str(exc)
-        logger.error("%s", exc)
         return outcome
 
     page_outcomes = [_process_page(p, config, clients) for p in detections.pages]
@@ -342,7 +341,7 @@ def process_document(path: Path, config: PipelineConfig, clients: Optional[_Clie
             skip_headers_footers=config.skip_headers_footers,
         )
     except Exception as exc:
-        outcome.error = f"export failed: {exc}"
+        outcome.error = f"{path}: export failed: {exc}"
         logger.exception("export failed for %s", path)
     return outcome
 

@@ -4,7 +4,9 @@ Each oracle deliberately takes a different algorithmic route than the
 production code: the indel oracle goes through an LCS table, the edit
 distance oracle is the row-by-row dynamic program, the DBSCAN
 oracle recomputes reachability from set definitions, the tree edit oracle
-is a memoized recursion over forests instead of the keyroot DP, and the
+is a memoized recursion over forests instead of forest-distance tables, the
+Zhang-Shasha oracle fills every keyroot table with one entry per node pair
+where the library fills tables on demand with one entry per shape pair, the
 header/footer oracle scores every entity against every candidate with the
 LCS-table distance instead of using a candidate index, the dedupe oracle
 tests every pair of entities instead of (type, text) buckets, the chunk
@@ -258,6 +260,57 @@ def tree_edit_oracle(tree_a, tree_b, relabel_cost) -> float:
         return best
 
     return dist((tree_a,), (tree_b,))
+
+
+def zhang_shasha_oracle(tree_a, tree_b, relabel_cost) -> float:
+    """Zhang & Shasha's keyroot dynamic program (SIAM J. Comput. 1989) as
+    published: one ``treedist`` entry per (A node, B node) pair and one
+    forest-distance table per pair of keyroots, in postorder.
+
+    Each cell adds its candidates as the library does (delete, insert, then
+    match or ``treedist``), so on texts whose relabel costs are not dyadic
+    fractions it reproduces the library's floats only if the library keeps
+    that order of additions.
+    """
+
+    def postorder(root):
+        nodes, lmds = [], []
+
+        def visit(node):
+            leaves = [visit(child) for child in node.children]
+            nodes.append(node)
+            lmds.append(leaves[0] if leaves else len(nodes) - 1)
+            return lmds[-1]
+
+        visit(root)
+        return nodes, lmds
+
+    def keyroots(lmds):
+        # The highest node with each leftmost leaf.
+        return sorted({lmd: index for index, lmd in enumerate(lmds)}.values())
+
+    a_nodes, a_lmds = postorder(tree_a)
+    b_nodes, b_lmds = postorder(tree_b)
+    treedist = [[0.0] * len(b_nodes) for _ in a_nodes]
+    for i in keyroots(a_lmds):
+        for j in keyroots(b_lmds):
+            li, lj = a_lmds[i], b_lmds[j]
+            fd = {(li - 1, lj - 1): 0.0}
+            for x in range(li, i + 1):
+                fd[x, lj - 1] = fd[x - 1, lj - 1] + 1.0
+            for y in range(lj, j + 1):
+                fd[li - 1, y] = fd[li - 1, y - 1] + 1.0
+            for x in range(li, i + 1):
+                for y in range(lj, j + 1):
+                    best = fd[x - 1, y] + 1.0
+                    best = min(best, fd[x, y - 1] + 1.0)
+                    if a_lmds[x] == li and b_lmds[y] == lj:
+                        best = min(best, fd[x - 1, y - 1] + relabel_cost(a_nodes[x], b_nodes[y]))
+                        treedist[x][y] = best
+                    else:
+                        best = min(best, fd[a_lmds[x] - 1, b_lmds[y] - 1] + treedist[x][y])
+                    fd[x, y] = best
+    return treedist[-1][-1]
 
 
 # --- result, chunks, graph and DP-Bench files as dicts -----------------------

@@ -97,6 +97,18 @@ class TestLoadDetections:
         with pytest.raises(DetectionInputError, match=rf"in\.json: {where}: missing required array"):
             load_detections(path)
 
+    def test_unknown_keys_rejected(self, tmp_path):
+        payload = input_payload(total_pages=1)
+        path = write_detection_file(tmp_path / "in.json", payload)
+        with pytest.raises(DetectionInputError, match=r"in\.json: unknown keys \['total_pages'\]$"):
+            load_detections(path)
+        # A page's unknown keys are named first, with the page.
+        payload["pages"][0].update(full_page_txt="body", elements=[])
+        path = write_detection_file(tmp_path / "in.json", payload)
+        with pytest.raises(DetectionInputError,
+                           match=r"in\.json: pages\[0\]: unknown keys \['elements', 'full_page_txt'\]$"):
+            load_detections(path)
+
     def test_layout_below_threshold_dropped(self, tmp_path):
         path = write_detection_file(
             tmp_path / "in.json",

@@ -1,5 +1,8 @@
+import gc
 import json
 import random
+import tracemalloc
+from typing import Sequence
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,7 +13,6 @@ from docweave.metrics import (
     DPBenchElement,
     TableNode,
     _Lanes,
-    _keyroots,
     _load_dpbench_file,
     _postorder,
     evaluate,
@@ -24,7 +26,7 @@ from docweave.metrics import (
     teds_s,
     tree_edit_distance,
 )
-from oracles import indel_oracle, levenshtein_oracle, relabel_cost_oracle, tree_edit_oracle
+from oracles import indel_oracle, levenshtein_oracle, relabel_cost_oracle, tree_edit_oracle, zhang_shasha_oracle
 
 short_text = st.text(alphabet="abcdef ", max_size=20)
 # Long enough that the bit vectors span several 30-bit big-int digits, with
@@ -244,7 +246,7 @@ class TestTreeEditDistance:
 
 #: Cell texts whose lengths are all powers of two (or zero), so every relabel
 #: cost is a dyadic fraction and any order of adding costs gives the same
-#: float: the keyroot DP and the forest recursion must then agree exactly.
+#: float: the library and the forest recursion must then agree exactly.
 #: They cover empty cells, non-BMP characters and cells longer than 64 bits.
 _DYADIC_TEXTS = ("", "a", "ab", "ba", "é𝄞", "kitten!!", "sitting!", "€𝄞€𝄞", "North 1,204.50 +",
                  "North 1,180.00 -", "ab" * 32, "ba" * 32 + "é𝄞" * 32)
@@ -254,14 +256,14 @@ def _span(rng: random.Random) -> str:
     return rng.choice(["", "", "", ' colspan="2"', ' rowspan="2"', ' colspan="1"'])
 
 
-def _random_table_html(rng: random.Random) -> str:
+def _random_table_html(rng: random.Random, texts: Sequence[str] = _DYADIC_TEXTS) -> str:
     """A small table with an optional ``th`` header row, spans and varied cell texts."""
     parts = ["<table>"]
     if rng.random() < 0.5:
-        cells = "".join(f"<th{_span(rng)}>{rng.choice(_DYADIC_TEXTS)}</th>" for _ in range(rng.randint(1, 3)))
+        cells = "".join(f"<th{_span(rng)}>{rng.choice(texts)}</th>" for _ in range(rng.randint(1, 3)))
         parts.append(f"<thead><tr>{cells}</tr></thead>")
     for _ in range(rng.randint(1, 3)):
-        cells = "".join(f"<td{_span(rng)}>{rng.choice(_DYADIC_TEXTS)}</td>" for _ in range(rng.randint(1, 3)))
+        cells = "".join(f"<td{_span(rng)}>{rng.choice(texts)}</td>" for _ in range(rng.randint(1, 3)))
         parts.append(f"<tr>{cells}</tr>")
     return "".join(parts) + "</table>"
 
@@ -275,13 +277,13 @@ def test_tree_edit_distance_equals_oracle_exactly():
         assert tree_edit_distance(b, a) == tree_edit_oracle(b, a, relabel_cost_oracle)
 
 
-def _repeated_table_html(rng: random.Random) -> str:
+def _repeated_table_html(rng: random.Random, texts: Sequence[str] = _DYADIC_TEXTS) -> str:
     """A table of 2-4 rows drawn from two row templates over three texts.
 
     Some rows are reversed, so rows that hold the same cells in another
     order occur; an optional ``thead`` repeats the first row as ``th`` cells.
     """
-    texts = rng.sample(_DYADIC_TEXTS, 3)
+    texts = rng.sample(texts, 3)
     templates = [[f"<td{_span(rng)}>{rng.choice(texts)}</td>" for _ in range(rng.randint(1, 3))]
                  for _ in range(2)]
     rows = []
@@ -302,7 +304,7 @@ def test_tree_edit_distance_equals_oracle_exactly_on_shared_shapes():
 
 
 class TestShapes:
-    """Shape ids from ``_postorder`` and the keyroots kept per shape."""
+    """Shape ids from ``_postorder``."""
 
     def test_no_repeated_subtree_gives_postorder_index(self):
         tree = table(row(cell("a"), cell("b")), row(cell("c", colspan=2)))
@@ -310,10 +312,9 @@ class TestShapes:
 
     def test_equal_subtrees_share_a_shape(self):
         tree = table(row(cell("a"), cell("b")), row(cell("a"), cell("b")), row(cell("b"), cell("a")))
-        lmds, shapes, firsts = _postorder(tree)
+        _, shapes, firsts = _postorder(tree)
         # Postorder: a b tr | a b tr | b a tr | table.
         assert shapes == [0, 1, 2, 0, 1, 2, 1, 0, 3, 4]
-        assert _keyroots(lmds, shapes) == [1, 5, 7, 8, 9]
         first_row = tree.children[0]
         expected = [first_row.children[0], first_row.children[1], first_row, tree.children[2], tree]
         assert [id(node) for node in firsts] == [id(node) for node in expected]
@@ -324,21 +325,21 @@ class TestShapes:
 
     def test_blanked_grid_has_three_shapes(self):
         a, _ = _seeded_grid_pair(9)
-        lmds, shapes, _ = _postorder(a.blanked())
+        _, shapes, _ = _postorder(a.blanked())
         assert max(shapes) == 2
-        assert len(_keyroots(lmds, shapes)) == 3
 
 
 _PIN_WORDS = ("alpha", "beta", "gamma", "delta", "epsilon", "zeta", "eta", "theta", "kappa", "mu")
 
 
-def _seeded_grid_pair(seed: int) -> tuple[TableNode, TableNode]:
-    """A 10x10 table of 1-word cells and a copy with one row deleted and 18 cells reworded."""
+def _seeded_grid_pair(seed: int, rows: int = 10) -> tuple[TableNode, TableNode]:
+    """A table of ``rows`` rows of ten 1-word cells and a copy with one row
+    deleted and two cells per remaining row reworded (18 at 10 rows)."""
     rng = random.Random(seed)
-    grid = [[rng.choice(_PIN_WORDS) for _ in range(10)] for _ in range(10)]
-    deleted = rng.randrange(10)
+    grid = [[rng.choice(_PIN_WORDS) for _ in range(10)] for _ in range(rows)]
+    deleted = rng.randrange(rows)
     edited = [list(cells) for r, cells in enumerate(grid) if r != deleted]
-    for r, c in rng.sample([(r, c) for r in range(9) for c in range(10)], 18):
+    for r, c in rng.sample([(r, c) for r in range(rows - 1) for c in range(10)], 2 * (rows - 1)):
         edited[r][c] = rng.choice(_PIN_WORDS) + " " + rng.choice(_PIN_WORDS)
     return (
         table(*(row(*(cell(text) for text in cells)) for cells in grid)),
@@ -407,6 +408,26 @@ class TestPinnedScores:
         assert teds(b, a) == expected_teds
 
 
+#: Cell texts whose relabel costs are mostly not dyadic fractions (lengths 3,
+#: 5, 6, 7, ...), so the float of a sum of costs depends on the order of its
+#: additions; with an empty cell, non-BMP characters and cells longer than 64
+#: and 128 characters.
+_NON_DYADIC_TEXTS = ("", "abc", "abd", "North", "South", "1,204.50", "+3.1 %", "é𝄞x", "kitten", "sitting",
+                     "x" * 65 + "y", "x" * 64 + "yz", "restated " * 15, "restated fiscal " * 9)
+
+
+def test_tree_edit_distance_is_zhang_shasha_bit_for_bit():
+    rng = random.Random(20261020)
+    pairs = [_seeded_grid_pair(9), _spanned_pair(), _repeated_pair()]
+    for make_html in (_random_table_html, _repeated_table_html):
+        for _ in range(60):
+            pairs.append((parse_table_html(make_html(rng, _NON_DYADIC_TEXTS)),
+                          parse_table_html(make_html(rng, _NON_DYADIC_TEXTS))))
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a), (a.blanked(), b.blanked()), (b.blanked(), a.blanked())):
+            assert repr(tree_edit_distance(x, y)) == repr(zhang_shasha_oracle(x, y, relabel_cost_oracle))
+
+
 class TestTeds:
     def test_self_similarity(self):
         t = table(row(cell("a"), cell("b")), row(cell("c"), cell("d")))
@@ -430,6 +451,29 @@ class TestTeds:
         for _ in range(50):
             a, b = _random_tree(rng), _random_tree(rng)
             assert 0.0 <= teds(a, b) <= 1.0
+
+
+class TestTedsMemory:
+    def test_no_reference_cycle_outlives_a_call(self):
+        # A cycle would keep the call's tables alive until the next cyclic
+        # collection, so they would add up across the calls of an evaluation.
+        a, b = _seeded_grid_pair(9)
+        gc.collect()
+        teds(a, b)
+        teds_s(a, b)
+        assert gc.collect() == 0
+
+    def test_peak_of_a_60_row_table(self):
+        a, b = _seeded_grid_pair(9, rows=60)
+        tracemalloc.start()
+        try:
+            teds(a, b)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 14.4 MB measured under CPython 3.10-3.13, nearly all of it the
+        # 661 x 650 root table of floats.
+        assert peak < 16_000_000
 
 
 class TestTedsS:
@@ -699,6 +743,8 @@ class TestLanes:
     @example(["ab𝄞" * 30, "", "b𝄞a" * 25], "é𝄞" * 40)
     @example(["a" * 65, "a" * 65], "a" * 66)
     @example([""] * 41 + ["€"], "€")
+    @example(["a" * 64, "ab" * 32, "a"], "a" * 64)
+    @example(["b𝄞a" * 43 + "é", "", "é𝄞" * 65, "c"], "ab𝄞" * 30)
     def test_matches_row_dp_oracle(self, texts, a):
         assert _Lanes(texts).distances(a) == [levenshtein_oracle(a, text) for text in texts]
 

@@ -845,8 +845,16 @@ class TestCli:
         result = CliRunner().invoke(main, ["parse", str(bad), str(ok), "-o", str(out)])
         assert result.exit_code == 1, result.output
         assert isinstance(result.exception, SystemExit)
-        assert f"FAILED {bad}: {bad}: invalid JSON: byte 14 is not UTF-8" in result.output
+        assert f"FAILED {bad}: invalid JSON: byte 14 is not UTF-8" in result.output
         assert sorted(p.name for p in out.iterdir()) == sorted(f"ok{s}" for s in FORMATS.values())
+
+    def test_parse_load_failure_is_one_line_naming_the_path_once(self, tmp_path, caplog):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"filename": "", "pages": []}), encoding="utf-8")
+        result = CliRunner().invoke(main, ["parse", str(bad), "-o", str(tmp_path / "out")])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.splitlines() == [f"FAILED {bad}: filename: must be a non-empty string"]
+        assert not caplog.records
 
     def test_parse_inputs_sharing_a_stem_usage_error(self, tmp_path):
         (tmp_path / "a").mkdir()
@@ -995,6 +1003,18 @@ class TestCli:
         assert "TEDS   1.00" in result.output
         # The report is the one file written wholly by ``json_text``.
         for name in ("report.eval.json", "report.eval.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
+    def test_eval_table_mode_golden(self, tmp_path):
+        # A 10x10 table with one row deleted and cells reworded, and a spanned
+        # table: scores below 1 whose floats depend on the order of additions.
+        report_path = tmp_path / "tables.eval.json"
+        result = CliRunner().invoke(main, [
+            "eval", str(FIXTURE_DIR / "tables.reference.json"), str(FIXTURE_DIR / "tables.prediction.json"),
+            "--mode", "table", "--report", str(report_path),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("tables.eval.json", "tables.eval.txt"):
             assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
