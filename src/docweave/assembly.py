@@ -325,10 +325,15 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
 
     Entities are bucketed by ``(type, text)`` and IoU is computed only for
     pairs inside a bucket, so the cost is linear in the page plus the pairs
-    that share a type and text.
+    that share a type and text. An entity alone in its bucket duplicates
+    nothing and survives, so union-find runs over the shared buckets only.
     """
     entities = list(entities)
-    parent = {e.id: e.id for e in entities}
+    buckets: dict[tuple, list[Entity]] = {}
+    for entity in entities:
+        buckets.setdefault((entity.type, entity.value.text), []).append(entity)
+    shared = [bucket for bucket in buckets.values() if len(bucket) > 1]
+    parent = {e.id: e.id for bucket in shared for e in bucket}
 
     def find(eid: str) -> str:
         while parent[eid] != eid:
@@ -336,24 +341,23 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
             eid = parent[eid]
         return eid
 
-    buckets: dict[tuple, list[Entity]] = {}
-    for entity in entities:
-        buckets.setdefault((entity.type, entity.value.text), []).append(entity)
-    for bucket in buckets.values():
+    for bucket in shared:
         for i, a in enumerate(bucket):
             for b in bucket[i + 1 :]:
                 if iou(a.pixel_coordinates, b.pixel_coordinates) > DUPLICATE_IOU_THRESHOLD:
                     parent[find(a.id)] = find(b.id)
 
+    # Components in page order of their first member, as the drop log reads.
     components: dict[str, list[Entity]] = {}
     for entity in entities:
-        components.setdefault(find(entity.id), []).append(entity)
-    keep: set[str] = set()
+        if entity.id in parent:
+            components.setdefault(find(entity.id), []).append(entity)
+    dropped_ids: set[str] = set()
     for members in components.values():
         survivor = min(members, key=lambda e: (-e.confidence, e.id))
-        keep.add(survivor.id)
         for dropped in members:
             if dropped.id != survivor.id:
+                dropped_ids.add(dropped.id)
                 logger.info(
                     "dropping duplicate %s %r (confidence %.3f) in favor of %s",
                     dropped.type.value,
@@ -361,7 +365,7 @@ def dedupe_page(entities: Sequence[Entity]) -> list[Entity]:
                     dropped.confidence,
                     survivor.id,
                 )
-    return [e for e in entities if e.id in keep]
+    return [e for e in entities if e.id not in dropped_ids]
 
 
 def order_page_elements(groups: Sequence[Group], members: Mapping[str, Entity]) -> dict[str, Entity]:

@@ -16,8 +16,9 @@ subtrees (tag, spans, cell text and children's shapes, in order). The
 (A shape, B shape), so repeated rows and repeated cell texts are compared
 once. This is exact: an entry's float comes from the two labelled subtrees
 alone, by the same additions in the same order. With cell texts blanked, the
-rows of a regular table share one shape, and the entries recorded along the
-root table's leftmost path serve every row, so TEDS-S fills one table.
+rows of a regular table share one shape, and the entries recorded for the
+first pair of rows serve every row, so TEDS-S fills the root table and at
+most one table below it.
 
 Only the tables a result needs are filled, the idea of Pawlik & Augsten
 (Information Systems 56, 2016), here without changing one floating-point
@@ -35,18 +36,47 @@ holds that many unit costs, integers add exactly and rounding is monotone.
 So a skipped candidate could never have been strictly below the best, and
 the best keeps its bits.
 
+The root table, of A's postorder prefixes against B's, is filled only in a
+band around its diagonal: Ukkonen's cut-off (Information and Control 64,
+1985) on the Zhang-Shasha root table. The band's width comes from U, the
+cost of one valid ordered mapping (``_mapping_cost``), top-down as in Selkow
+(IPL 6, 1977): the roots are matched, a row's cells are matched by position,
+and rows or sections are aligned by an insert/delete/match program whose
+match cost is this same bound. Row r (an A prefix of r nodes) computes only
+the columns c (B prefixes) with L(r, c) = |r - c| + |(|A| - r) - (|B| - c)|
+<= limit = floor(U * (1 + (|A| + |B|) * 2**-50)), a contiguous range; every
+other cell is infinite. An infinite forest distance also fails the
+size-bound test, so no out-of-band pair of subtrees calls ``ted``. Only the
+root table is banded; the tables below it are filled in full, as above.
+
+The band changes no bit of the result. L(r, c) is an integer lower bound on
+the cost of any path through cell (r, c): the forest distance to the cell is
+at least |r - c|, and each later step (a unit cost, a relabel of two single
+nodes, or a subtree distance) adds at least its own size difference, which
+sum to at least |(|A| - r) - (|B| - c)|. Integers add exactly and rounding is
+monotone, so the float sums keep that bound, and every cell on the trace of
+the unbanded table's final value has L no larger than that value. That value
+is at most U * (1 + 2.2 * n * 2**-53), n = |A| + |B|: it and U are float sums
+of at most n costs in [0, 1], the table's value is at most its own float sum
+of the costs of U's mapping (rounding is monotone), and a float sum of n
+non-negative terms is within a factor 1 +- (n - 1) * 2**-53 * 1.01 of the
+real sum in any order of additions (Higham, Accuracy and Stability of
+Numerical Algorithms, 2002, section 4.2). The margin n * 2**-50 covers that
+and the rounding of the product for any n below 2**40. So every trace cell
+lies in the band and is computed from the same exact candidates, while any
+other candidate of a cell is at least its true value: the final value keeps
+its bits. An in-band cell can still be larger than its true value, so the
+banded table records no ``treedist`` entry. Two equal trees give U = 0 and a
+band of the diagonal alone. Below 400 root cells the bound costs more than
+the band saves, and the root table is filled in full.
+
 On a pair of ``perfbench``'s ``eval`` inputs (a 10x10 table of 1-word cells
-against a copy with one row deleted and a fifth of its cells reworded), that
-is 24,498 table cells instead of the keyroot loop's 76,242: one 111x100 root
-table, 89 row-by-row tables of 11x11 and about 240 cell-by-row tables of 11
-cells. A table against itself fills 13,410 instead of 85,264. The keyroot
-loop's count does not bound this one, since a table filled for a pair can be
-filled again, larger, for a pair above it. Over 400 random parsed tables and
-their blanked copies, the on-demand count was 0.49 of the keyroot loop's in
-the median, 0.74 at the 90th percentile and 1.43 at most; on random
-mixed-tag trees of depth 7 it reached 2.95 times. Calls of ``ted`` nest at
-most depth(A) + depth(B) deep, 8 for parsed tables (table, section, row,
-cell).
+against a copy with one row deleted and a fifth of its cells reworded), U is
+the distance, 25.6; ``teds`` fills 4,843 table cells (24,498 unbanded, 76,242
+in the keyroot loop): 2,544 of the 111x100 root table and 39 tables below it.
+``teds_s`` fills 1,321 instead of 11,100, and a table against itself 1,200
+instead of 13,410. Calls of ``ted`` nest at most depth(A) + depth(B) deep, 8
+for parsed tables (table, section, row, cell).
 
 Before any table, ``tree_edit_distance`` builds the relabel cost of every
 (A shape, B shape) pair as one matrix. The cell edit distances come from a
@@ -60,18 +90,24 @@ popcount and one running sum read every lane out. The matrix and
 more than one per (A node, B node) pair; A shapes with equal tags, spans and
 texts share one row of the matrix.
 
-TEDS is quadratic in table size. Measured on one core of a 2-core x86 host
-under CPython 3.11 (median of 30 calls at 10x10, 7 at 30x10 and 3 at 60x10,
-interleaved with the keyroot loop this replaced), for a table of words from
-a 30-word vocabulary against a copy with one row deleted and a fifth of its
-cells reworded, one ``teds`` call takes about 0.005 s at 10x10 with 1-word
-cells (0.008 s before), 0.013 s at 10x10 with 5-word cells (0.021 s), 0.037 s
-at 30x10 with 1-word cells (0.067 s), 0.14 s at 30x10 with 5-word cells
-(0.23 s) and 0.15 s at 60x10 with 1-word cells (0.24 s). ``teds_s`` takes
-0.002-0.06 s on the same tables, 0.82-0.99 of its time before. The host's
-speed swings by up to about 1.6x between phases, so read the ratios. One
-60x10 ``teds`` call peaks at about 14 MB of ``tracemalloc``, nearly all the
-root table of floats. ``evaluate`` sets no size limit.
+TEDS is still quadratic in table size: the relabel cost matrix has one entry
+per pair of distinct A and B subtrees, and the root table's rows are kept at
+full length (the cells outside the band share one ``inf``). The band cuts the
+root table's work from |A| x |B| cells to about |A| times the band's width,
+which grows with the distance, not with the tables. Measured on one core of a
+2-core x86 host under CPython 3.11 (median of 15 calls at 10x10, 9 at 10x10
+with 5-word cells, 7 and 5 at 30x10 and 3 at 60x10, interleaved with the
+unbanded code), for a table of words from a 30-word vocabulary against a copy
+with one row deleted and a fifth of its cells reworded, one ``teds`` call
+takes about 0.0022 s at 10x10 with 1-word cells (0.0058 s unbanded), 0.011 s
+at 10x10 with 5-word cells (0.016 s), 0.012 s at 30x10 with 1-word cells
+(0.047 s), 0.096 s at 30x10 with 5-word cells (0.15 s) and 0.041 s at 60x10
+with 1-word cells (0.18 s); with 5-word cells the relabel matrix takes most
+of the rest. ``teds_s`` takes 0.0009-0.013 s on the same tables, 0.19-0.52
+of its unbanded time. The host's speed swings by up to about 1.6x between
+phases, so read the ratios. One 60x10 ``teds``
+call peaks at about 5.5 MB of ``tracemalloc`` (14.4 MB unbanded), most of it
+the root table's rows. ``evaluate`` sets no size limit.
 
 ``evaluate`` reads and checks each DP-Bench file once, into
 :class:`DPBenchElement` records; NID, table matching by ``geometry.iou`` and
@@ -84,7 +120,7 @@ import logging
 from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from itertools import accumulate
-from math import inf
+from math import floor, inf
 from operator import sub
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
@@ -473,6 +509,80 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
     return lmds, shapes, firsts
 
 
+#: Root tables with fewer cells are filled unbanded: below about 20 x 20
+#: cells, computing the bound costs more than the band saves.
+_BAND_MIN_CELLS = 400
+
+
+def _shape_children(lmds: list[int], shapes: list[int]) -> list[tuple[list[int], list[int], bool]]:
+    """Per shape id: its children's shape ids and subtree sizes, in order, and
+    whether every child is a leaf (true for a node with no children).
+
+    Read from ``_postorder``'s lists: the last child of node x is x - 1, and
+    the child before child k is lmd(k) - 1, down to x's leftmost leaf.
+    """
+    kids: list = [None] * (max(shapes) + 1)
+    for x, shape in enumerate(shapes):
+        if kids[shape] is None:
+            found, sizes, k, first = [], [], x - 1, lmds[x]
+            while k >= first:
+                found.append(shapes[k])
+                sizes.append(k - lmds[k] + 1)
+                k = lmds[k] - 1
+            # Every child is a leaf when x has as many children as descendants.
+            kids[shape] = (found[::-1], sizes[::-1], len(found) == x - first)
+    return kids
+
+
+def _mapping_cost(
+    sa: int, sb: int, a_kids: list, b_kids: list, costs: list[list[float]], memo: dict[tuple[int, int], float]
+) -> float:
+    """Cost of one top-down ordered mapping (Selkow 1977) of a subtree of
+    shape ``sa`` onto one of shape ``sb``: an upper bound on their distance.
+
+    The roots are matched. If every child on one side is a leaf (a row's
+    cells), children are matched by position and the extra ones on the longer
+    side cost their subtree sizes. Otherwise the two child sequences (a
+    table's rows or sections) are aligned by an insert/delete/match dynamic
+    program whose match cost is this bound. ``a_kids`` and ``b_kids`` come
+    from ``_shape_children``; ``memo`` holds the cost of each (A shape,
+    B shape) pair met so far.
+    """
+    cost = memo.get((sa, sb))
+    if cost is not None:
+        return cost
+    xs, x_sizes, x_flat = a_kids[sa]
+    ys, y_sizes, y_flat = b_kids[sb]
+    if x_flat or y_flat:
+        cost = float(sum(x_sizes[len(ys):]) + sum(y_sizes[len(xs):]))
+        if x_flat and y_flat:
+            for x, y in zip(xs, ys):
+                cost += costs[x][y]
+        else:
+            for x, y in zip(xs, ys):
+                cost += _mapping_cost(x, y, a_kids, b_kids, costs, memo)
+    else:
+        above = [float(k) for k in accumulate(y_sizes, initial=0)]
+        for x, x_size in zip(xs, x_sizes):
+            left = above[0] + x_size
+            row = [left]
+            for up, diagonal, y, y_size in zip(above[1:], above, ys, y_sizes):
+                best = up + x_size
+                step = left + y_size
+                if step < best:
+                    best = step
+                step = diagonal + _mapping_cost(x, y, a_kids, b_kids, costs, memo)
+                if step < best:
+                    best = step
+                row.append(best)
+                left = best
+            above = row
+        cost = above[-1]
+    cost += costs[sa][sb]
+    memo[sa, sb] = cost
+    return cost
+
+
 def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     """Ordered tree edit distance under the TEDS cost model.
 
@@ -481,9 +591,12 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     table's leftmost leaf. A cell that needs an entry no table has recorded
     calls ``ted`` for that pair only if the forest distance before the two
     subtrees plus their size difference, a lower bound, is below the cell's
-    best candidate so far (see the module docstring for why this is exact).
-    ``treedist`` and the relabel costs are indexed by (A shape, B shape): an
-    entry's float comes from the two labelled subtrees alone.
+    best candidate so far. The root table computes only the cells in a band
+    around its diagonal, set by the cost of one cheap mapping
+    (``_mapping_cost``), and records nothing. See the module docstring for
+    why both are exact. ``treedist`` and the relabel costs are indexed by
+    (A shape, B shape): an entry's float comes from the two labelled subtrees
+    alone.
     """
     a_lmds, a_shapes, a_firsts = _postorder(tree_a)
     b_lmds, b_shapes, b_firsts = _postorder(tree_b)
@@ -496,13 +609,15 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
         for node, row in zip(a_firsts, costs)
     ]
 
-    def ted(i: int, j: int) -> float:
+    def ted(i: int, j: int, band: Optional[tuple[int, int]] = None) -> float:
         li, lj = a_lmds[i], b_lmds[j]
         # Per node y of subtree(j): y, its shape, and q, the forest-distance
         # column just before its own subtree; size(y) is y - lj - q + 1.
         columns = [(y, b_shapes[y], b_lmds[y] - lj) for y in range(lj, j + 1)]
+        width = len(columns)
+        lo, hi, in_band = 0, width, columns
         # One row per node of subtree(i); row 0 is the empty forest.
-        above = [float(k) for k in range(len(columns) + 1)]
+        above = [float(k) for k in range(width + 1)]
         fd = [above]
         for x in range(li, i + 1):
             p = a_lmds[x] - li
@@ -511,11 +626,22 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
             tree_row = treedist[a_shapes[x]]
             left = above[0] + 1.0
             row = [left]
+            if band is not None:
+                # Only the root table is banded (li = lj = 0): row x + 1
+                # computes columns x + 1 + band[0] to x + 1 + band[1], and the
+                # cells on either side are infinite.
+                lo = min(max(x + band[0], 0), width)
+                hi = max(min(x + band[1] + 1, width), lo)
+                in_band = columns[lo:hi]
+                if lo:
+                    row += [inf] * lo
+                    left = inf
             # An unknown entry is computed only if its bound can beat best;
             # a skipped candidate is infinite, so it never does.
             if p == 0:
                 cost_row = costs[a_shapes[x]]
-                for up, diagonal, (y, t, q) in zip(above[1:], above, columns):
+                # ``above`` itself when unbanded: no copy in the many small tables.
+                for up, diagonal, (y, t, q) in zip(above[lo + 1 :], above[lo:] if lo else above, in_band):
                     best = up + 1.0
                     step = left + 1.0
                     if step < best:
@@ -524,7 +650,8 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                         step = diagonal + cost_row[t]
                         if step < best:
                             best = step
-                        tree_row[t] = best
+                        if band is None:
+                            tree_row[t] = best
                     else:
                         d = tree_row[t]
                         if d is None:
@@ -535,7 +662,7 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                     row.append(best)
                     left = best
             else:
-                for up, (y, t, q) in zip(above[1:], columns):
+                for up, (y, t, q) in zip(above[lo + 1 :], in_band):
                     best = up + 1.0
                     step = left + 1.0
                     if step < best:
@@ -548,11 +675,25 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                         best = step
                     row.append(best)
                     left = best
+            if hi < width:
+                row += [inf] * (width - hi)
             fd.append(row)
             above = row
         return above[-1]
 
-    distance = ted(len(a_lmds) - 1, len(b_lmds) - 1)
+    size_a, size_b = len(a_lmds), len(b_lmds)
+    band = None
+    if size_a * size_b >= _BAND_MIN_CELLS:
+        upper = _mapping_cost(
+            a_shapes[-1], b_shapes[-1], _shape_children(a_lmds, a_shapes), _shape_children(b_lmds, b_shapes), costs, {}
+        )
+        # At least the distance, by the rounding margin argued in the module docstring.
+        limit = floor(upper * (1.0 + (size_a + size_b) * 2.0**-50))
+        # Cells (r, c) with |r - c| + |(size_a - r) - (size_b - c)| <= limit.
+        shift = size_b - size_a
+        extra = (limit - abs(shift)) // 2
+        band = (min(shift, 0) - extra, max(shift, 0) + extra)
+    distance = ted(size_a - 1, size_b - 1, band)
     # ted's closure holds ted: empty that cell, or the cycle keeps ``treedist``
     # and ``costs`` alive until the next cyclic collection.
     del ted

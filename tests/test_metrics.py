@@ -1,3 +1,4 @@
+import copy
 import gc
 import json
 import random
@@ -14,7 +15,10 @@ from docweave.metrics import (
     TableNode,
     _Lanes,
     _load_dpbench_file,
+    _mapping_cost,
     _postorder,
+    _relabel_costs,
+    _shape_children,
     evaluate,
     indel_distance,
     levenshtein,
@@ -426,6 +430,107 @@ def test_tree_edit_distance_is_zhang_shasha_bit_for_bit():
     for a, b in pairs:
         for x, y in ((a, b), (b, a), (a.blanked(), b.blanked()), (b.blanked(), a.blanked())):
             assert repr(tree_edit_distance(x, y)) == repr(zhang_shasha_oracle(x, y, relabel_cost_oracle))
+
+
+def _sectioned_table(rng: random.Random, rows: int, columns: int) -> TableNode:
+    """A ``thead`` row over a ``tbody`` of ``rows`` rows, with spans and
+    texts whose relabel costs are mostly not dyadic fractions."""
+    def cells(tag: str) -> str:
+        return "".join(f"<{tag}{_span(rng)}>{rng.choice(_NON_DYADIC_TEXTS)}</{tag}>" for _ in range(columns))
+
+    body = "".join(f"<tr>{cells('td')}</tr>" for _ in range(rows))
+    return parse_table_html(f"<table><thead><tr>{cells('th')}</tr></thead><tbody>{body}</tbody></table>")
+
+
+def _nodes(tree: TableNode) -> list[TableNode]:
+    return [tree, *(node for child in tree.children for node in _nodes(child))]
+
+
+def _mixed_tree(rng: random.Random, depth: int) -> TableNode:
+    """A random tree of mixed tags, texts and spans, at most ``depth`` levels deep."""
+    node = TableNode(rng.choice(["table", "thead", "tbody", "tr", "td"]), text=rng.choice(_NON_DYADIC_TEXTS),
+                     colspan=rng.choice([1, 1, 2]), rowspan=rng.choice([1, 1, 2]))
+    if depth > 1:
+        node.children = [_mixed_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))]
+    return node
+
+
+def _mixed_pair(rng: random.Random) -> tuple[TableNode, TableNode]:
+    """Two mixed-tag trees of depth 5 at most, big enough for a banded root
+    table; half the time the second is the first with one node relabelled."""
+    while True:
+        a = _mixed_tree(rng, rng.randint(4, 5))
+        if rng.random() < 0.5:
+            b = copy.deepcopy(a)
+            node = rng.choice(_nodes(b))
+            node.tag, node.text = rng.choice(["table", "tr", "td"]), rng.choice(_NON_DYADIC_TEXTS)
+        else:
+            b = _mixed_tree(rng, rng.randint(4, 5))
+        if a.size() * b.size() >= 400 and max(a.size(), b.size()) <= 60:
+            return a, b
+
+
+def test_tree_edit_distance_is_zhang_shasha_bit_for_bit_where_the_band_matters():
+    # Root tables big enough to be banded: one-cell edits (the band is the
+    # diagonal), unrelated tables (a wide band), a body row deleted under a
+    # ``thead`` (matching rows by position would be loose) and mixed-tag
+    # trees of depth 5 at most.
+    rng = random.Random(20261021)
+    pairs = []
+    for _ in range(5):
+        a = _sectioned_table(rng, rng.randint(5, 8), rng.randint(3, 4))
+        edited = copy.deepcopy(a)
+        rng.choice([node for node in _nodes(edited) if node.tag == "td"]).text = rng.choice(_NON_DYADIC_TEXTS)
+        shorter = copy.deepcopy(a)
+        body = shorter.children[1].children
+        del body[rng.randrange(len(body))]
+        unrelated = _sectioned_table(rng, rng.randint(5, 8), rng.randint(1, 4))
+        pairs += [(a, edited), (a, shorter), (a, unrelated), _mixed_pair(rng), _mixed_pair(rng)]
+    for a, b in pairs:
+        for x, y in ((a, b), (b, a), (a.blanked(), b.blanked()), (b.blanked(), a.blanked())):
+            assert repr(tree_edit_distance(x, y)) == repr(zhang_shasha_oracle(x, y, relabel_cost_oracle))
+
+
+def _mapping_bound(a: TableNode, b: TableNode) -> float:
+    a_lmds, a_shapes, a_firsts = _postorder(a)
+    b_lmds, b_shapes, b_firsts = _postorder(b)
+    return _mapping_cost(a_shapes[-1], b_shapes[-1], _shape_children(a_lmds, a_shapes),
+                         _shape_children(b_lmds, b_shapes), _relabel_costs(a_firsts, b_firsts), {})
+
+
+def _trees(texts: Sequence[str]):
+    def node(children):
+        return st.builds(TableNode, tag=st.sampled_from(["table", "tbody", "tr", "td"]), text=st.sampled_from(texts),
+                         colspan=st.sampled_from([1, 1, 2]), children=children)
+
+    return st.recursive(node(st.just([])), lambda kids: node(st.lists(kids, max_size=4)), max_leaves=14)
+
+
+class TestMappingCost:
+    """``_mapping_cost``, the upper bound that sets the root table's band."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees(_DYADIC_TEXTS), _trees(_DYADIC_TEXTS))
+    def test_bounds_the_distance(self, a, b):
+        # Dyadic costs add exactly in any order.
+        assert _mapping_bound(a, b) >= zhang_shasha_oracle(a, b, relabel_cost_oracle)
+
+    @settings(max_examples=150, deadline=None)
+    @given(_trees(_NON_DYADIC_TEXTS), _trees(_NON_DYADIC_TEXTS))
+    def test_bounds_the_distance_within_the_rounding_margin(self, a, b):
+        margin = (a.size() + b.size()) * 2.0**-50
+        assert _mapping_bound(a, b) * (1.0 + margin) >= zhang_shasha_oracle(a, b, relabel_cost_oracle)
+
+    @given(_trees(_NON_DYADIC_TEXTS))
+    def test_equal_trees_cost_nothing(self, a):
+        assert _mapping_bound(a, a) == 0.0
+        assert _mapping_bound(a, copy.deepcopy(a)) == 0.0
+
+    def test_aligns_rows_around_a_deleted_one(self):
+        # Matching rows by position would reword every row after the gap.
+        a = table(*(row(cell(text), cell("x")) for text in ("abc", "North", "South", "kitten")))
+        b = table(*(row(cell(text), cell("x")) for text in ("abc", "South", "kitten")))
+        assert _mapping_bound(a, b) == 3.0
 
 
 class TestTeds:

@@ -1017,6 +1017,20 @@ class TestCli:
         for name in ("tables.eval.json", "tables.eval.txt"):
             assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
 
+    def test_eval_table_mode_sections_golden(self, tmp_path):
+        # Tables with thead/tbody/tfoot and spans: one loses a body row in the
+        # middle and has cells reworded, one is identical, one loses its
+        # first body row and a span. The goldens come from filling the root
+        # table in full, so they pin the banded table's floats.
+        report_path = tmp_path / "sections.eval.json"
+        result = CliRunner().invoke(main, [
+            "eval", str(FIXTURE_DIR / "sections.reference.json"), str(FIXTURE_DIR / "sections.prediction.json"),
+            "--mode", "table", "--report", str(report_path),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("sections.eval.json", "sections.eval.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
     def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
         path = minimal_input(tmp_path)
