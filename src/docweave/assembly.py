@@ -16,6 +16,7 @@ import logging
 import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .errors import ValidationError
@@ -498,68 +499,74 @@ def _add_source(index: _Index, text: str, page_number: int) -> bool:
     return effective
 
 
-def _in_window(n: int, length: int, threshold: int) -> bool:
-    """Whether the length gap alone still allows a ratio above ``threshold``
-    between texts of lengths ``n`` and ``length``."""
-    return _ratio(abs(n - length), n + length) > threshold
+@lru_cache(maxsize=4096)
+def _distance_bound(total: int, threshold: int) -> int:
+    """k(T): the largest indel distance d with ``_ratio(d, total)`` above
+    ``threshold`` (-1 if none); the ratio only falls as d grows, to 0 at T."""
+    return next(d for d in range(total + 1) if _ratio(d, total) <= threshold) - 1
 
 
 def _window_holds(lengths: Sequence[int], n: int, threshold: int) -> bool:
-    """Whether any of the sorted ``lengths`` lies in the window of ``n``. The
-    bound of ``_in_window`` only falls as a length moves away from ``n``, so
-    the nearest length on each side decides."""
+    """Whether any of the sorted ``lengths`` lies in the window of ``n``, the
+    lengths whose gap to ``n`` is at most ``_distance_bound`` of their sum. A
+    step away from ``n`` adds 1 to the gap and at most 1 to the bound, so the
+    nearest length on each side decides."""
     i = bisect_left(lengths, n)
-    return (i < len(lengths) and _in_window(n, lengths[i], threshold)) or (
-        i > 0 and _in_window(n, lengths[i - 1], threshold)
-    )
-
-
-def _deletions(text: str) -> set[str]:
-    """The distinct strings left by deleting one character of ``text``."""
-    return {text[:i] + text[i + 1 :] for i in range(len(text))}
+    window = lengths[max(i - 1, 0) : i + 1]
+    return any(abs(n - length) <= _distance_bound(n + length, threshold) for length in window)
 
 
 class _Candidates:
     """One label's candidate index as it stands at the start of a pass, with
-    its sorted lengths and, built on first use per length, the map from each
-    candidate's one-deletion variants to the candidate."""
+    its sorted lengths and, built on first use per (length, k), the map from
+    each segment of a candidate's k + 1 segments to the candidates."""
 
-    __slots__ = ("by_length", "lengths", "_variants")
+    __slots__ = ("by_length", "lengths", "_segments")
 
     def __init__(self, by_length: _Index):
         self.by_length = by_length
         self.lengths = sorted(by_length)
-        self._variants: dict[int, dict[str, list[str]]] = {}
+        self._segments: dict[tuple[int, int], list[tuple[int, int, dict[str, list[str]]]]] = {}
 
-    def containing(self, text: str) -> Sequence[str]:
-        """Candidates one character longer than ``text`` that delete to it."""
-        length = len(text) + 1
-        variants = self._variants.get(length)
-        if variants is None:
-            variants = self._variants[length] = {}
-            for candidate in self.by_length[length]:
-                for variant in _deletions(candidate):
-                    variants.setdefault(variant, []).append(candidate)
-        return variants.get(text, ())
+    def near(self, text: str, length: int, k: int) -> Iterable[str]:
+        """The candidates of ``length`` that keep one of their k + 1 segments,
+        cut at ``i * length // (k + 1)``, in ``text`` at a shift the position
+        bound of Pass-Join (Li, Deng, Wang & Feng, PVLDB 5(3), 2011) allows: a
+        superset of those within Levenshtein distance ``k``. The whole bucket
+        is returned if a segment would be shorter than two characters, or once
+        every candidate has been hit."""
+        by_text = self.by_length[length]
+        if length < 2 * (k + 1):
+            return by_text
+        segments = self._segments.get((length, k))
+        if segments is None:
+            cuts = [i * length // (k + 1) for i in range(k + 2)]
+            segments = self._segments[length, k] = [(lo, hi, {}) for lo, hi in zip(cuts, cuts[1:])]
+            for candidate in by_text:
+                for start, end, index in segments:
+                    index.setdefault(candidate[start:end], []).append(candidate)
+        delta = len(text) - length
+        hits: dict[str, None] = {}
+        for i, (start, end, index) in enumerate(segments):
+            for shift in range(max(-i, delta - (k - i)), min(i, delta + (k - i)) + 1):
+                found = index.get(text[start + shift : end + shift])
+                if found:
+                    hits.update(dict.fromkeys(found))
+                    if len(hits) == len(by_text):
+                        return by_text
+        return hits
 
 
 def _has_match(candidates: _Candidates, text: str, page_number: int, threshold: int) -> bool:
     """Whether a candidate from another page matches ``text`` above ``threshold``.
 
-    The indel distance is at least the length gap, so ``fuzzy_ratio`` is at
-    most the same formula applied to the gap alone, and that bound only falls
-    as the candidate length moves away from ``len(text)``. The walk therefore
-    visits candidate lengths outward from ``len(text)`` and stops each
-    direction at the first length the bound rules out.
-
-    For a length L with ``len(text) + L = T``, a match needs an indel distance
-    of at most k(T), the largest d with ``_ratio(d, T)`` above the threshold.
-    When k(T) <= 1 the bucket is looked up, not scanned: equal lengths give
-    an even distance, so only ``text`` itself can match; a candidate one
-    character shorter must be one of the one-deletion variants of ``text``;
-    one character longer, ``text`` must be one of its variants. Buckets with
-    k(T) >= 2 are scanned. Every hit on another page is confirmed with
-    ``fuzzy_ratio(text, candidate)``.
+    A candidate of length L needs an indel distance, at least the length gap,
+    of at most k(T) with T = ``len(text) + L``. The walk visits lengths
+    outward from ``len(text)`` and stops each direction at the first gap
+    above k(T). Within a length it confirms with ``fuzzy_ratio`` only the
+    candidates from another page that ``_Candidates.near`` returns: an indel
+    distance of at most k is a Levenshtein distance of at most k, and k edits
+    leave one of k + 1 segments intact at a shift the position bound allows.
     """
     n = len(text)
     lengths = candidates.lengths
@@ -567,18 +574,11 @@ def _has_match(candidates: _Candidates, text: str, page_number: int, threshold: 
     for side in (range(start, len(lengths)), range(start - 1, -1, -1)):
         for i in side:
             length = lengths[i]
-            if not _in_window(n, length, threshold):
+            k = _distance_bound(n + length, threshold)
+            if abs(n - length) > k:
                 break
             by_text = candidates.by_length[length]
-            if _ratio(2, n + length) > threshold:
-                hits: Iterable[str] = by_text
-            elif length == n:
-                hits = (text,) if text in by_text else ()
-            elif length < n:
-                hits = [variant for variant in _deletions(text) if variant in by_text]
-            else:
-                hits = candidates.containing(text)
-            for candidate in hits:
+            for candidate in candidates.near(text, length, k):
                 sources = by_text[candidate]
                 if (len(sources) > 1 or page_number not in sources) and fuzzy_ratio(
                     text, candidate
@@ -604,10 +604,10 @@ def correct_headers_footers(
     The candidates are indexed by label, then text length, then text, with
     the set of pages each text comes from. An entity is compared only with
     candidates inside its length window, the lengths whose gap to its own
-    still allows a ratio above the threshold, and ``_has_match`` answers
-    windows whose distance bound is at most 1 by dict lookups. Each pass
-    first finds, per label, the entity lengths whose window holds any
-    candidate length; other entities cost one set lookup.
+    still allows a ratio above the threshold, and within a length only with
+    the candidates ``_Candidates.near`` lets through. Each pass first finds,
+    per label, the entity lengths whose window holds any candidate length;
+    other entities cost one set lookup.
 
     Candidate sets only grow, so an entity that failed to match can match in
     a later pass only through an effective change of the previous pass: a
@@ -617,11 +617,11 @@ def correct_headers_footers(
     passes stop once a pass makes none. With no candidate text at all there
     is no pass.
 
-    Bounds: a pass's variant maps hold at most the sum of ``len(c)`` strings
-    over its distinct candidates. Windows whose distance bound is 2 or more
-    (at threshold 95, lengths summing to 45 or more; at low thresholds,
-    nearly all) are still scanned, so many distinct long candidates keep the
-    comparison count quadratic. Two-deletion variants are not indexed.
+    Bounds: a pass's segment maps hold k + 1 entries per distinct candidate
+    and (length, k) in use. The filter only helps where candidates differ in
+    the segments a query keeps: bodies that begin with the footers' shared
+    prefix still compare every candidate, and windows whose segments would be
+    shorter than two characters (low thresholds) are scanned.
 
     A position heuristic then swaps entities whose label contradicts their
     placement: a "header" that starts below the top limit and sits in the

@@ -140,17 +140,29 @@ NID_EXCLUDED_CATEGORIES = frozenset({"Table", "Figure", "Chart"})
 # ---------------------------------------------------------------------------
 
 
+def _shared_prefix(a: str, b: str) -> int:
+    """Length of the longest common prefix of ``a`` and ``b``, found by halving
+    the undecided span: each step compares one pair of slices in C."""
+    lo, hi = 0, min(len(a), len(b))
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if a[lo:mid] == b[lo:mid]:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
 def indel_distance(a: str, b: str) -> int:
     """Minimum number of character insertions+deletions turning ``a`` into ``b``."""
-    # Shared prefix/suffix contributes nothing; strip it first.
-    p = 0
-    while p < len(a) and p < len(b) and a[p] == b[p]:
-        p += 1
-    s = 0
-    while s < len(a) - p and s < len(b) - p and a[len(a) - 1 - s] == b[len(b) - 1 - s]:
-        s += 1
-    a = a[p : len(a) - s]
-    b = b[p : len(b) - s]
+    # Shared prefix/suffix contributes nothing; strip it first. Checking the
+    # end characters first lets pairs that differ there skip the halving.
+    if a and b and a[0] == b[0]:
+        p = _shared_prefix(a, b)
+        a, b = a[p:], b[p:]
+    if a and b and a[-1] == b[-1]:
+        s = _shared_prefix(a[::-1], b[::-1])
+        a, b = a[: len(a) - s], b[: len(b) - s]
 
     # Bit-vector LCS (Allison & Dix 1986; Hyyrö 2004): after reading b[:j],
     # bit i of ``v`` is 0 exactly where LCS(a[:i + 1], b[:j]) exceeds

@@ -466,6 +466,34 @@ class TestGoldenFiles:
         produced = (ingest_case_outputs / name).read_bytes()
         assert produced == (FIXTURE_DIR / "golden" / name).read_bytes()
 
+    @pytest.fixture(scope="class")
+    @staticmethod
+    def footer_outputs(tmp_path_factory):
+        """Third fixture, fuzzy threshold 90: 48-character footers that name
+        their page, two of them detected as text, and body texts that are
+        near-copies of them, some within the distance bound (relabeled) and
+        some just outside it or only sharing a prefix (left as text)."""
+        from docweave.assembly import AssemblyParams, HeaderFooterParams
+        from docweave.pipeline import PipelineConfig, run_pipeline
+
+        out = tmp_path_factory.mktemp("footers")
+        config = PipelineConfig(
+            inputs=(FIXTURE_DIR / "footers.json",),
+            output_dir=out,
+            assembly=AssemblyParams(header_footer=HeaderFooterParams(fuzzy_threshold=90)),
+        )
+        (outcome,) = run_pipeline(config)
+        assert outcome.error is None and not outcome.failed_pages
+        return out
+
+    @pytest.mark.parametrize(
+        "name",
+        ["footers.md", "footers.chunks.jsonl", "footers.graph.json", "footers.dpbench.json", "footers.json"],
+    )
+    def test_footers_match_golden(self, footer_outputs, name):
+        produced = (footer_outputs / name).read_bytes()
+        assert produced == (FIXTURE_DIR / "golden" / name).read_bytes()
+
     def test_exporters_are_pure(self, outputs):
         from docweave.model import document_from_json
 

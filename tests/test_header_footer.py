@@ -1,5 +1,6 @@
 """The header/footer barrier against its brute-force oracle, its documented
-invariants, the edges of its length window, and its comparison count."""
+invariants, the edges of its length window, its segment filter, and its
+comparison count."""
 
 import json
 import random
@@ -16,36 +17,42 @@ from docweave.assembly import (
     correct_headers_footers,
     fuzzy_ratio,
 )
+from docweave.metrics import indel_distance
 from docweave.model import ElementLabel
 from oracles import header_footer_oracle, page_to_dict
 
 PARAMS = AssemblyParams()
-ALPHABET = "ab "
+ALPHABET = "abcd "
 LABELS = ("text", "title", "list_item", "section", "page_header", "page_footer", "table")
 TOPS = (0.0, 20.0, 90.0, 150.0, 500.0, 880.0, 950.0)
-THRESHOLDS = st.sampled_from((1, 94, 95, 96, 100)) | st.integers(1, 100)
+# Weighted to 80-100, where two texts of up to 70 characters have distance
+# bounds of at most 27 and the segment filter has segments to look up.
+THRESHOLDS = st.sampled_from((1, 94, 95, 96, 100)) | st.integers(80, 100) | st.integers(1, 100)
 
 
 @st.composite
-def one_edit(draw, bases):
-    """A base string, kept or changed by one insertion, deletion or substitution."""
+def edits(draw, bases, max_edits=6):
+    """A base string changed by up to ``max_edits`` insertions, deletions or
+    substitutions. Two texts of up to 70 characters have distance bounds of
+    at most 6 at thresholds 95-100, so six edits put pairs on both sides."""
     text = draw(st.sampled_from(bases))
-    i = draw(st.integers(0, len(text)))
-    ch = draw(st.sampled_from(ALPHABET))
-    edit = draw(st.sampled_from(("keep", "insert", "delete", "replace")))
-    if edit == "insert":
-        return text[:i] + ch + text[i:]
-    if edit == "delete":
-        return text[:i] + text[i + 1 :]
-    if edit == "replace":
-        return text[:i] + ch + text[i + 1 :]
+    for _ in range(draw(st.integers(0, max_edits))):
+        i = draw(st.integers(0, len(text)))
+        ch = draw(st.sampled_from(ALPHABET))
+        edit = draw(st.sampled_from(("insert", "delete", "replace")))
+        if edit == "insert":
+            text = text[:i] + ch + text[i:]
+        elif edit == "delete":
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + ch + text[i + 1 :]
     return text
 
 
 @st.composite
 def documents(draw):
-    """1-5 assembled pages whose texts are one edit away from shared bases."""
-    bases = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=30), min_size=1, max_size=3))
+    """1-5 assembled pages whose texts are a few edits away from shared bases."""
+    bases = draw(st.lists(st.text(ALPHABET, min_size=1, max_size=70), min_size=1, max_size=3))
     pages = []
     for number in range(1, draw(st.integers(1, 5)) + 1):
         entities = []
@@ -56,7 +63,7 @@ def documents(draw):
                     f"p{number}e{i}",
                     draw(st.sampled_from(LABELS)),
                     (40.0 * i, top, 40.0 * i + 100, top + 30),
-                    text=draw(st.just("") | one_edit(bases)),
+                    text=draw(st.just("") | edits(bases)),
                 )
             )
         regions = [layout_detection("group", (0, 100, 1000, 900))] if draw(st.booleans()) else []
@@ -195,14 +202,9 @@ def test_comparisons_limited_to_length_window(ratio_calls):
     assert len(ratio_calls) == 13
 
 
-def _distance_bound(total, threshold=95):
-    """k(T): the largest indel distance whose ratio stays above ``threshold``."""
-    return max((d for d in range(total + 1) if assembly._ratio(d, total) > threshold), default=-1)
-
-
 @pytest.mark.parametrize("total, bound", [(22, 0), (23, 1), (44, 1), (45, 2)])
 def test_distance_bound_steps_at_threshold_95(total, bound):
-    assert _distance_bound(total) == bound
+    assert assembly._distance_bound(total, 95) == bound
 
 
 def _relabeled(header_text, stray_text):
@@ -229,30 +231,6 @@ def test_distance_bound_boundaries_at_22_and_23(header_text, stray_text, matches
     assert _relabeled(header_text, stray_text) is matches
 
 
-@pytest.mark.parametrize(
-    "header_text, stray_text",
-    [
-        (BASE[:11] + "#", BASE[:11] + "#" + BASE[11]),  # candidate one shorter
-        (BASE[:6] + "#" + BASE[6:12], BASE[:12]),  # candidate one longer
-    ],
-    ids=["shorter-candidate", "longer-candidate"],
-)
-def test_one_deletion_lookup_compares_only_the_hit(ratio_calls, header_text, stray_text):
-    # Page 1's decoy headers of the same length come first in the index, and
-    # are never compared.
-    decoys = [
-        build_entity(f"d{i}", "page_header", (0, 30 * i, 100, 30 * i + 20),
-                     text=header_text[:-1] + str(i))
-        for i in range(5)
-    ]
-    header = build_entity("h1", "page_header", (0, 300, 100, 320), text=header_text)
-    pages = _header_and_stray(header_text, stray_text)
-    pages[0] = assemble_page(1, [], [header, *decoys], PARAMS)
-    corrected = correct_headers_footers(pages, HeaderFooterParams(fuzzy_threshold=95))
-    assert corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
-    assert ratio_calls == [(stray_text, header_text)]
-
-
 TWENTY_TWO = BASE + "kl"
 
 
@@ -266,6 +244,56 @@ TWENTY_TWO = BASE + "kl"
 )
 def test_equal_length_substitution_matches_from_45(header_text, stray_text, matches):
     assert _relabeled(header_text, stray_text) is matches
+
+
+@pytest.mark.parametrize(
+    "header_text, stray_text, k",
+    [
+        (BASE[:11] + "#", BASE[:11] + "#" + BASE[11], 1),  # candidate one shorter
+        (BASE[:6] + "#" + BASE[6:12], BASE[:12], 1),  # candidate one longer
+        (TWENTY_TWO + "m", TWENTY_TWO + "z", 2),  # equal lengths, one substitution
+    ],
+    ids=["shorter-candidate", "longer-candidate", "k2-equal-length"],
+)
+def test_filter_never_compares_a_decoy_that_differs_in_every_segment(
+    ratio_calls, header_text, stray_text, k
+):
+    # Page 1's decoy headers have the header's length and come first in the
+    # index, but a digit, which the stray text lacks, sits in each of their
+    # k + 1 segments, so no segment of theirs is found in the stray text.
+    length = len(header_text)
+    assert assembly._distance_bound(length + len(stray_text), 95) == k
+    decoys = []
+    for d in range(5):
+        text = list(header_text)
+        for i in range(k + 1):
+            text[i * length // (k + 1) + 1] = str(d)
+        decoys.append(build_entity(f"d{d}", "page_header", (0, 30 * d, 100, 30 * d + 20),
+                                   text="".join(text)))
+    header = build_entity("h1", "page_header", (0, 300, 100, 320), text=header_text)
+    pages = _header_and_stray(header_text, stray_text)
+    pages[0] = assemble_page(1, [], [header, *decoys], PARAMS)
+    corrected = correct_headers_footers(pages, HeaderFooterParams(fuzzy_threshold=95))
+    assert corrected[1].elements["t2"].type is ElementLabel.PAGE_HEADER
+    assert ratio_calls == [(stray_text, header_text)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(ALPHABET, min_size=1, max_size=70).flatmap(
+    lambda base: st.lists(edits([base], max_edits=8), min_size=2, max_size=6)
+))
+def test_near_keeps_every_candidate_within_the_bound(texts):
+    # For every k at least a candidate's indel distance to the query, the
+    # filter returns that candidate, whatever else it returns.
+    query, *others = texts
+    by_length = {}
+    for text in filter(None, others):
+        by_length.setdefault(len(text), {})[text] = {1}
+    candidates = assembly._Candidates(by_length)
+    for text in filter(None, others):
+        distance = indel_distance(query, text)
+        for k in range(distance, distance + 3):
+            assert text in set(candidates.near(query, len(text), k)), (text, k)
 
 
 @pytest.mark.parametrize("second_text", ["Alpha reports", "Alpha report"], ids=["new-text", "new-page"])
@@ -325,11 +353,48 @@ def _report_shaped(page_count):
     return pages
 
 
+def _long_footer_shaped(page_count):
+    """A 46-character footer naming its page (a text every third page) and 10
+    texts of 4-8 words per page, none of them a word of the footer: the
+    footers' lengths sum to 92, a window of distance bound 4 at threshold 95,
+    and many bodies fall in it."""
+    rng = random.Random(page_count)
+    vocabulary = ["revenue", "growth", "segment", "margin", "operating", "total", "net",
+                  "income", "quarter", "region", "market", "share", "cost", "outlook", "capital"]
+    pages = []
+    for number in range(1, page_count + 1):
+        entities = [
+            build_entity(f"p{number}-f", "text" if number % 3 == 0 else "page_footer",
+                         (60, 950, 740, 975),
+                         text=f"ACME Corp confidential annual report, page {number:03d}"),
+        ]
+        for i in range(10):
+            text = " ".join(rng.choice(vocabulary) for _ in range(rng.randint(4, 8)))
+            top = 80 + 60 * i
+            entities.append(build_entity(f"p{number}-e{i}", "text", (60, top, 740, top + 40),
+                                         text=text))
+        pages.append(assemble_page(number, [], entities, PARAMS))
+    return pages
+
+
 def test_comparisons_grow_linearly_in_pages(ratio_calls):
     counts = {}
     for page_count in (25, 50, 100, 200):
         ratio_calls.clear()
         correct_headers_footers(_report_shaped(page_count), HeaderFooterParams())
+        counts[page_count] = len(ratio_calls)
+    assert counts[25] > 0
+    for page_count in (50, 100, 200):
+        assert counts[page_count] <= 2.3 * counts[page_count // 2], counts
+
+
+def test_comparisons_grow_linearly_with_long_footers(ratio_calls):
+    # Comparing every body in the window with every footer grows about 4x
+    # per doubling here; the segment filter compares only the strays.
+    counts = {}
+    for page_count in (25, 50, 100, 200):
+        ratio_calls.clear()
+        correct_headers_footers(_long_footer_shaped(page_count), HeaderFooterParams())
         counts[page_count] = len(ratio_calls)
     assert counts[25] > 0
     for page_count in (50, 100, 200):
