@@ -75,7 +75,7 @@ def _markdown_table(rows: Iterable[Mapping[str, str]]) -> str:
     lines = ["| " + " | ".join(_escape_cell(h) for h in headers) + " |"]
     lines.append("| " + " | ".join("---" for _ in headers) + " |")
     for row in rows:
-        lines.append("| " + " | ".join(_escape_cell(str(row.get(h, ""))) for h in headers) + " |")
+        lines.append("| " + " | ".join(_escape_cell(row[h]) for h in headers) + " |")
     return "\n".join(lines)
 
 
@@ -280,7 +280,7 @@ def _table_html_content(rows: Iterable[Mapping[str, str]]) -> str:
     for row in rows:
         parts.append(
             "<tr>"
-            + "".join(f"<td>{html_escape.escape(str(row.get(h, '')))}</td>" for h in headers)
+            + "".join(f"<td>{html_escape.escape(row[h])}</td>" for h in headers)
             + "</tr>"
         )
     parts.append("</table>")

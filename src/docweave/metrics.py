@@ -67,8 +67,10 @@ lies in the band and is computed from the same exact candidates, while any
 other candidate of a cell is at least its true value: the final value keeps
 its bits. An in-band cell can still be larger than its true value, so the
 banded table records no ``treedist`` entry. Two equal trees give U = 0 and a
-band of the diagonal alone. Below 400 root cells the bound costs more than
-the band saves, and the root table is filled in full.
+band of the diagonal alone. Every root table is banded, however small: on the
+host named below, against filling 2x2, 3x3 and 3x5 root tables in full (one
+row deleted, a fifth of the cells reworded), ``teds`` took 0.90, 0.99 and
+0.82 of the time, and ``teds_s`` 1.42, 1.09 and 1.00 (2x2: 44 to 62 us).
 
 On a pair of ``perfbench``'s ``eval`` inputs (a 10x10 table of 1-word cells
 against a copy with one row deleted and a fifth of its cells reworded), U is
@@ -87,8 +89,7 @@ global distance) runs once per A cell, a few big-int operations per
 character, to give its distance to every B cell at once; one byte-wise
 popcount and one running sum read every lane out. The matrix and
 ``treedist`` each hold at most one entry per (A shape, B shape) pair, never
-more than one per (A node, B node) pair; A shapes with equal tags, spans and
-texts share one row of the matrix.
+more than one per (A node, B node) pair.
 
 TEDS is still quadratic in table size: the relabel cost matrix has one entry
 per pair of distinct A and B subtrees, and the root table's rows are kept at
@@ -446,9 +447,8 @@ def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -
 
     The non-empty ``td`` texts of ``b_nodes`` with the same spans form one
     :class:`_Lanes` each, so a cell of ``a_nodes`` gets its distances to all
-    of them in one pass. A cell text or node label repeated in ``a_nodes``
-    shares one row. ``tree_edit_distance`` passes one node per shape, so the
-    matrix holds as many entries as its ``treedist`` table.
+    of them in one pass. ``tree_edit_distance`` passes one node per shape, so
+    the matrix holds as many entries as its ``treedist`` table.
     """
     # Per (tag, colspan, rowspan): the nodes an equal A node relabels to for
     # free, and the non-empty cells whose cost is a text distance.
@@ -464,29 +464,27 @@ def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -
             free.setdefault(key, []).append(y)
     lanes = {key: _Lanes(group) for key, group in texts.items()}
 
-    rows: dict[tuple[str, int, int, str], list[float]] = {}
     costs = []
     for node in a_nodes:
         key = (node.tag, node.colspan, node.rowspan)
         text = node.text if node.tag == "td" else ""
-        row = rows.get((*key, text))
-        if row is None:
-            row = [1.0] * len(b_nodes)
-            if not text:
-                for y in free.get(key, ()):
-                    row[y] = 0.0
-            elif key in cells:
-                n = len(text)
-                for (y, m), d in zip(cells[key], lanes[key].distances(text)):
-                    row[y] = d / (n if n > m else m)
-            rows[(*key, text)] = row
+        row = [1.0] * len(b_nodes)
+        if not text:
+            for y in free.get(key, ()):
+                row[y] = 0.0
+        elif key in cells:
+            n = len(text)
+            for (y, m), d in zip(cells[key], lanes[key].distances(text)):
+                row[y] = d / (n if n > m else m)
         costs.append(row)
     return costs
 
 
-def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
-    """Per node in postorder, its leftmost leaf's index and its shape id; plus
-    the first node of each shape, indexed by shape id.
+def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode], list[tuple]]:
+    """Per node in postorder, its leftmost leaf's index and its shape id; plus,
+    indexed by shape id, the first node of each shape and its children's
+    shape ids and subtree sizes, in order, with whether every child is a leaf
+    (true for a node with no children).
 
     Two nodes share a shape id exactly when their subtrees carry the same
     labels in the same order: the key is the node's tag, spans, text (for a
@@ -497,14 +495,16 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
     lmds: list[int] = []
     shapes: list[int] = []
     firsts: list[TableNode] = []
+    kids: list[tuple[list[int], list[int], bool]] = []
     ids: dict[tuple, int] = {}
 
     def visit(node: TableNode) -> int:
         first_leaf = None
-        child_shapes = []
+        child_shapes, child_sizes = [], []
         for child in node.children:
             child_lmd = visit(child)
             child_shapes.append(shapes[-1])
+            child_sizes.append(len(lmds) - child_lmd)
             if first_leaf is None:
                 first_leaf = child_lmd
         index = len(lmds)
@@ -513,37 +513,14 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode]]:
         shape = ids.setdefault((node.tag, node.colspan, node.rowspan, text, tuple(child_shapes)), len(ids))
         if shape == len(firsts):
             firsts.append(node)
+            # Every child is a leaf when the node has as many children as descendants.
+            kids.append((child_shapes, child_sizes, len(child_shapes) == index - lmds[index]))
         shapes.append(shape)
         return lmds[index]
 
     visit(root)
     del visit  # visit's closure holds visit; without this the cycle outlives the call
-    return lmds, shapes, firsts
-
-
-#: Root tables with fewer cells are filled unbanded: below about 20 x 20
-#: cells, computing the bound costs more than the band saves.
-_BAND_MIN_CELLS = 400
-
-
-def _shape_children(lmds: list[int], shapes: list[int]) -> list[tuple[list[int], list[int], bool]]:
-    """Per shape id: its children's shape ids and subtree sizes, in order, and
-    whether every child is a leaf (true for a node with no children).
-
-    Read from ``_postorder``'s lists: the last child of node x is x - 1, and
-    the child before child k is lmd(k) - 1, down to x's leftmost leaf.
-    """
-    kids: list = [None] * (max(shapes) + 1)
-    for x, shape in enumerate(shapes):
-        if kids[shape] is None:
-            found, sizes, k, first = [], [], x - 1, lmds[x]
-            while k >= first:
-                found.append(shapes[k])
-                sizes.append(k - lmds[k] + 1)
-                k = lmds[k] - 1
-            # Every child is a leaf when x has as many children as descendants.
-            kids[shape] = (found[::-1], sizes[::-1], len(found) == x - first)
-    return kids
+    return lmds, shapes, firsts, kids
 
 
 def _mapping_cost(
@@ -556,9 +533,9 @@ def _mapping_cost(
     cells), children are matched by position and the extra ones on the longer
     side cost their subtree sizes. Otherwise the two child sequences (a
     table's rows or sections) are aligned by an insert/delete/match dynamic
-    program whose match cost is this bound. ``a_kids`` and ``b_kids`` come
-    from ``_shape_children``; ``memo`` holds the cost of each (A shape,
-    B shape) pair met so far.
+    program whose match cost is this bound. ``a_kids`` and ``b_kids`` are the
+    per-shape child lists ``_postorder`` records as it walks each tree;
+    ``memo`` holds the cost of each (A shape, B shape) pair met so far.
     """
     cost = memo.get((sa, sb))
     if cost is not None:
@@ -610,8 +587,8 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     (A shape, B shape): an entry's float comes from the two labelled subtrees
     alone.
     """
-    a_lmds, a_shapes, a_firsts = _postorder(tree_a)
-    b_lmds, b_shapes, b_firsts = _postorder(tree_b)
+    a_lmds, a_shapes, a_firsts, a_kids = _postorder(tree_a)
+    b_lmds, b_shapes, b_firsts, b_kids = _postorder(tree_b)
     costs = _relabel_costs(a_firsts, b_firsts)
     # None until a table records it. Two leaves cost min(2, 2, relabel), and a
     # relabel costs at most 1.
@@ -694,18 +671,13 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
         return above[-1]
 
     size_a, size_b = len(a_lmds), len(b_lmds)
-    band = None
-    if size_a * size_b >= _BAND_MIN_CELLS:
-        upper = _mapping_cost(
-            a_shapes[-1], b_shapes[-1], _shape_children(a_lmds, a_shapes), _shape_children(b_lmds, b_shapes), costs, {}
-        )
-        # At least the distance, by the rounding margin argued in the module docstring.
-        limit = floor(upper * (1.0 + (size_a + size_b) * 2.0**-50))
-        # Cells (r, c) with |r - c| + |(size_a - r) - (size_b - c)| <= limit.
-        shift = size_b - size_a
-        extra = (limit - abs(shift)) // 2
-        band = (min(shift, 0) - extra, max(shift, 0) + extra)
-    distance = ted(size_a - 1, size_b - 1, band)
+    upper = _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, costs, {})
+    # At least the distance, by the rounding margin argued in the module docstring.
+    limit = floor(upper * (1.0 + (size_a + size_b) * 2.0**-50))
+    # Cells (r, c) with |r - c| + |(size_a - r) - (size_b - c)| <= limit.
+    shift = size_b - size_a
+    extra = (limit - abs(shift)) // 2
+    distance = ted(size_a - 1, size_b - 1, (min(shift, 0) - extra, max(shift, 0) + extra))
     # ted's closure holds ted: empty that cell, or the cycle keeps ``treedist``
     # and ``costs`` alive until the next cyclic collection.
     del ted

@@ -96,6 +96,9 @@ class EntityValue:
     def __post_init__(self):
         if self.data is not None:
             rows = tuple(dict(row) for row in self.data)
+            for key, cell in (item for row in rows for item in row.items()):
+                if not (isinstance(key, str) and isinstance(cell, str)):
+                    raise ValidationError(f"data rows must map strings to strings, got {key!r}: {cell!r}")
             key_sets = {tuple(row.keys()) for row in rows}
             if len(key_sets) > 1:
                 raise ValidationError(
@@ -467,7 +470,10 @@ def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
         isinstance(data, list) and all(isinstance(row, Mapping) for row in data)
     ):
         raise ValidationError(f"{context}.value.data: expected an array of objects")
-    value = EntityValue(text, title, summary, tuple(data) if data is not None else None)
+    try:
+        value = EntityValue(text, title, summary, tuple(data) if data is not None else None)
+    except ValidationError as exc:
+        raise ValidationError(f"{context}.value.data: {exc}") from None
     bbox = _bbox_from_dict(_require(raw, "pixel_coordinates", context), f"{context}.pixel_coordinates")
     try:
         label = ElementLabel(_require(raw, "type", context))

@@ -18,7 +18,6 @@ from docweave.metrics import (
     _mapping_cost,
     _postorder,
     _relabel_costs,
-    _shape_children,
     evaluate,
     indel_distance,
     levenshtein,
@@ -316,7 +315,7 @@ class TestShapes:
 
     def test_equal_subtrees_share_a_shape(self):
         tree = table(row(cell("a"), cell("b")), row(cell("a"), cell("b")), row(cell("b"), cell("a")))
-        _, shapes, firsts = _postorder(tree)
+        _, shapes, firsts, _ = _postorder(tree)
         # Postorder: a b tr | a b tr | b a tr | table.
         assert shapes == [0, 1, 2, 0, 1, 2, 1, 0, 3, 4]
         first_row = tree.children[0]
@@ -329,7 +328,7 @@ class TestShapes:
 
     def test_blanked_grid_has_three_shapes(self):
         a, _ = _seeded_grid_pair(9)
-        _, shapes, _ = _postorder(a.blanked())
+        _, shapes, _, _ = _postorder(a.blanked())
         assert max(shapes) == 2
 
 
@@ -456,8 +455,8 @@ def _mixed_tree(rng: random.Random, depth: int) -> TableNode:
 
 
 def _mixed_pair(rng: random.Random) -> tuple[TableNode, TableNode]:
-    """Two mixed-tag trees of depth 5 at most, big enough for a banded root
-    table; half the time the second is the first with one node relabelled."""
+    """Two mixed-tag trees of depth 5 at most and 60 nodes at most; half the
+    time the second is the first with one node relabelled."""
     while True:
         a = _mixed_tree(rng, rng.randint(4, 5))
         if rng.random() < 0.5:
@@ -466,17 +465,22 @@ def _mixed_pair(rng: random.Random) -> tuple[TableNode, TableNode]:
             node.tag, node.text = rng.choice(["table", "tr", "td"]), rng.choice(_NON_DYADIC_TEXTS)
         else:
             b = _mixed_tree(rng, rng.randint(4, 5))
-        if a.size() * b.size() >= 400 and max(a.size(), b.size()) <= 60:
+        if max(a.size(), b.size()) <= 60:
             return a, b
 
 
 def test_tree_edit_distance_is_zhang_shasha_bit_for_bit_where_the_band_matters():
-    # Root tables big enough to be banded: one-cell edits (the band is the
-    # diagonal), unrelated tables (a wide band), a body row deleted under a
-    # ``thead`` (matching rows by position would be loose) and mixed-tag
-    # trees of depth 5 at most.
+    # Every root table is banded: one-cell edits (the band is the diagonal),
+    # unrelated tables (a wide band), a body row deleted under a ``thead``
+    # (matching rows by position would be loose), mixed-tag trees of depth 5
+    # at most, and tiny tables: a lone ``table`` against a lone ``table`` and
+    # a ``td``, a 2x2 table against a reworded copy, and empty cells.
     rng = random.Random(20261021)
-    pairs = []
+    grid = table(row(cell("North"), cell("1,204.50")), row(cell("South"), cell("+3.1 %")))
+    reworded = table(row(cell("North"), cell("1,204.05")), row(cell("Sooth"), cell("+3.1 %")))
+    empty = table(row(cell(""), cell("")), row(cell("")))
+    pairs = [(TableNode("table"), TableNode("table")), (TableNode("table"), TableNode("td")),
+             (grid, reworded), (grid, empty), (empty, table(row(cell("abc"), cell(""))))]
     for _ in range(5):
         a = _sectioned_table(rng, rng.randint(5, 8), rng.randint(3, 4))
         edited = copy.deepcopy(a)
@@ -492,10 +496,9 @@ def test_tree_edit_distance_is_zhang_shasha_bit_for_bit_where_the_band_matters()
 
 
 def _mapping_bound(a: TableNode, b: TableNode) -> float:
-    a_lmds, a_shapes, a_firsts = _postorder(a)
-    b_lmds, b_shapes, b_firsts = _postorder(b)
-    return _mapping_cost(a_shapes[-1], b_shapes[-1], _shape_children(a_lmds, a_shapes),
-                         _shape_children(b_lmds, b_shapes), _relabel_costs(a_firsts, b_firsts), {})
+    _, a_shapes, a_firsts, a_kids = _postorder(a)
+    _, b_shapes, b_firsts, b_kids = _postorder(b)
+    return _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, _relabel_costs(a_firsts, b_firsts), {})
 
 
 def _trees(texts: Sequence[str]):

@@ -105,6 +105,11 @@ class TestEntity:
         with pytest.raises(ValidationError, match="key set"):
             EntityValue(text="", data=({"a": "1"}, {"b": "2"}))
 
+    @pytest.mark.parametrize("row", [{"a": 1}, {"a": None}, {"a": ["x"]}, {1: "x"}])
+    def test_data_cells_and_keys_must_be_strings(self, row):
+        with pytest.raises(ValidationError, match="data rows must map strings to strings"):
+            EntityValue(text="", data=({"a": "x"}, row))
+
     def test_relabel_recomputes_weight(self):
         entity = build_entity("e1", "text", (0, 0, 10, 10), text="x")
         relabeled = replace(entity, type=ElementLabel.PAGE_HEADER)
@@ -327,6 +332,8 @@ class TestSerialization:
             ("box", "left", "200.0", r"pixel_coordinates: left must be a number, got '200.0'"),
             ("box", "top", False, r"pixel_coordinates: top must be a number, got False"),
             ("box", "right", 10**400, r"pixel_coordinates: right is too large for a float"),
+            ("value", "data", [{"a": 1, "b": {"nested": [True, None]}}],
+             r"elements\['a'\]\.value\.data: data rows must map strings to strings, got 'a': 1"),
         ],
     )
     def test_loader_rejects_malformed_structure(self, where, key, value, message):

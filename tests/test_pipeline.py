@@ -1031,6 +1031,21 @@ class TestCli:
         for name in ("sections.eval.json", "sections.eval.txt"):
             assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
 
+    def test_eval_table_mode_small_golden(self, tmp_path):
+        # Tables of under 400 root cells: a 3x3 table with a span that loses
+        # one cell and has one reworded, a 2x2 table with a ``thead`` and an
+        # empty cell, and a one-cell table against two cells. The goldens
+        # come from filling these root tables in full, so they pin the
+        # banded table's floats on small tables.
+        report_path = tmp_path / "small.eval.json"
+        result = CliRunner().invoke(main, [
+            "eval", str(FIXTURE_DIR / "small.reference.json"), str(FIXTURE_DIR / "small.prediction.json"),
+            "--mode", "table", "--report", str(report_path),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("small.eval.json", "small.eval.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
     def test_outputs_honour_the_umask(self, tmp_path, umask, mode):
         path = minimal_input(tmp_path)
