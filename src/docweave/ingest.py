@@ -165,7 +165,10 @@ def _parse_detection(raw: Any, labels: type) -> tuple:
     confidence = raw.get("confidence")
     if not isinstance(confidence, (int, float)) or isinstance(confidence, bool):
         raise _BadField(".confidence", "confidence must be a number")
-    confidence = float(confidence)
+    try:
+        confidence = float(confidence)
+    except OverflowError:
+        raise _BadField(".confidence", "confidence is too large for a float") from None
     if not 0.0 <= confidence <= 1.0:
         raise _BadField(".confidence", f"confidence must be in [0,1], got {confidence}")
     bbox_raw = raw.get("bbox")

@@ -8,17 +8,15 @@ from Zhang-Shasha forest-distance tables (Zhang & Shasha 1989), filled on
 demand; the cost model (Zhong et al. 2020) charges 1 for insert/delete, 1
 for tag or span mismatches, and a normalized character edit distance between
 cell texts for matching ``td`` nodes. TEDS-S runs the same comparison with
-cell texts blanked.
+cell texts left out of every label.
 
 Each node of a table tree gets a shape id: equal ids mean equal labelled
 subtrees (tag, spans, cell text and children's shapes, in order). The
 ``treedist`` table of subtree distances and the relabel costs are indexed by
 (A shape, B shape), so repeated rows and repeated cell texts are compared
 once. This is exact: an entry's float comes from the two labelled subtrees
-alone, by the same additions in the same order. With cell texts blanked, the
-rows of a regular table share one shape, and the entries recorded for the
-first pair of rows serve every row, so TEDS-S fills the root table and at
-most one table below it.
+alone, by the same additions in the same order. Without cell texts, the rows
+of a regular table share one shape.
 
 Only the tables a result needs are filled, the idea of Pawlik & Augsten
 (Information Systems 56, 2016), here without changing one floating-point
@@ -42,12 +40,14 @@ band around its diagonal: Ukkonen's cut-off (Information and Control 64,
 cost of one valid ordered mapping (``_mapping_cost``), top-down as in Selkow
 (IPL 6, 1977): the roots are matched, a row's cells are matched by position,
 and rows or sections are aligned by an insert/delete/match program whose
-match cost is this same bound. Row r (an A prefix of r nodes) computes only
-the columns c (B prefixes) with L(r, c) = |r - c| + |(|A| - r) - (|B| - c)|
-<= limit = floor(U * (1 + (|A| + |B|) * 2**-50)), a contiguous range; every
-other cell is infinite. An infinite forest distance also fails the
-size-bound test, so no out-of-band pair of subtrees calls ``ted``. Only the
-root table is banded; the tables below it are filled in full, as above.
+match cost is this same bound, over the cells |i - j| <= |R_A - R_B| + 2 of
+R_A against R_B children only (any alignment is a valid mapping). Row r (an
+A prefix of r nodes) computes only the columns c (B prefixes) with L(r, c) =
+|r - c| + |(|A| - r) - (|B| - c)| <= limit = floor(U * (1 + (|A| + |B|) *
+2**-50)), a contiguous range; every other cell is infinite. An infinite
+forest distance also fails the size-bound test, so no out-of-band pair of
+subtrees calls ``ted``. Only the root table is banded, and it keeps only the
+rows a later row reads, those before a node's leftmost leaf.
 
 The band changes no bit of the result. L(r, c) is an integer lower bound on
 the cost of any path through cell (r, c): the forest distance to the cell is
@@ -66,49 +66,41 @@ and the rounding of the product for any n below 2**40. So every trace cell
 lies in the band and is computed from the same exact candidates, while any
 other candidate of a cell is at least its true value: the final value keeps
 its bits. An in-band cell can still be larger than its true value, so the
-banded table records no ``treedist`` entry. Two equal trees give U = 0 and a
-band of the diagonal alone. Every root table is banded, however small: on the
-host named below, against filling 2x2, 3x3 and 3x5 root tables in full (one
-row deleted, a fifth of the cells reworded), ``teds`` took 0.90, 0.99 and
-0.82 of the time, and ``teds_s`` 1.42, 1.09 and 1.00 (2x2: 44 to 62 us).
+banded table records no ``treedist`` entry.
+
+When U is ||A| - |B||, the table's own lower bound, no table is filled and U
+is returned, where that is exact. If every relabel cost is 0 or 1 (always
+for TEDS-S, and for TEDS when no span key has cells with text on both
+sides), every sum is an integer added exactly, so the table's value, at
+least ||A| - |B|| and at most U, is U. If U is 0, every term of its float
+sum is 0, so the table's value, a minimum of non-negative sums one of which
+adds those zeros, is 0.0 too. With text costs a float U could round, so the
+exit then waits for U = 0. It takes ``teds_s`` of a table against a copy
+with rows inserted or deleted, and any table against an equal one.
+
+Relabel costs are computed on first read: the B cells with text of one span
+key and a similar length are packed 128 to a chunk as the lanes of one
+:class:`_Lanes`, padded to one width (1-2, 3-6, 7-14, ... bytes), which gives
+an A cell's text distances to the whole chunk in one bit-parallel pass. Every
+other cost is known from the labels: one shared row per kind of label. Two
+leaves are at distance min(2, 2, relabel), so each A leaf's ``treedist`` row
+starts as a copy of its kind's row, with ``None`` where texts meet until
+that chunk is read; every other entry starts as ``None``.
 
 On a pair of ``perfbench``'s ``eval`` inputs (a 10x10 table of 1-word cells
 against a copy with one row deleted and a fifth of its cells reworded), U is
 the distance, 25.6; ``teds`` fills 4,843 table cells (24,498 unbanded, 76,242
-in the keyroot loop): 2,544 of the 111x100 root table and 39 tables below it.
-``teds_s`` fills 1,321 instead of 11,100, and a table against itself 1,200
-instead of 13,410. Calls of ``ted`` nest at most depth(A) + depth(B) deep, 8
-for parsed tables (table, section, row, cell).
+in the keyroot loop): 2,544 of the 111x100 root table and 39 tables below.
+``teds_s`` fills none (U = 11). Calls of ``ted`` nest at most depth(A) +
+depth(B) deep, 8 for parsed tables (table, section, row, cell).
 
-Before any table, ``tree_edit_distance`` builds the relabel cost of every
-(A shape, B shape) pair as one matrix. The cell edit distances come from a
-multi-pattern bit-parallel kernel (Hyyrö, Fredriksson & Navarro 2005): the
-non-empty B cell texts of one span are packed as byte-aligned lanes of a
-single int, and Myers' recurrence (Myers 1999, in Hyyrö 2003's form for
-global distance) runs once per A cell, a few big-int operations per
-character, to give its distance to every B cell at once; one byte-wise
-popcount and one running sum read every lane out. The matrix and
-``treedist`` each hold at most one entry per (A shape, B shape) pair, never
-more than one per (A node, B node) pair.
-
-TEDS is still quadratic in table size: the relabel cost matrix has one entry
-per pair of distinct A and B subtrees, and the root table's rows are kept at
-full length (the cells outside the band share one ``inf``). The band cuts the
-root table's work from |A| x |B| cells to about |A| times the band's width,
-which grows with the distance, not with the tables. Measured on one core of a
-2-core x86 host under CPython 3.11 (median of 15 calls at 10x10, 9 at 10x10
-with 5-word cells, 7 and 5 at 30x10 and 3 at 60x10, interleaved with the
-unbanded code), for a table of words from a 30-word vocabulary against a copy
-with one row deleted and a fifth of its cells reworded, one ``teds`` call
-takes about 0.0022 s at 10x10 with 1-word cells (0.0058 s unbanded), 0.011 s
-at 10x10 with 5-word cells (0.016 s), 0.012 s at 30x10 with 1-word cells
-(0.047 s), 0.096 s at 30x10 with 5-word cells (0.15 s) and 0.041 s at 60x10
-with 1-word cells (0.18 s); with 5-word cells the relabel matrix takes most
-of the rest. ``teds_s`` takes 0.0009-0.013 s on the same tables, 0.19-0.52
-of its unbanded time. The host's speed swings by up to about 1.6x between
-phases, so read the ratios. One 60x10 ``teds``
-call peaks at about 5.5 MB of ``tracemalloc`` (14.4 MB unbanded), most of it
-the root table's rows. ``evaluate`` sets no size limit.
+With few edits, a call takes time about linear in cells times U: the band is
+about U wide, and each A cell reads the relabel costs of a chunk or two, for
+its band and for the rows the mapping aligns with its own. Edits that grow
+with the table, as between unrelated tables, keep it quadratic: U grows with
+the table, and every chunk is read. ``treedist`` still holds one pointer per
+(A shape, B shape) pair; the relabel costs hold only the chunks read. The
+README gives timings. ``evaluate`` sets no size limit.
 
 ``evaluate`` reads and checks each DP-Bench file once, into
 :class:`DPBenchElement` records; NID, table matching by ``geometry.iou`` and
@@ -122,7 +114,7 @@ from dataclasses import dataclass, field
 from html.parser import HTMLParser
 from itertools import accumulate
 from math import floor, inf
-from operator import sub
+from operator import add
 from pathlib import Path
 from typing import Any, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -196,39 +188,39 @@ _POPCOUNT = bytes(bin(value).count("1") for value in range(256))
 class _Lanes:
     """Edit distances from one text to many, all in one bit-parallel pass.
 
-    Each text is packed as one lane of a single int: lane k starts on a byte
-    boundary, holds bits ``[offset_k, offset_k + len(text_k))`` and is
-    followed by zero guard bits up to the next byte boundary (at least one),
-    which absorb the carry of the addition and the top bit of each shift, so
-    no lane reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
+    Each text is packed as one lane of a single int: every lane spans the
+    same whole number of bytes, ``width``, holds its text's bits from its
+    first bit on, and is followed by zero guard bits (at least one), which
+    absorb the carry of the addition and the top bit of each shift, so no
+    lane reads its neighbour (Hyyrö, Fredriksson & Navarro 2005).
     ``distances(a)`` then runs Myers' recurrence (Myers 1999, in Hyyrö 2003's
     form for global distance) once over the characters of ``a``: bit i of
     lane k in ``pv``/``mv`` is set where the DP column of ``text_k`` steps
     by +1/-1 from row i to row i + 1. Each character of ``a`` costs a few
-    big-int operations, whatever the number and length of the texts, and
-    the lanes are read out together: one byte-wise popcount per vector and
-    one running sum over the bytes.
+    big-int operations, whatever the number and length of the texts; the
+    lanes are read out by a byte-wise popcount per vector, a few big-int
+    additions that total each segment of at most 15 bytes in its first byte,
+    and one addition per further segment of a lane.
     """
 
-    __slots__ = ("peq", "lanes", "low", "size", "bounds")
+    __slots__ = ("peq", "lanes", "low", "size", "width", "segment", "eights")
 
     def __init__(self, texts: Sequence[str]):
         self.peq: dict[str, int] = {}
         self.lanes = self.low = 0
-        # Each lane's first byte and the byte after its guard bits.
-        self.bounds: list[tuple[int, int]] = []
-        start = 0
-        for text in texts:
-            offset = 8 * start
+        need = max(map(len, texts), default=0) // 8 + 1
+        parts = -(-need // 15)
+        self.segment = -(-need // parts)
+        self.width = parts * self.segment
+        for k, text in enumerate(texts):
+            offset = 8 * self.width * k
             for i, ch in enumerate(text, offset):
                 self.peq[ch] = self.peq.get(ch, 0) | (1 << i)
             if text:
                 self.low |= 1 << offset
             self.lanes |= (1 << (offset + len(text))) - (1 << offset)
-            end = start + len(text) // 8 + 1
-            self.bounds.append((start, end))
-            start = end
-        self.size = start
+        self.size = self.width * len(texts)
+        self.eights = int.from_bytes(b"\x08" * self.size, "little")
 
     def distances(self, a: str) -> list[int]:
         """Edit distance from ``a`` to each packed text, in packing order."""
@@ -247,13 +239,23 @@ class _Lanes:
             mh = (mh << 1) & lanes
             pv = mh | ((xv | ph) ^ lanes)
             mv = ph & xv
-        # A lane's distance is row 0's len(a) plus the lane's vertical deltas:
-        # ``sums[k]`` totals the +1 minus the -1 steps of bytes 0 to k - 1.
-        plus = pv.to_bytes(self.size, "little").translate(_POPCOUNT)
-        minus = mv.to_bytes(self.size, "little").translate(_POPCOUNT)
-        sums = list(accumulate(map(sub, plus, minus), initial=0))
-        n = len(a)
-        return [n + sums[end] - sums[start] for start, end in self.bounds]
+        # A lane's distance is row 0's len(a) plus the lane's vertical deltas.
+        # Per byte, 8 plus its +1 steps minus its -1 steps is in 0..16, so the
+        # subtraction borrows nothing and a sum of 15 bytes carries nothing: a
+        # segment's first byte totals the segment, and segments add as ints.
+        size, width, segment = self.size, self.width, self.segment
+        plus = int.from_bytes(pv.to_bytes(size, "little").translate(_POPCOUNT), "little")
+        minus = int.from_bytes(mv.to_bytes(size, "little").translate(_POPCOUNT), "little")
+        deltas = total = plus + self.eights - minus
+        for shift in range(8, 8 * segment, 8):
+            total += deltas >> shift
+        firsts = total.to_bytes(size, "little")[::segment]
+        parts = width // segment
+        totals = firsts[::parts]
+        for part in range(1, parts):
+            totals = list(map(add, totals, firsts[part::parts]))
+        base = len(a) - 8 * width
+        return [base + d for d in totals]
 
 
 def levenshtein(a: str, b: str) -> int:
@@ -433,68 +435,103 @@ def parse_table_html(html: str) -> TableNode:
 
 
 def relabel_cost(a: TableNode, b: TableNode) -> float:
-    """TEDS relabel cost of one pair, as ``tree_edit_distance`` computes it.
-
-    1 for a tag or span mismatch; for two ``td`` cells, 0 when both are
-    empty and otherwise their text edit distance over the longer length;
-    0 for two equal nodes of any other tag.
+    """TEDS relabel cost of one pair: the distance between the two nodes
+    alone, min(2, 2, relabel). 1 for a tag or span mismatch; for two ``td``
+    cells, 0 when both are empty and otherwise their text edit distance over
+    the longer length; 0 for two equal nodes of any other tag.
     """
-    return _relabel_costs([a], [b])[0][0]
+    return tree_edit_distance(TableNode(a.tag, a.text, a.colspan, a.rowspan),
+                              TableNode(b.tag, b.text, b.colspan, b.rowspan))
 
 
-def _relabel_costs(a_nodes: Sequence[TableNode], b_nodes: Sequence[TableNode]) -> list[list[float]]:
-    """``costs[x][y]``: the relabel cost of ``a_nodes[x]`` to ``b_nodes[y]``.
+#: B text cells of one span key packed into one :class:`_Lanes`, at most.
+_CHUNK = 128
 
-    The non-empty ``td`` texts of ``b_nodes`` with the same spans form one
-    :class:`_Lanes` each, so a cell of ``a_nodes`` gets its distances to all
-    of them in one pass. ``tree_edit_distance`` passes one node per shape, so
-    the matrix holds as many entries as its ``treedist`` table.
+
+def _relabel_costs(a_labels: list[tuple], a_kids: list[tuple], b_labels: list[tuple], b_kids: list[tuple]):
+    """``treedist``'s first rows, indexed by (A shape, B shape); ``relabel(x,
+    y)``, the relabel cost of A shape x to B shape y; and whether every such
+    cost is 0 or 1. Costs of two texts are computed a chunk at a time on
+    first read, as the module docstring describes; B cells with children
+    are chunked apart.
     """
-    # Per (tag, colspan, rowspan): the nodes an equal A node relabels to for
-    # free, and the non-empty cells whose cost is a text distance.
-    free: dict[tuple[str, int, int], list[int]] = {}
-    cells: dict[tuple[str, int, int], list[tuple[int, int]]] = {}
-    texts: dict[tuple[str, int, int], list[str]] = {}
-    for y, node in enumerate(b_nodes):
-        key = (node.tag, node.colspan, node.rowspan)
-        if node.tag == "td" and node.text:
-            cells.setdefault(key, []).append((y, len(node.text)))
-            texts.setdefault(key, []).append(node.text)
-        else:
-            free.setdefault(key, []).append(y)
-    lanes = {key: _Lanes(group) for key, group in texts.items()}
-
-    costs = []
-    for node in a_nodes:
-        key = (node.tag, node.colspan, node.rowspan)
-        text = node.text if node.tag == "td" else ""
-        row = [1.0] * len(b_nodes)
+    size = len(b_labels)
+    free, cells = {}, {}  # per span key, the B shapes without text and with text
+    chunks, open_chunks = [], {}  # each chunk: B shapes, texts, lengths, whether leaves
+    chunk_of, slot_of = [0] * size, [0] * size
+    for y, ((tag, colspan, rowspan, text), (children, _, _)) in enumerate(zip(b_labels, b_kids)):
+        key = (tag, colspan, rowspan)
+        (cells if text else free).setdefault(key, []).append(y)
         if not text:
-            for y in free.get(key, ()):
-                row[y] = 0.0
-        elif key in cells:
+            continue
+        # A chunk pads every lane to its longest, so lanes of 1-2, 3-6, 7-14, ... bytes apart.
+        group = (key, not children, (len(text) // 8 + 2).bit_length())
+        k = open_chunks.get(group)
+        if k is None or len(chunks[k][0]) == _CHUNK:
+            k = open_chunks[group] = len(chunks)
+            chunks.append(([], [], [], not children))
+        ys, texts, lengths, _ = chunks[k]
+        chunk_of[y], slot_of[y] = k, len(ys)
+        ys.append(y)
+        texts.append(text)
+        lengths.append(len(text))
+
+    b_leaves = [not kids[0] for kids in b_kids]
+    templates: dict[tuple, tuple[list, list]] = {}
+    costs, treedist, integral = [], [], True
+    for (tag, colspan, rowspan, text), (children, _, _) in zip(a_labels, a_kids):
+        key = (tag, colspan, rowspan)
+        pair = templates.get((key, text == ""))
+        if pair is None:
+            row = [1.0] * size
+            for y in (cells if text else free).get(key, ()):
+                row[y] = None if text else 0.0
+            pair = templates[key, text == ""] = row, [c if leaf else None for c, leaf in zip(row, b_leaves)]
+        if text and key in cells:
+            integral = False
+        costs.append(pair[0])
+        treedist.append([None] * size if children else pair[1].copy())
+    lanes: list[Optional[_Lanes]] = [None] * len(chunks)
+    filled: dict[tuple[int, int], list[float]] = {}  # (A shape, chunk) -> its costs to the chunk
+
+    def relabel(x: int, y: int) -> float:
+        cost = costs[x][y]
+        if cost is not None:
+            return cost
+        k = chunk_of[y]
+        values = filled.get((x, k))
+        if values is None:
+            ys, texts, lengths, leaves = chunks[k]
+            if lanes[k] is None:
+                lanes[k] = _Lanes(texts)
+            text = a_labels[x][3]
             n = len(text)
-            for (y, m), d in zip(cells[key], lanes[key].distances(text)):
-                row[y] = d / (n if n > m else m)
-        costs.append(row)
-    return costs
+            values = filled[x, k] = [d / (n if n > m else m) for m, d in zip(lengths, lanes[k].distances(text))]
+            if leaves and not a_kids[x][0]:
+                tree_row = treedist[x]
+                for z, value in zip(ys, values):
+                    tree_row[z] = value
+        return values[slot_of[y]]
+
+    return treedist, relabel, integral
 
 
-def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode], list[tuple]]:
+def _postorder(root: TableNode, texts: bool = True) -> tuple[list[int], list[int], list[tuple], list[tuple]]:
     """Per node in postorder, its leftmost leaf's index and its shape id; plus,
-    indexed by shape id, the first node of each shape and its children's
-    shape ids and subtree sizes, in order, with whether every child is a leaf
-    (true for a node with no children).
+    indexed by shape id, its label ``(tag, colspan, rowspan, text)`` and its
+    children's shape ids and subtree sizes, in order, with whether every child
+    is a leaf (true for a node with no children).
 
     Two nodes share a shape id exactly when their subtrees carry the same
-    labels in the same order: the key is the node's tag, spans, text (for a
-    ``td``; the cost model ignores any other node's text) and its children's
-    shape ids. Ids go out in order of first appearance, so in a tree with no
-    repeated subtree each node's shape id is its postorder index.
+    labels in the same order: the key is the node's label and its children's
+    shape ids. A label's text is a ``td``'s text (the cost model ignores any
+    other node's), and ``""`` for every node when ``texts`` is false, as
+    TEDS-S compares. Ids go out in order of first appearance, so in a tree
+    with no repeated subtree each node's shape id is its postorder index.
     """
     lmds: list[int] = []
     shapes: list[int] = []
-    firsts: list[TableNode] = []
+    labels: list[tuple] = []
     kids: list[tuple[list[int], list[int], bool]] = []
     ids: dict[tuple, int] = {}
 
@@ -509,10 +546,10 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode], 
                 first_leaf = child_lmd
         index = len(lmds)
         lmds.append(first_leaf if first_leaf is not None else index)
-        text = node.text if node.tag == "td" else ""
-        shape = ids.setdefault((node.tag, node.colspan, node.rowspan, text, tuple(child_shapes)), len(ids))
-        if shape == len(firsts):
-            firsts.append(node)
+        label = (node.tag, node.colspan, node.rowspan, node.text if texts and node.tag == "td" else "")
+        shape = ids.setdefault((label, tuple(child_shapes)), len(ids))
+        if shape == len(labels):
+            labels.append(label)
             # Every child is a leaf when the node has as many children as descendants.
             kids.append((child_shapes, child_sizes, len(child_shapes) == index - lmds[index]))
         shapes.append(shape)
@@ -520,12 +557,10 @@ def _postorder(root: TableNode) -> tuple[list[int], list[int], list[TableNode], 
 
     visit(root)
     del visit  # visit's closure holds visit; without this the cycle outlives the call
-    return lmds, shapes, firsts, kids
+    return lmds, shapes, labels, kids
 
 
-def _mapping_cost(
-    sa: int, sb: int, a_kids: list, b_kids: list, costs: list[list[float]], memo: dict[tuple[int, int], float]
-) -> float:
+def _mapping_cost(sa: int, sb: int, a_kids: list, b_kids: list, relabel, memo: dict) -> float:
     """Cost of one top-down ordered mapping (Selkow 1977) of a subtree of
     shape ``sa`` onto one of shape ``sb``: an upper bound on their distance.
 
@@ -533,9 +568,10 @@ def _mapping_cost(
     cells), children are matched by position and the extra ones on the longer
     side cost their subtree sizes. Otherwise the two child sequences (a
     table's rows or sections) are aligned by an insert/delete/match dynamic
-    program whose match cost is this bound. ``a_kids`` and ``b_kids`` are the
-    per-shape child lists ``_postorder`` records as it walks each tree;
-    ``memo`` holds the cost of each (A shape, B shape) pair met so far.
+    program whose match cost is this bound, over the cells |i - j| <=
+    |len(xs) - len(ys)| + 2 only (any alignment is a valid mapping).
+    ``a_kids`` and ``b_kids`` are ``_postorder``'s child lists, ``relabel`` is
+    ``_relabel_costs``'s, and ``memo`` holds the cost of each pair met so far.
     """
     cost = memo.get((sa, sb))
     if cost is not None:
@@ -546,28 +582,31 @@ def _mapping_cost(
         cost = float(sum(x_sizes[len(ys):]) + sum(y_sizes[len(xs):]))
         if x_flat and y_flat:
             for x, y in zip(xs, ys):
-                cost += costs[x][y]
+                cost += relabel(x, y)
         else:
             for x, y in zip(xs, ys):
-                cost += _mapping_cost(x, y, a_kids, b_kids, costs, memo)
+                cost += _mapping_cost(x, y, a_kids, b_kids, relabel, memo)
     else:
+        width = abs(len(xs) - len(ys)) + 2
         above = [float(k) for k in accumulate(y_sizes, initial=0)]
-        for x, x_size in zip(xs, x_sizes):
-            left = above[0] + x_size
-            row = [left]
-            for up, diagonal, y, y_size in zip(above[1:], above, ys, y_sizes):
+        for i, (x, x_size) in enumerate(zip(xs, x_sizes), 1):
+            # Columns lo to hi; the cells on either side are infinite.
+            lo, hi = max(i - width, 1), min(i + width, len(ys))
+            row = [above[0] + x_size] + [inf] * (lo - 1)
+            left = row[-1]
+            for up, diagonal, y, y_size in zip(above[lo : hi + 1], above[lo - 1 :], ys[lo - 1 : hi], y_sizes[lo - 1 :]):
                 best = up + x_size
                 step = left + y_size
                 if step < best:
                     best = step
-                step = diagonal + _mapping_cost(x, y, a_kids, b_kids, costs, memo)
+                step = diagonal + _mapping_cost(x, y, a_kids, b_kids, relabel, memo)
                 if step < best:
                     best = step
                 row.append(best)
                 left = best
-            above = row
+            above = row + [inf] * (len(ys) - hi)
         cost = above[-1]
-    cost += costs[sa][sb]
+    cost += relabel(sa, sb)
     memo[sa, sb] = cost
     return cost
 
@@ -580,23 +619,25 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
     table's leftmost leaf. A cell that needs an entry no table has recorded
     calls ``ted`` for that pair only if the forest distance before the two
     subtrees plus their size difference, a lower bound, is below the cell's
-    best candidate so far. The root table computes only the cells in a band
-    around its diagonal, set by the cost of one cheap mapping
-    (``_mapping_cost``), and records nothing. See the module docstring for
-    why both are exact. ``treedist`` and the relabel costs are indexed by
-    (A shape, B shape): an entry's float comes from the two labelled subtrees
-    alone.
+    best candidate so far. The root table computes only a band around its
+    diagonal, set by the cost U of one cheap mapping (``_mapping_cost``),
+    and records nothing; when U is the size difference and that is exact, U
+    is returned and no table is filled. The module docstring says why all of
+    this is exact.
     """
-    a_lmds, a_shapes, a_firsts, a_kids = _postorder(tree_a)
-    b_lmds, b_shapes, b_firsts, b_kids = _postorder(tree_b)
-    costs = _relabel_costs(a_firsts, b_firsts)
-    # None until a table records it. Two leaves cost min(2, 2, relabel), and a
-    # relabel costs at most 1.
-    b_leaves = [not node.children for node in b_firsts]
-    treedist = [
-        [None] * len(b_firsts) if node.children else [c if leaf else None for c, leaf in zip(row, b_leaves)]
-        for node, row in zip(a_firsts, costs)
-    ]
+    return _distance(_postorder(tree_a), _postorder(tree_b))
+
+
+def _distance(a_walk: tuple, b_walk: tuple) -> float:
+    """``tree_edit_distance`` of two trees given by their ``_postorder`` walks."""
+    a_lmds, a_shapes, a_labels, a_kids = a_walk
+    b_lmds, b_shapes, b_labels, b_kids = b_walk
+    treedist, relabel, integral = _relabel_costs(a_labels, a_kids, b_labels, b_kids)
+    size_a, size_b = len(a_lmds), len(b_lmds)
+    shift = size_b - size_a
+    upper = _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, relabel, {})
+    if upper == 0.0 or (integral and upper == abs(shift)):
+        return upper
 
     def ted(i: int, j: int, band: Optional[tuple[int, int]] = None) -> float:
         li, lj = a_lmds[i], b_lmds[j]
@@ -605,14 +646,18 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
         columns = [(y, b_shapes[y], b_lmds[y] - lj) for y in range(lj, j + 1)]
         width = len(columns)
         lo, hi, in_band = 0, width, columns
-        # One row per node of subtree(i); row 0 is the empty forest.
+        # One row per node of subtree(i); row 0 is the empty forest. A leaf's
+        # forest before it is the row above; the banded root table keeps only
+        # the rows before a node's leftmost leaf, which later rows read.
         above = [float(k) for k in range(width + 1)]
         fd = [above]
+        kept = None if band is None else {a_lmds[x] for x in range(i + 1) if a_lmds[x] < x}
         for x in range(li, i + 1):
             p = a_lmds[x] - li
-            before = fd[p]
+            before = above if p == x - li else fd[p]
             span = x - li - p  # size(x) - 1
-            tree_row = treedist[a_shapes[x]]
+            a_shape = a_shapes[x]
+            tree_row = treedist[a_shape]
             left = above[0] + 1.0
             row = [left]
             if band is not None:
@@ -628,7 +673,6 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
             # An unknown entry is computed only if its bound can beat best;
             # a skipped candidate is infinite, so it never does.
             if p == 0:
-                cost_row = costs[a_shapes[x]]
                 # ``above`` itself when unbanded: no copy in the many small tables.
                 for up, diagonal, (y, t, q) in zip(above[lo + 1 :], above[lo:] if lo else above, in_band):
                     best = up + 1.0
@@ -636,7 +680,7 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                     if step < best:
                         best = step
                     if q == 0:
-                        step = diagonal + cost_row[t]
+                        step = diagonal + relabel(a_shape, t)
                         if step < best:
                             best = step
                         if band is None:
@@ -666,34 +710,33 @@ def tree_edit_distance(tree_a: TableNode, tree_b: TableNode) -> float:
                     left = best
             if hi < width:
                 row += [inf] * (width - hi)
-            fd.append(row)
+            fd.append(row if kept is None or x + 1 in kept else None)
             above = row
         return above[-1]
 
-    size_a, size_b = len(a_lmds), len(b_lmds)
-    upper = _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, costs, {})
     # At least the distance, by the rounding margin argued in the module docstring.
     limit = floor(upper * (1.0 + (size_a + size_b) * 2.0**-50))
     # Cells (r, c) with |r - c| + |(size_a - r) - (size_b - c)| <= limit.
-    shift = size_b - size_a
     extra = (limit - abs(shift)) // 2
     distance = ted(size_a - 1, size_b - 1, (min(shift, 0) - extra, max(shift, 0) + extra))
     # ted's closure holds ted: empty that cell, or the cycle keeps ``treedist``
-    # and ``costs`` alive until the next cyclic collection.
+    # and the relabel costs alive until the next cyclic collection.
     del ted
     return distance
 
 
+def _teds(a_walk: tuple, b_walk: tuple) -> float:
+    return max(0.0, 1.0 - _distance(a_walk, b_walk) / max(len(a_walk[0]), len(b_walk[0])))
+
+
 def teds(tree_a: TableNode, tree_b: TableNode) -> float:
     """Tree edit distance similarity in [0, 1]."""
-    denominator = max(tree_a.size(), tree_b.size())
-    score = 1.0 - tree_edit_distance(tree_a, tree_b) / denominator
-    return max(0.0, score)
+    return _teds(_postorder(tree_a), _postorder(tree_b))
 
 
 def teds_s(tree_a: TableNode, tree_b: TableNode) -> float:
-    """Structure-only TEDS: cell contents are blanked before comparison."""
-    return teds(tree_a.blanked(), tree_b.blanked())
+    """Structure-only TEDS: cell texts are left out of the comparison."""
+    return _teds(_postorder(tree_a, texts=False), _postorder(tree_b, texts=False))
 
 
 # ---------------------------------------------------------------------------

@@ -485,7 +485,10 @@ def entity_from_dict(raw: Mapping[str, Any], context: str = "entity") -> Entity:
             f"{context}: weight must be a positive integer, {WEIGHTS[label]} for type "
             f"{label.value!r}, got {weight!r}"
         )
-    confidence = float(_require_number(raw, "confidence", context))
+    try:
+        confidence = float(_require_number(raw, "confidence", context))
+    except OverflowError:
+        raise ValidationError(f"{context}: confidence is too large for a float") from None
     if not 0.0 <= confidence <= 1.0:
         raise ValidationError(f"{context}: confidence must be in [0,1], got {confidence}")
 

@@ -84,6 +84,7 @@ def bad_fields(label, kind):
         (detection(label, 0.01, bbox=(0, True, 10, 10)), ".bbox", "top must be a number, got True"),
         (detection(label, 0.01, bbox=(0, 0, None, 10)), ".bbox", "right must be a number, got None"),
         (detection(label, 0.01, bbox=(0, 0, 10, 10**400)), ".bbox", "bottom is too large for a float"),
+        (detection(label, 10**400), ".confidence", "confidence is too large for a float"),
     ]
 
 

@@ -315,12 +315,11 @@ class TestShapes:
 
     def test_equal_subtrees_share_a_shape(self):
         tree = table(row(cell("a"), cell("b")), row(cell("a"), cell("b")), row(cell("b"), cell("a")))
-        _, shapes, firsts, _ = _postorder(tree)
+        _, shapes, labels, _ = _postorder(tree)
         # Postorder: a b tr | a b tr | b a tr | table.
         assert shapes == [0, 1, 2, 0, 1, 2, 1, 0, 3, 4]
-        first_row = tree.children[0]
-        expected = [first_row.children[0], first_row.children[1], first_row, tree.children[2], tree]
-        assert [id(node) for node in firsts] == [id(node) for node in expected]
+        assert labels == [("td", 1, 1, "a"), ("td", 1, 1, "b"), ("tr", 1, 1, ""), ("tr", 1, 1, ""),
+                          ("table", 1, 1, "")]
 
     def test_key_holds_text_spans_and_tag(self):
         cells = [cell("a"), cell("b"), cell("a", colspan=2), cell("a", rowspan=2), TableNode("tr", text="a")]
@@ -496,9 +495,10 @@ def test_tree_edit_distance_is_zhang_shasha_bit_for_bit_where_the_band_matters()
 
 
 def _mapping_bound(a: TableNode, b: TableNode) -> float:
-    _, a_shapes, a_firsts, a_kids = _postorder(a)
-    _, b_shapes, b_firsts, b_kids = _postorder(b)
-    return _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, _relabel_costs(a_firsts, b_firsts), {})
+    _, a_shapes, a_labels, a_kids = _postorder(a)
+    _, b_shapes, b_labels, b_kids = _postorder(b)
+    _, relabel, _ = _relabel_costs(a_labels, a_kids, b_labels, b_kids)
+    return _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, relabel, {})
 
 
 def _trees(texts: Sequence[str]):
@@ -536,6 +536,100 @@ class TestMappingCost:
         assert _mapping_bound(a, b) == 3.0
 
 
+#: Cell texts for the exit's tests: empty cells, é and 𝄞, and relabel costs
+#: that are mostly not dyadic fractions.
+_EXIT_TEXTS = ("", "", "a", "é", "𝄞x", "North", "South", "1,204.50", "kitten", "sitting")
+
+
+@st.composite
+def _edited_tables(draw) -> tuple[TableNode, TableNode]:
+    """A table of up to six rows of up to four cells, spanned or not, under an
+    optional ``thead`` row, and a copy with one to three rows or cells
+    inserted or deleted."""
+    def new_cell() -> tuple[str, int]:
+        return draw(st.sampled_from(_EXIT_TEXTS)), draw(st.sampled_from((1, 1, 2)))
+
+    grid = [[new_cell() for _ in range(draw(st.integers(0, 4)))] for _ in range(draw(st.integers(1, 6)))]
+    edited = [list(cells) for cells in grid]
+    for _ in range(draw(st.integers(1, 3))):
+        r = draw(st.integers(0, len(edited)))
+        edit = draw(st.sampled_from(("insert row", "delete row", "insert cell", "delete cell")))
+        if edit == "insert row" or r == len(edited):
+            edited.insert(r, [new_cell() for _ in range(draw(st.integers(0, 4)))])
+        elif edit == "delete row":
+            del edited[r]
+        elif edit == "insert cell" or not edited[r]:
+            edited[r].insert(draw(st.integers(0, len(edited[r]))), new_cell())
+        else:
+            del edited[r][draw(st.integers(0, len(edited[r]) - 1))]
+    head = draw(st.booleans())
+
+    def build(rows: list) -> TableNode:
+        trs = [row(*(cell(text, colspan) for text, colspan in cells)) for cells in rows]
+        if head and trs:
+            return table(TableNode("thead", children=trs[:1]), TableNode("tbody", children=trs[1:]))
+        return table(*trs)
+
+    return build(grid), build(edited)
+
+
+def _exit_taken(a: TableNode, b: TableNode, texts: bool = True) -> bool:
+    """Whether ``tree_edit_distance`` returns its mapping bound U with no
+    table filled: U is 0, or U is the size difference and every relabel cost
+    is 0 or 1. It reads the module's own U and cost flag."""
+    a_lmds, a_shapes, a_labels, a_kids = _postorder(a, texts)
+    b_lmds, b_shapes, b_labels, b_kids = _postorder(b, texts)
+    _, relabel, integral = _relabel_costs(a_labels, a_kids, b_labels, b_kids)
+    upper = _mapping_cost(a_shapes[-1], b_shapes[-1], a_kids, b_kids, relabel, {})
+    return upper == 0.0 or (integral and upper == abs(len(a_lmds) - len(b_lmds)))
+
+
+class TestExactExit:
+    """The mapping bound, returned with no table filled, against Zhang-Shasha
+    bit for bit: ``repr`` of the distance and the score, in both orders."""
+
+    @staticmethod
+    def _assert_zhang_shasha(a: TableNode, b: TableNode, score) -> None:
+        for x, y in ((a, b), (b, a)):
+            expected = zhang_shasha_oracle(x, y, relabel_cost_oracle)
+            assert repr(tree_edit_distance(x, y)) == repr(expected)
+            assert repr(score(x, y)) == repr(max(0.0, 1.0 - expected / max(x.size(), y.size())))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited_tables())
+    def test_blanked_tables_with_rows_or_cells_inserted_and_deleted(self, pair):
+        a, b = pair
+        self._assert_zhang_shasha(a.blanked(), b.blanked(), teds_s)
+        for x, y in ((a, b), (b, a)):
+            assert repr(teds_s(x, y)) == repr(teds(x.blanked(), y.blanked()))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_edited_tables())
+    def test_identical_tables_with_text(self, pair):
+        a, _ = pair
+        b = copy.deepcopy(a)
+        assert _exit_taken(a, b)
+        self._assert_zhang_shasha(a, b, teds)
+        assert teds(a, b) == 1.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(_edited_tables())
+    def test_text_tables_take_the_exit_only_at_zero(self, pair):
+        a, b = pair
+        self._assert_zhang_shasha(a, b, teds)
+        def text_spans(tree: TableNode) -> set:
+            return {(node.colspan, node.rowspan) for node in _nodes(tree) if node.tag == "td" and node.text}
+
+        if text_spans(a) & text_spans(b):  # some relabel cost is a text distance
+            for x, y in ((a, b), (b, a)):
+                assert not _exit_taken(x, y) or tree_edit_distance(x, y) == 0.0
+
+    def test_blanked_row_deletion_takes_the_exit(self):
+        a, b = _seeded_grid_pair(9)
+        assert _exit_taken(a, b, texts=False)
+        assert not _exit_taken(a, b)
+
+
 class TestTeds:
     def test_self_similarity(self):
         t = table(row(cell("a"), cell("b")), row(cell("c"), cell("d")))
@@ -571,18 +665,70 @@ class TestTedsMemory:
         teds_s(a, b)
         assert gc.collect() == 0
 
-    def test_peak_of_a_60_row_table(self):
-        a, b = _seeded_grid_pair(9, rows=60)
+    @staticmethod
+    def _peak(score, a: TableNode, b: TableNode) -> int:
         tracemalloc.start()
         try:
-            teds(a, b)
-            peak = tracemalloc.get_traced_memory()[1]
+            score(a, b)
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 5.46 MB measured under CPython 3.11 (no other version was measured),
-        # most of it the rows of the banded 661 x 650 root table; 14.4 MB
-        # under CPython 3.10-3.13 when that table was filled in full.
-        assert peak < 8_000_000
+
+    def test_peak_of_a_60_row_table(self):
+        # 0.88 MB measured under CPython 3.11 (no other version was measured):
+        # the root table keeps only the rows before each row's first cell, and
+        # relabel costs are computed for the chunks read. 5.46 MB when the
+        # banded root table kept every row at full width and every relabel
+        # cost was computed up front, and 14.4 MB under CPython 3.10-3.13 when
+        # that table was filled in full.
+        assert self._peak(teds, *_seeded_grid_pair(9, rows=60)) < 1_300_000
+
+    def test_teds_s_of_a_100_row_table_fills_no_table(self):
+        # One row deleted: the mapping bound is the size difference, so it is
+        # the distance. 0.09 MB measured under CPython 3.11; 10.8 MB when the
+        # root table was filled, mostly its full-width rows.
+        assert self._peak(teds_s, *_seeded_grid_pair(9, rows=100)) < 2_000_000
+
+
+def _long_pair(rows: int) -> tuple[TableNode, TableNode]:
+    """A table of ``rows`` rows of ten 5-word cells and a copy with one row
+    deleted and 2% of the remaining cells reworded."""
+    rng = random.Random(rows)
+
+    def text() -> str:
+        return " ".join(rng.choice(_PIN_WORDS) for _ in range(5))
+
+    grid = [[text() for _ in range(10)] for _ in range(rows)]
+    deleted = rng.randrange(rows)
+    edited = [list(cells) for r, cells in enumerate(grid) if r != deleted]
+    for r, c in rng.sample([(r, c) for r in range(rows - 1) for c in range(10)], round(0.2 * (rows - 1))):
+        edited[r][c] = text()
+    return (table(*(row(*(cell(t) for t in cells)) for cells in grid)),
+            table(*(row(*(cell(t) for t in cells)) for cells in edited)))
+
+
+def test_relabel_costs_of_a_long_table_grow_about_linearly(monkeypatch):
+    # Lanes read per ``teds`` call, over 600, 1,200 and 2,400 cells. Relabel
+    # costs are computed a chunk at a time as the tables and the mapping bound
+    # read them: 102,321, 220,569 and 463,894 lanes. Computing every (A cell,
+    # B cell) pair up front read 4x as many per doubling (352,811, 1,411,319
+    # and 5,638,230).
+    lanes = []
+    distances = _Lanes.distances
+
+    def counted(self, a):
+        result = distances(self, a)
+        lanes.append(len(result))
+        return result
+
+    monkeypatch.setattr(_Lanes, "distances", counted)
+    counts = []
+    for rows in (60, 120, 240):
+        lanes.clear()
+        teds(*_long_pair(rows))
+        counts.append(sum(lanes))
+    assert counts[1] <= 2.5 * counts[0]
+    assert counts[2] <= 2.5 * counts[1]
 
 
 class TestTedsS:
@@ -862,6 +1008,14 @@ class TestLanes:
         # bit above every lane, the carry would change the next lane.
         texts = ["aaaa", "b", "aaaa", "ab", ""]
         assert _Lanes(texts).distances("aaaa") == [0, 4, 0, 3, 4]
+
+    @pytest.mark.parametrize("longest", [0, 7, 8, 119, 120, 130, 239, 240, 1000])
+    def test_every_lane_width_reads_out_exactly(self, longest):
+        # Lanes of up to 15 bytes (texts of up to 119 characters) are read out
+        # in one segment; wider ones in two or more.
+        texts = ["", "€", "ab𝄞" * 3, "x" * longest, "é𝄞" * (longest // 2)]
+        for a in ("", "a", "ab𝄞" * 45, "x" * (longest + 1)):
+            assert _Lanes(texts).distances(a) == [levenshtein_oracle(a, text) for text in texts]
 
     def test_relabel_cost_is_the_matrix_entry(self):
         assert relabel_cost(cell("kitten"), cell("sitting")) == 3 / 7

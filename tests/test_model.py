@@ -334,6 +334,7 @@ class TestSerialization:
             ("box", "right", 10**400, r"pixel_coordinates: right is too large for a float"),
             ("value", "data", [{"a": 1, "b": {"nested": [True, None]}}],
              r"elements\['a'\]\.value\.data: data rows must map strings to strings, got 'a': 1"),
+            ("entity", "confidence", 10**400, r"elements\['a'\]: confidence is too large for a float"),
         ],
     )
     def test_loader_rejects_malformed_structure(self, where, key, value, message):

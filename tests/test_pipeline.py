@@ -1032,11 +1032,11 @@ class TestCli:
             assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
 
     def test_eval_table_mode_small_golden(self, tmp_path):
-        # Tables of under 400 root cells: a 3x3 table with a span that loses
-        # one cell and has one reworded, a 2x2 table with a ``thead`` and an
-        # empty cell, and a one-cell table against two cells. The goldens
-        # come from filling these root tables in full, so they pin the
-        # banded table's floats on small tables.
+        # Small tables: a 3x3 table with a span that loses one cell and has
+        # one reworded, a 2x2 table with a ``thead`` and an empty cell, and a
+        # one-cell table against two cells. The goldens come from filling
+        # these root tables in full, so they pin the banded table's floats on
+        # small tables.
         report_path = tmp_path / "small.eval.json"
         result = CliRunner().invoke(main, [
             "eval", str(FIXTURE_DIR / "small.reference.json"), str(FIXTURE_DIR / "small.prediction.json"),
@@ -1044,6 +1044,21 @@ class TestCli:
         ])
         assert result.exit_code == 0, result.output
         for name in ("small.eval.json", "small.eval.txt"):
+            assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
+
+    def test_eval_table_mode_long_golden(self, tmp_path):
+        # 40x10 tables of 5-word cells, so relabel costs span several chunks
+        # of lanes: one loses a row and has 2% of its cells reworded, one has
+        # a ``thead`` and gains a body row with 5% reworded, and one is
+        # identical. The goldens come from computing every relabel cost up
+        # front, before the mapping bound could stand in for a table.
+        report_path = tmp_path / "long.eval.json"
+        result = CliRunner().invoke(main, [
+            "eval", str(FIXTURE_DIR / "long.reference.json"), str(FIXTURE_DIR / "long.prediction.json"),
+            "--mode", "table", "--report", str(report_path),
+        ])
+        assert result.exit_code == 0, result.output
+        for name in ("long.eval.json", "long.eval.txt"):
             assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / "golden" / name).read_bytes()
 
     @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
